@@ -19,6 +19,7 @@ Jacobian, B the divergence coupling and M_phi the porosity-weighted mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -134,6 +135,43 @@ class DiscretizationOptions:
             raise ValueError(f"unknown momentum_bc {self.momentum_bc!r}")
 
 
+class _FixedCsc:
+    """CSC pattern of an n x n matrix summed from triplets, built once.
+
+    A triplet is given by its key ``col * n + row``; triplet k adds into
+    ``data[slots[k]]``, so ``np.bincount`` over ``slots`` assembles the
+    ``data`` array of the pattern.  Rows listed in ``pinned`` become
+    identity rows in :meth:`matrix`; their off-diagonal entries stay in the
+    pattern as explicit zeros.
+    """
+
+    def __init__(self, keys: np.ndarray, n: int, pinned: np.ndarray):
+        unique, self.slots = np.unique(keys, return_inverse=True)
+        self.n = n
+        self.nnz = len(unique)
+        self.indices = (unique % n).astype(np.int32)
+        counts = np.bincount(unique // n, minlength=n)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        # every matrix shares these; read-only so none can corrupt the rest
+        self.indices.flags.writeable = False
+        self.indptr.flags.writeable = False
+        in_pinned_row = np.zeros(n, dtype=bool)
+        in_pinned_row[pinned] = True
+        self._pinned = np.flatnonzero(in_pinned_row[self.indices])
+        col = np.repeat(np.arange(n), counts)[self._pinned]
+        self._pinned_diag = self._pinned[self.indices[self._pinned] == col]
+
+    def scatter(self, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return np.bincount(slots, weights=values, minlength=self.nnz)
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """CSC matrix over ``data``, with the pinned rows set to identity rows."""
+        data[self._pinned] = 0.0
+        data[self._pinned_diag] = 1.0
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=(self.n, self.n))
+
+
 class Assembler:
     """Caches the static operators of one (mesh, problem) pair."""
 
@@ -156,7 +194,15 @@ class Assembler:
         self.mass_phi = self.scalar_space.mass_matrix(data.phi)
         self.div_coupling = self._assemble_div_coupling()
         self._div_coupling_T = self.div_coupling.T.tocsr()
-        self._jac_cache: dict = {}
+        bn = mesh.boundary_nodes
+        self._pinned_m = np.column_stack([2 * bn, 2 * bn + 1]).ravel() \
+            if self.options.momentum_bc == "exact" else np.empty(0, dtype=int)
+        self._pinned_rho = bn if self.options.pin_rho_boundary \
+            else np.empty(0, dtype=int)
+        # W[q, 3i+j] = w_q phi_i phi_j at quadrature point q
+        basis = rule.basis_values()
+        self._w_ij = (rule.weights[:, None, None] * basis[:, :, None]
+                      * basis[:, None, :]).reshape(len(rule.weights), 9)
 
     # -- static operators ----------------------------------------------------
 
@@ -176,6 +222,38 @@ class Assembler:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(mesh.n_nodes, 2 * mesh.n_nodes)).tocsr()
 
+    @cached_property
+    def _jacobian_pattern(self):
+        """Pattern of [[A, -B^T], [B, M_phi/dt]] and its static data.
+
+        Built on first use, so assemblers that never form a Jacobian (error
+        evaluation) skip it.  Returns the pattern, the slots of the
+        :meth:`_flux_jacobian_elements` entries, and the data arrays of the
+        B blocks and of M_phi.
+        """
+        n_m = self.vector_space.n_dofs
+        n = n_m + self.scalar_space.n_dofs
+        dof = 2 * self.mesh.triangles  # (nt, 3): x-dof of local node i
+        comp = np.arange(2)
+        # flux entry (t, i, j, c, d) sits at row dof[t,i]+c, column dof[t,j]+d
+        flux_keys = (dof[:, None, :, None, None] + comp) * n \
+            + (dof[:, :, None, None, None] + comp[:, None])
+        b = self.div_coupling.tocoo()
+        mass = self.mass_phi.tocoo()
+        # int64 keys: n * n overflows int32 from N = 124 on
+        b_row, b_col = b.row.astype(np.int64), b.col.astype(np.int64)
+        m_row, m_col = mass.row.astype(np.int64), mass.col.astype(np.int64)
+        pattern = _FixedCsc(
+            np.concatenate([flux_keys.ravel(),
+                            (n_m + b_row) * n + b_col,       # -B^T
+                            b_col * n + n_m + b_row,         # B
+                            (n_m + m_col) * n + n_m + m_row]),
+            n, np.concatenate([self._pinned_m, n_m + self._pinned_rho]))
+        flux_slots, b_slots, mass_slots = np.split(
+            pattern.slots, np.cumsum([flux_keys.size, 2 * b.nnz]))
+        coupling = pattern.scatter(b_slots, np.concatenate([-b.data, b.data]))
+        return pattern, flux_slots, coupling, pattern.scatter(mass_slots, mass.data)
+
     # -- per-step data -------------------------------------------------------
 
     def _dpsi_values(self, t_n: float, dt: float) -> np.ndarray:
@@ -186,19 +264,16 @@ class Assembler:
                 - np.asarray(self.data.psi(self._qpts, t_n - dt), dtype=float)) / dt \
             * np.ones(self._qpts.shape[:2])
 
-    def _momentum_bc_dofs(self, t_n: float):
-        """(dof indices, values) of pinned momentum dofs, or (None, None)."""
-        if self.options.momentum_bc != "exact":
-            return None, None
+    def _momentum_bc_values(self, t_n: float) -> np.ndarray:
+        """Exact momentum at the pinned dofs, in ``_pinned_m`` order."""
         bn = self.mesh.boundary_nodes
-        vals = np.asarray(self.data.exact.m(self.mesh.nodes[bn], t_n), dtype=float)
-        dofs = np.column_stack([2 * bn, 2 * bn + 1]).ravel()
-        return dofs, vals.reshape(-1)
+        return np.asarray(self.data.exact.m(self.mesh.nodes[bn], t_n),
+                          dtype=float).reshape(-1)
 
     # -- nonlinear pieces ------------------------------------------------------
 
-    def _flux_terms(self, m_dofs: np.ndarray, t_n: float, want_jacobian: bool):
-        """(F(|m|) m, v) vector and optionally the element flux Jacobians."""
+    def _flux_vector(self, m_dofs: np.ndarray, t_n: float) -> np.ndarray:
+        """(F(|m|) m, v) for all vector test functions v."""
         law = self.data.law
         vs = self.vector_space
         rule = vs.quadrature
@@ -210,28 +285,25 @@ class Assembler:
             * self.mesh.areas[:, None, None]
         rvec = np.zeros(vs.n_dofs)
         np.add.at(rvec, vs.element_dof_map.ravel(), r_el.reshape(-1, 6).ravel())
-        if not want_jacobian:
-            return rvec, None
+        return rvec
+
+    def _flux_jacobian_elements(self, m_dofs: np.ndarray, t_n: float) -> np.ndarray:
+        """Element flux-Jacobian entries, flattened in (t, i, j, c, d) order.
+
+        Entry (t, i, j, c, d) is the sum over quadrature points of
+        W[q, 3i+j] |T_t| dF_c/dm_d(m_q), with dF/dm = F I + F'/|m| m m^T.
+        """
+        law = self.data.law
+        mq = self.vector_space.eval_at_quadrature(m_dofs)  # (nt, nq, 2)
+        mag = np.sqrt(np.sum(mq * mq, axis=-1))
+        f = law.eval_F(mag, t_n)
         magc = np.maximum(mag, law.eps_reg)
         fp = law.eval_F_prime(magc, t_n)
-        eye = np.eye(2)
-        jq = f[:, :, None, None] * eye[None, None] \
-            + (fp / magc)[:, :, None, None] * mq[:, :, :, None] * mq[:, :, None, :]
-        a_el = np.einsum("q,qi,qj,tqcd->ticjd", rule.weights, basis, basis, jq) \
-            * self.mesh.areas[:, None, None, None, None]
-        return rvec, a_el
-
-    def _momentum_block(self, a_el: np.ndarray):
-        vs = self.vector_space
-        dof = vs.element_dof_map
-        key = "mom_pattern"
-        if key not in self._jac_cache:
-            rows = np.repeat(dof, 6, axis=1).ravel()
-            cols = np.tile(dof, (1, 6)).ravel()
-            self._jac_cache[key] = (rows, cols)
-        rows, cols = self._jac_cache[key]
-        return sp.coo_matrix((a_el.reshape(-1, 36).ravel(), (rows, cols)),
-                             shape=(vs.n_dofs, vs.n_dofs)).tocsr()
+        jq = (fp / magc)[:, :, None, None] * mq[:, :, :, None] * mq[:, :, None, :]
+        jq[:, :, 0, 0] += f
+        jq[:, :, 1, 1] += f
+        jq *= self.mesh.areas[:, None, None, None]
+        return (self._w_ij.T @ jq.reshape(len(jq), -1, 4)).ravel()
 
     # -- public assembly -------------------------------------------------------
 
@@ -244,7 +316,7 @@ class Assembler:
             raise ValueError("state times inconsistent with dt")
         t_n = state_n.t
         ss, vs = self.scalar_space, self.vector_space
-        flux_vec, _ = self._flux_terms(state_n.m, t_n, want_jacobian=False)
+        flux_vec = self._flux_vector(state_n.m, t_n)
         grad_psi_vec = vs.load_vector(lambda pts: np.asarray(
             self.data.grad_psi(pts, t_n), dtype=float))
         r_mom = flux_vec - self._div_coupling_T @ state_n.rho_bar + grad_psi_vec
@@ -254,67 +326,57 @@ class Assembler:
         dpsi_vec = ss.load_vector(lambda pts: self._phi_q * dpsi)
         r_den = self.mass_phi @ (state_n.rho_bar - state_prev.rho_bar) / dt \
             + self.div_coupling @ state_n.m - f_vec + dpsi_vec
-        bdofs, bvals = self._momentum_bc_dofs(t_n)
-        if bdofs is not None:
-            r_mom[bdofs] = state_n.m[bdofs] - bvals
-        if self.options.pin_rho_boundary:
-            bn = self.mesh.boundary_nodes
-            r_den[bn] = state_n.rho_bar[bn]
+        if len(self._pinned_m):
+            r_mom[self._pinned_m] = state_n.m[self._pinned_m] \
+                - self._momentum_bc_values(t_n)
+        r_den[self._pinned_rho] = state_n.rho_bar[self._pinned_rho]
         return np.concatenate([r_mom, r_den])
 
-    def jacobian(self, state_n: SystemState, dt: float):
-        """Exact derivative of :meth:`residual` w.r.t. (m, rho_bar)."""
+    def jacobian(self, state_n: SystemState, dt: float) -> sp.csc_matrix:
+        """Exact derivative of :meth:`residual` w.r.t. (m, rho_bar), in CSC.
+
+        The matrix is J = [[A(m), -B^T], [B, M_phi / dt]] on a sparsity
+        pattern built once per assembler; each call scatters the element
+        flux Jacobians into it and adds the static B and M_phi data.  A
+        pinned row (``momentum_bc="exact"``, ``pin_rho_boundary``) is the
+        identity row e_d^T, the derivative of its residual row m_d - g_d or
+        rho_d.
+
+        J is positive real: its symmetric part is blockdiag(A_sym, M_phi/dt)
+        with A the symmetric positive definite flux Jacobian, since the B
+        blocks cancel.  Every principal submatrix is then nonsingular, so
+        LU without pivoting exists in any symmetric ordering.  Pinned rows
+        keep this: expanding along e_d^T, a principal minor that contains d
+        equals the minor without d, a principal minor of the positive-real
+        unpinned matrix.
+        """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        _, a_el = self._flux_terms(state_n.m, state_n.t, want_jacobian=True)
-        a_blk = self._momentum_block(a_el)
-        bt = self._div_coupling_T
-        b = self.div_coupling
-        m_dt = self.mass_phi / dt
-        bdofs, _ = self._momentum_bc_dofs(state_n.t)
-        if bdofs is not None:
-            a_blk = a_blk.tolil()
-            bt = bt.tolil()
-            for d in bdofs:
-                a_blk.rows[d] = [d]
-                a_blk.data[d] = [1.0]
-                bt.rows[d] = []
-                bt.data[d] = []
-            a_blk, bt = a_blk.tocsr(), bt.tocsr()
-        if self.options.pin_rho_boundary:
-            m_dt = m_dt.tolil()
-            b = b.tolil()
-            for bn in self.mesh.boundary_nodes:
-                m_dt.rows[bn] = [bn]
-                m_dt.data[bn] = [1.0]
-                b.rows[bn] = []
-                b.data[bn] = []
-            m_dt, b = m_dt.tocsr(), b.tocsr()
-        return sp.bmat([[a_blk, -bt], [b, m_dt]], format="csc")
+        pattern, flux_slots, coupling, mass = self._jacobian_pattern
+        data = pattern.scatter(flux_slots,
+                               self._flux_jacobian_elements(state_n.m, state_n.t))
+        data += coupling
+        data += mass / dt
+        return pattern.matrix(data)
 
     def momentum_residual(self, m_dofs: np.ndarray, rho_bar: np.ndarray,
                           t: float) -> np.ndarray:
         """Momentum rows alone, used by the initialization solve."""
-        flux_vec, _ = self._flux_terms(m_dofs, t, want_jacobian=False)
+        flux_vec = self._flux_vector(m_dofs, t)
         grad_psi_vec = self.vector_space.load_vector(lambda pts: np.asarray(
             self.data.grad_psi(pts, t), dtype=float))
         r = flux_vec - self._div_coupling_T @ rho_bar + grad_psi_vec
-        bdofs, bvals = self._momentum_bc_dofs(t)
-        if bdofs is not None:
-            r[bdofs] = m_dofs[bdofs] - bvals
+        if len(self._pinned_m):
+            r[self._pinned_m] = m_dofs[self._pinned_m] - self._momentum_bc_values(t)
         return r
 
-    def momentum_jacobian(self, m_dofs: np.ndarray, t: float):
-        _, a_el = self._flux_terms(m_dofs, t, want_jacobian=True)
-        a_blk = self._momentum_block(a_el)
-        bdofs, _ = self._momentum_bc_dofs(t)
-        if bdofs is not None:
-            a_blk = a_blk.tolil()
-            for d in bdofs:
-                a_blk.rows[d] = [d]
-                a_blk.data[d] = [1.0]
-            a_blk = a_blk.tocsr()
-        return a_blk.tocsc()
+    def momentum_jacobian(self, m_dofs: np.ndarray, t: float) -> sp.csc_matrix:
+        """Derivative of :meth:`momentum_residual` w.r.t. m: the A block, in CSC."""
+        pattern, flux_slots, _, _ = self._jacobian_pattern
+        jac = pattern.matrix(pattern.scatter(
+            flux_slots, self._flux_jacobian_elements(m_dofs, t)))
+        n_m = self.vector_space.n_dofs
+        return jac[:n_m, :n_m]
 
     def initial_state(self, newton_tol: float = 1e-10,
                       max_iter: int = 60) -> SystemState:

@@ -1,8 +1,8 @@
 """Command line entry point.
 
 Subcommands: ``single``, ``convergence``, ``dependence``, ``verify``.
-Exit codes: 0 success, 2 nonlinear solver failure, 3 verification
-violations.
+Exit codes: 0 success, 1 configuration error, 2 nonlinear solver failure,
+3 verification violations.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .harness import (StudyConfig, parse_config_text, run_convergence,
 from .solver import LinearSolveFailure, NonConvergence
 
 EXIT_OK = 0
+EXIT_CONFIG_ERROR = 1
 EXIT_NEWTON_FAILURE = 2
 EXIT_VERIFY_VIOLATIONS = 3
 
@@ -57,8 +58,7 @@ def _config_from_args(args: argparse.Namespace) -> StudyConfig:
             fields.update(parse_config_text(fh.read()))
     fields["study"] = args.study
     if args.levels:
-        parsed = tuple(int(tok) for tok in str(args.levels).split(",") if tok)
-        fields["levels"] = parsed
+        fields["levels"] = tuple(int(tok) for tok in args.levels.split(",") if tok)
     for key in ("seed", "out", "verbose", "problem", "dt_ratio", "trials",
                 "psi_t_mode", "momentum_bc", "pairing"):
         value = getattr(args, key, None)
@@ -68,8 +68,6 @@ def _config_from_args(args: argparse.Namespace) -> StudyConfig:
     unknown = set(fields) - known
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
-    if "levels" in fields and not isinstance(fields["levels"], tuple):
-        fields["levels"] = (int(fields["levels"]),)
     return StudyConfig(**fields)
 
 
@@ -79,7 +77,7 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEWTON_FAILURE if False else 1
+        return EXIT_CONFIG_ERROR
     try:
         if cfg.study == "single":
             final, diags = run_single(cfg)

@@ -25,7 +25,8 @@ whose difference norms keep decreasing under refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,9 +38,9 @@ from .assembly import (Assembler, DiscretizationOptions, ExactSolution,
                        ProblemData, SystemState)
 from .constitutive import (CoefficientVector, GeneralizedPolynomial,
                            PowerSpec)
-from .mesh_fem import (QuadratureRule, ScalarP1Space, StructuredTriMesh,
-                       VectorP1Space, build_mesh, norm)
-from .solver import LinearSolver, MarchConfig, NewtonConfig, march
+from .mesh_fem import (QuadratureRule, ScalarP1Space, VectorP1Space,
+                       build_mesh, norm)
+from .solver import MarchConfig, NewtonConfig, march
 
 __all__ = [
     "StudyConfig",
@@ -231,8 +232,6 @@ class StudyConfig:
     newton_tol: float = 1e-6
     newton_max_iter: int = 30
     newton_damping: bool = False
-    linear_mode: str = "direct"
-    check_linear: bool = False
     # discretization switches
     psi_t_mode: str = "discrete"
     pin_rho_boundary: bool = False
@@ -249,18 +248,23 @@ class StudyConfig:
     def __post_init__(self):
         if self.study not in ("single", "convergence", "dependence", "verify"):
             raise ValueError(f"unknown study {self.study!r}")
-        levels = tuple(int(n) for n in self.levels)
+        for f in fields(self):
+            setattr(self, f.name, _coerce(f.name, str(f.type), getattr(self, f.name)))
+        levels = self.levels
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
         for n in levels:
             k = n / 4.0
             if n < 4 or abs(k - 2 ** round(math.log2(k))) > 1e-12:
                 raise ValueError(f"levels must be 4 * powers of two, got {n}")
-        self.levels = levels
         if self.dt_ratio <= 0.0:
             raise ValueError("dt_ratio must be positive")
         if self.pairing not in ("manufactured", "shared_data"):
             raise ValueError(f"unknown pairing {self.pairing!r}")
+        if self.problem not in BUILTIN_PROBLEMS:
+            raise ValueError(f"unknown builtin problem {self.problem!r}")
+        self.discretization()  # validate the option values now, not mid-study
+        self.newton()
 
     def discretization(self) -> DiscretizationOptions:
         return DiscretizationOptions(psi_t_mode=self.psi_t_mode,
@@ -271,9 +275,6 @@ class StudyConfig:
     def newton(self) -> NewtonConfig:
         return NewtonConfig(tol=self.newton_tol, max_iter=self.newton_max_iter,
                             damping=self.newton_damping)
-
-    def linear_solver(self) -> LinearSolver:
-        return LinearSolver(mode=self.linear_mode, check=self.check_linear)
 
     def march_config(self, n: int) -> MarchConfig:
         return MarchConfig(dt=self.dt_ratio / n, final_time=self.final_time,
@@ -294,6 +295,34 @@ class StudyConfig:
             + [self.coefficients_b[i] for i in (0, 1, -1)]
         return min(anchors), max(max(self.coefficients_a),
                                  max(self.coefficients_b))
+
+
+def _coerce(name: str, kind: str, value):
+    """``value`` as a ``StudyConfig`` field of annotated type ``kind``.
+
+    A config line holding one value parses to a scalar, so tuple fields take
+    scalars too.  A value of the wrong type raises ``ValueError`` naming the
+    field.
+    """
+    def as_int(v):
+        if isinstance(v, float) and v.is_integer():
+            return int(v)
+        return operator.index(v)
+
+    try:
+        if kind.startswith("tuple"):
+            cast = as_int if kind.startswith("tuple[int") else float
+            items = value if isinstance(value, (tuple, list)) else (value,)
+            return tuple(cast(v) for v in items)
+        if kind == "float":
+            return float(value)
+        if kind == "int":
+            return as_int(value)
+        if kind == "bool" and not isinstance(value, bool):
+            raise TypeError
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected {kind}, got {value!r}") from None
+    return value
 
 
 def _parse_value(raw: str):
@@ -344,7 +373,7 @@ class StudyReport:
 def _march_level(cfg: StudyConfig, data: ProblemData, n: int):
     mesh = build_mesh(n)
     final, diags = march(data, mesh, cfg.march_config(n), cfg.newton(),
-                         cfg.discretization(), cfg.linear_solver())
+                         cfg.discretization())
     return mesh, final, diags
 
 
@@ -422,7 +451,7 @@ class VerifyReport:
     gronwall_trials: int
     jacobian_fd_max: float
     mesh_area_defect: float
-    partition_defect: float
+    p1_eval_defect: float
     quadrature_defect: float
 
     @property
@@ -431,7 +460,7 @@ class VerifyReport:
                 and self.gronwall_failures == 0
                 and self.jacobian_fd_max <= 1e-5
                 and self.mesh_area_defect <= 1e-14
-                and self.partition_defect <= 1e-13
+                and self.p1_eval_defect <= 1e-13
                 and self.quadrature_defect <= 1e-13)
 
     def summary(self) -> str:
@@ -441,7 +470,7 @@ class VerifyReport:
         lines.append(f"  jacobian_fd    {'ok' if self.jacobian_fd_max <= 1e-5 else 'VIOLATED'}"
                      f"        max_rel_err={self.jacobian_fd_max:.3e}")
         lines.append(f"  mesh/quadrature defects: area={self.mesh_area_defect:.2e} "
-                     f"partition={self.partition_defect:.2e} "
+                     f"p1_eval={self.p1_eval_defect:.2e} "
                      f"polynomial={self.quadrature_defect:.2e}")
         lines.append("verification " + ("PASSED" if self.ok else "FAILED"))
         return "\n".join(lines)
@@ -471,14 +500,17 @@ def run_verify(cfg: StudyConfig) -> VerifyReport:
 
     mesh8 = build_mesh(8)
     area_defect = abs(mesh8.areas.sum() - 1.0)
-    partition_defect = _partition_of_unity_defect(mesh8, rng)
+    coeffs = rng.standard_normal(3)
+    p1_defect = _linear_field_defect(ScalarP1Space(mesh8),
+                                     coeffs[0] + mesh8.nodes @ coeffs[1:],
+                                     coeffs, rng.uniform(0.0, 1.0, size=(1000, 2)))
     quad_defect = _quadrature_polynomial_defect()
 
     return VerifyReport(inequality=ineq, gronwall_failures=failures,
                         gronwall_trials=cfg.gronwall_trials,
                         jacobian_fd_max=jac_err,
                         mesh_area_defect=area_defect,
-                        partition_defect=partition_defect,
+                        p1_eval_defect=p1_defect,
                         quadrature_defect=quad_defect)
 
 
@@ -494,21 +526,17 @@ def _random_states(asm: Assembler, rng: np.random.Generator
     return SystemState(rho, m, 0.5), prev
 
 
-def _partition_of_unity_defect(mesh: StructuredTriMesh,
-                               rng: np.random.Generator) -> float:
-    space = ScalarP1Space(mesh)
-    ones = np.ones(space.n_dofs)
-    pts = rng.uniform(0.0, 1.0, size=(100, 2))
-    # evaluate the all-ones P1 field through barycentric location
-    n = mesh.n_cells_per_side
-    defect = 0.0
-    for x, y in pts:
-        i = min(int(x * n), n - 1)
-        j = min(int(y * n), n - 1)
-        xi, eta = x * n - i, y * n - j
-        lam = (1 - max(xi, eta), abs(xi - eta), min(xi, eta))
-        defect = max(defect, abs(sum(lam) - 1.0))
-    return defect
+def _linear_field_defect(space: ScalarP1Space, dofs: np.ndarray,
+                         coeffs: np.ndarray, points: np.ndarray) -> float:
+    """Max deviation of the P1 field ``dofs``, evaluated through the mesh at
+    ``points``, from the linear function c0 + c1 x + c2 y.
+
+    The nodal interpolant of a linear function is that function, so the
+    defect is roundoff unless point location, the element geometry or a
+    nodal value is wrong.
+    """
+    exact = coeffs[0] + points @ coeffs[1:]
+    return float(np.max(np.abs(space.eval_at_points(dofs, points) - exact)))
 
 
 def _quadrature_polynomial_defect() -> float:

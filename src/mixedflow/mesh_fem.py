@@ -172,11 +172,28 @@ class ScalarP1Space:
 
     def eval_at_quadrature(self, dofs: np.ndarray) -> np.ndarray:
         """Field values at all quadrature points, shape (nt, nq)."""
-        return np.einsum("qk,tk->tq", self.quadrature.basis_values(),
-                         np.asarray(dofs)[self.mesh.triangles])
+        return np.asarray(dofs)[self.mesh.triangles] @ self.quadrature.basis_values().T
 
     def quadrature_coords(self) -> np.ndarray:
         return self._qpts
+
+    def eval_at_points(self, dofs: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Field values at (npts, 2) points of the unit square.
+
+        Each point is located in its grid cell and the triangle of the cell
+        that holds it; there the nodal basis is 1/3 + grad phi_k . (x - c)
+        with c the triangle's centroid.
+        """
+        mesh = self.mesh
+        n = mesh.n_cells_per_side
+        pts = np.asarray(points, dtype=float)
+        cell = np.minimum((pts * n).astype(np.int64), n - 1)
+        local = pts * n - cell
+        tri = 2 * (cell[:, 0] + n * cell[:, 1]) + (local[:, 1] > local[:, 0])
+        nodes = mesh.triangles[tri]
+        centroid = mesh.nodes[nodes].mean(axis=1)
+        lam = 1.0 / 3.0 + np.einsum("pkc,pc->pk", mesh.grads[tri], pts - centroid)
+        return np.einsum("pk,pk->p", lam, np.asarray(dofs, dtype=float)[nodes])
 
     def integrate(self, values_at_quadrature: np.ndarray) -> float:
         """Integrate a (nt, nq) sampled integrand over the mesh."""
@@ -236,7 +253,7 @@ class VectorP1Space:
     def eval_at_quadrature(self, dofs: np.ndarray) -> np.ndarray:
         """Vector field at quadrature points, shape (nt, nq, 2)."""
         nodal = self.as_nodal(dofs)[self.mesh.triangles]  # (nt, 3, 2)
-        return np.einsum("qk,tkc->tqc", self.quadrature.basis_values(), nodal)
+        return self.quadrature.basis_values() @ nodal
 
     def quadrature_coords(self) -> np.ndarray:
         return self._qpts

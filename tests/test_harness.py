@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from mixedflow.analysis import report_from_csv
-from mixedflow.cli import main
-from mixedflow.harness import (StudyConfig, builtin_problem,
-                               consistency_defects, parse_config_text,
-                               run_convergence, run_dependence, run_single,
-                               run_verify)
+from mixedflow.cli import EXIT_CONFIG_ERROR, main
+from mixedflow.harness import (StudyConfig, _linear_field_defect,
+                               builtin_problem, consistency_defects,
+                               parse_config_text, run_convergence,
+                               run_dependence, run_single, run_verify)
+from mixedflow.mesh_fem import ScalarP1Space, build_mesh
 
 
 class TestBuiltinProblems:
@@ -69,6 +70,19 @@ class TestConfig:
     def test_unknown_study(self):
         with pytest.raises(ValueError):
             StudyConfig(study="explore")
+
+    def test_scalar_tuple_fields_coerced(self):
+        cfg = StudyConfig(exponents=1.5, coefficients_a=2, levels=8)
+        assert cfg.exponents == (1.5,)
+        assert cfg.coefficients_a == (2.0,)
+        assert cfg.levels == (8,)
+
+    def test_wrong_value_types_rejected(self):
+        for bad in (dict(exponents="abc"), dict(dt_ratio="fast"),
+                    dict(newton_max_iter=2.5), dict(verbose=3),
+                    dict(problem="nope"), dict(psi_t_mode="midpoint")):
+            with pytest.raises(ValueError):
+                StudyConfig(**bad)
 
     def test_coefficient_box(self):
         cfg = StudyConfig()
@@ -154,6 +168,21 @@ class TestCli:
         cfgfile.write_text("does_not_exist = 1\n")
         assert main(["single", "--config", str(cfgfile)]) == 1
 
+    @pytest.mark.parametrize("line", ["exponents = abc", "dt_ratio = fast",
+                                      "linear_mode = iterative",
+                                      "check_linear = true"])
+    def test_bad_config_value_one_line_error(self, tmp_path, capsys, line):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"levels = 4\n{line}\n")
+        assert main(["dependence", "--config", str(cfgfile)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_scalar_exponents_config_runs(self, tmp_path, capsys):
+        cfgfile = tmp_path / "one.cfg"
+        cfgfile.write_text("levels = 4\nexponents = 1.5\n")
+        assert main(["dependence", "--config", str(cfgfile)]) == 0
+
     def test_installed_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "mixedflow.cli", "verify", "--trials", "200"],
@@ -175,6 +204,28 @@ class TestCli:
                            "trials = 1000\ngronwall_trials = 20\n")
         assert main(["verify", "--config", str(cfgfile)]) == 3
         assert "FAILED" in capsys.readouterr().out
+
+
+class TestLinearFieldCheck:
+    """The verify suite's P1 point-evaluation check must be falsifiable."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(0)
+        self.space = ScalarP1Space(build_mesh(8))
+        self.coeffs = rng.standard_normal(3)
+        self.nodal = self.coeffs[0] + self.space.mesh.nodes @ self.coeffs[1:]
+        self.points = rng.uniform(0.0, 1.0, size=(1000, 2))
+
+    def test_interpolant_passes(self):
+        assert _linear_field_defect(self.space, self.nodal, self.coeffs,
+                                    self.points) <= 1e-13
+
+    @pytest.mark.parametrize("node", [0, 8, 40, 80])
+    def test_one_corrupted_nodal_value_trips(self, node):
+        corrupted = self.nodal.copy()
+        corrupted[node] += 1e-9
+        assert _linear_field_defect(self.space, corrupted, self.coeffs,
+                                    self.points) > 1e-11
 
 
 class TestDiscretizationStudies:

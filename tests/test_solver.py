@@ -88,26 +88,11 @@ class TestLinearSolver:
     def test_contract_check_passes_on_sane_system(self, example1):
         asm = Assembler(build_mesh(2), example1)
         state0 = asm.initial_state(newton_tol=1e-6)
-        solver = LinearSolver(mode="direct", check=True)
-        newton_solve(asm, state0, 0.25, 0.25, linear_solver=solver)
-
-    def test_iterative_mode_matches_direct(self, example1):
-        asm = Assembler(build_mesh(2), example1)
-        state0 = asm.initial_state(newton_tol=1e-6)
-        s_dir, _ = newton_solve(asm, state0, 0.25, 0.25,
-                                linear_solver=LinearSolver("direct"))
-        s_it, _ = newton_solve(asm, state0, 0.25, 0.25,
-                               linear_solver=LinearSolver("iterative"))
-        np.testing.assert_allclose(s_it.rho_bar, s_dir.rho_bar, atol=1e-7)
-        np.testing.assert_allclose(s_it.m, s_dir.m, atol=1e-7)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            LinearSolver(mode="magic")
+        newton_solve(asm, state0, 0.25, 0.25, linear_solver=LinearSolver())
 
     def test_failure_on_singular_matrix(self):
         import scipy.sparse as sp
-        solver = LinearSolver(mode="direct", check=True)
+        solver = LinearSolver()
         singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises((LinearSolveFailure, RuntimeError)):
             solver.solve(singular, np.array([1.0, 0.0]))
