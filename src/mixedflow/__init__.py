@@ -7,7 +7,7 @@ from .mesh_fem import (QuadratureRule, ScalarP1Space, StructuredTriMesh,
                        VectorP1Space, build_mesh, element_divergence,
                        interpolate, l2_project, norm)
 from .assembly import (Assembler, DiscretizationOptions, ExactSolution,
-                       ProblemData, SystemState, initial_state)
+                       ProblemData, SystemState)
 from .solver import (LinearSolveFailure, LinearSolver, MarchConfig,
                      NewtonConfig, NonConvergence, march, newton_solve)
 from .analysis import (InequalityReport, LevelResult, StabilityEnergy,

@@ -35,9 +35,6 @@ __all__ = [
     "SystemState",
     "DiscretizationOptions",
     "Assembler",
-    "residual",
-    "jacobian",
-    "initial_state",
 ]
 
 
@@ -203,6 +200,7 @@ class Assembler:
         basis = rule.basis_values()
         self._w_ij = (rule.weights[:, None, None] * basis[:, :, None]
                       * basis[:, None, :]).reshape(len(rule.weights), 9)
+        self._level_loads: dict = {}
 
     # -- static operators ----------------------------------------------------
 
@@ -264,6 +262,25 @@ class Assembler:
                 - np.asarray(self.data.psi(self._qpts, t_n - dt), dtype=float)) / dt \
             * np.ones(self._qpts.shape[:2])
 
+    def _level_load(self, name: str, key, build: Callable[[], np.ndarray]
+                    ) -> np.ndarray:
+        """``build()``, kept until asked for under another ``key``.
+
+        The data load vectors depend on the time level only, not on the
+        Newton iterate, so each is assembled once per level.
+        """
+        held = self._level_loads.get(name)
+        if held is None or held[0] != key:
+            vec = build()
+            vec.flags.writeable = False
+            held = self._level_loads[name] = (key, vec)
+        return held[1]
+
+    def _grad_psi_load(self, t_n: float) -> np.ndarray:
+        """(grad Psi(t_n), v) for all vector test functions v."""
+        return self._level_load("grad_psi", t_n, lambda: self.vector_space.load_vector(
+            lambda pts: np.asarray(self.data.grad_psi(pts, t_n), dtype=float)))
+
     def _momentum_bc_values(self, t_n: float) -> np.ndarray:
         """Exact momentum at the pinned dofs, in ``_pinned_m`` order."""
         bn = self.mesh.boundary_nodes
@@ -274,18 +291,15 @@ class Assembler:
 
     def _flux_vector(self, m_dofs: np.ndarray, t_n: float) -> np.ndarray:
         """(F(|m|) m, v) for all vector test functions v."""
-        law = self.data.law
         vs = self.vector_space
         rule = vs.quadrature
-        basis = rule.basis_values()
         mq = vs.eval_at_quadrature(m_dofs)  # (nt, nq, 2)
         mag = np.sqrt(np.sum(mq * mq, axis=-1))
-        f = law.eval_F(mag, t_n)
-        r_el = np.einsum("q,tq,tqc,qk->tkc", rule.weights, f, mq, basis) \
-            * self.mesh.areas[:, None, None]
-        rvec = np.zeros(vs.n_dofs)
-        np.add.at(rvec, vs.element_dof_map.ravel(), r_el.reshape(-1, 6).ravel())
-        return rvec
+        wf = self.data.law.eval_F(mag, t_n) * rule.weights \
+            * self.mesh.areas[:, None]
+        r_el = rule.basis_values().T @ (wf[:, :, None] * mq)  # (nt, 3, 2)
+        return np.bincount(vs.element_dof_map.ravel(), weights=r_el.ravel(),
+                           minlength=vs.n_dofs)
 
     def _flux_jacobian_elements(self, m_dofs: np.ndarray, t_n: float) -> np.ndarray:
         """Element flux-Jacobian entries, flattened in (t, i, j, c, d) order.
@@ -315,15 +329,15 @@ class Assembler:
         if abs(state_n.t - state_prev.t - dt) > 1e-10 * max(1.0, abs(state_n.t)):
             raise ValueError("state times inconsistent with dt")
         t_n = state_n.t
-        ss, vs = self.scalar_space, self.vector_space
         flux_vec = self._flux_vector(state_n.m, t_n)
-        grad_psi_vec = vs.load_vector(lambda pts: np.asarray(
-            self.data.grad_psi(pts, t_n), dtype=float))
-        r_mom = flux_vec - self._div_coupling_T @ state_n.rho_bar + grad_psi_vec
-        f_vec = ss.load_vector(lambda pts: np.asarray(self.data.f(pts, t_n), dtype=float)
-                               * np.ones(pts.shape[:2]))
-        dpsi = self._dpsi_values(t_n, dt)
-        dpsi_vec = ss.load_vector(lambda pts: self._phi_q * dpsi)
+        r_mom = flux_vec - self._div_coupling_T @ state_n.rho_bar \
+            + self._grad_psi_load(t_n)
+        ss = self.scalar_space
+        f_vec = self._level_load("f", t_n, lambda: ss.load_vector(
+            lambda pts: np.asarray(self.data.f(pts, t_n), dtype=float)
+            * np.ones(pts.shape[:2])))
+        dpsi_vec = self._level_load("dpsi", (t_n, dt), lambda: ss.load_vector(
+            lambda pts: self._phi_q * self._dpsi_values(t_n, dt)))
         r_den = self.mass_phi @ (state_n.rho_bar - state_prev.rho_bar) / dt \
             + self.div_coupling @ state_n.m - f_vec + dpsi_vec
         if len(self._pinned_m):
@@ -363,9 +377,7 @@ class Assembler:
                           t: float) -> np.ndarray:
         """Momentum rows alone, used by the initialization solve."""
         flux_vec = self._flux_vector(m_dofs, t)
-        grad_psi_vec = self.vector_space.load_vector(lambda pts: np.asarray(
-            self.data.grad_psi(pts, t), dtype=float))
-        r = flux_vec - self._div_coupling_T @ rho_bar + grad_psi_vec
+        r = flux_vec - self._div_coupling_T @ rho_bar + self._grad_psi_load(t)
         if len(self._pinned_m):
             r[self._pinned_m] = m_dofs[self._pinned_m] - self._momentum_bc_values(t)
         return r
@@ -405,23 +417,3 @@ class Assembler:
             # undamped Newton walks out of the clamp region reliably
             m = m + step
         raise NonConvergence("momentum initialization did not converge", trace)
-
-
-def residual(state_n: SystemState, state_prev: SystemState, dt: float,
-             data: ProblemData, mesh: StructuredTriMesh,
-             options: DiscretizationOptions | None = None) -> np.ndarray:
-    """One-shot residual; prefer a shared :class:`Assembler` in loops."""
-    return Assembler(mesh, data, options).residual(state_n, state_prev, dt)
-
-
-def jacobian(state_n: SystemState, dt: float, data: ProblemData,
-             mesh: StructuredTriMesh,
-             options: DiscretizationOptions | None = None):
-    """One-shot Jacobian; prefer a shared :class:`Assembler` in loops."""
-    return Assembler(mesh, data, options).jacobian(state_n, dt)
-
-
-def initial_state(data: ProblemData, mesh: StructuredTriMesh,
-                  options: DiscretizationOptions | None = None) -> SystemState:
-    """Initial (rho_bar, m) pair per the scheme's initialization rule."""
-    return Assembler(mesh, data, options).initial_state()

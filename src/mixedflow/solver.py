@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .assembly import Assembler, DiscretizationOptions, ProblemData, SystemState
 from .mesh_fem import StructuredTriMesh, norm
@@ -33,6 +34,7 @@ class NonConvergence(RuntimeError):
     def __init__(self, message: str, trace):
         super().__init__(f"{message} (residual trace: "
                          + ", ".join(f"{r:.3e}" for r in trace) + ")")
+        self.reason = message
         self.trace = list(trace)
 
 
@@ -74,7 +76,8 @@ class MarchConfig:
 
 
 class LinearSolver:
-    """Sparse LU in SuperLU's symmetric mode, checked, with a pivoting fallback.
+    """Sparse LU in SuperLU's symmetric mode, held and reused as a GMRES
+    preconditioner, checked, with a pivoting fallback.
 
     The Newton Jacobian J = [[A, -B^T], [B, M_phi/dt]] is positive real: its
     symmetric part blockdiag(A_sym, M_phi/dt) is positive definite.  So every
@@ -90,24 +93,89 @@ class LinearSolver:
     matrix is refactored once with SciPy's default ``splu`` (COLAMD,
     partial pivoting); :class:`LinearSolveFailure` is raised only if that
     solve also misses.
+
+    Between Newton iterations and time levels only the flux block A(m)
+    changes, and slowly, so the last symmetric-mode factor is held.  A
+    matrix on the same sparsity pattern (one that shares the index arrays
+    of the factored matrix, as every Jacobian of one ``Assembler`` does) is
+    first solved by one cycle of right-preconditioned GMRES from x = 0, with
+    the held factor as the preconditioner and no restart, aiming at a
+    residual a decade below the contract.  The cycle length is a work
+    budget read from the fill counts alone:
+
+        m = floor(nnz(LU)^2 / (4 n (nnz(LU) + nnz(J)))).
+
+    A GMRES iteration costs a triangular solve pair and a product with J,
+    about nnz(LU) + nnz(J) multiply-adds.  Factoring costs at least
+    sum_k c_k^2 over the column counts c_k of L, and by Cauchy-Schwarz that
+    is at least nnz(L)^2 / n, about nnz(LU)^2 / (4 n).  So m iterations do
+    no more work than one factorization.  When the cycle misses the
+    contract, the held factor is dropped before J is factored afresh, so one
+    factor is alive at a time.  A fresh factor whose first reuse misses
+    ends reuse for this solver: its budget is too short to pay (m is 3 on
+    the N=4 Jacobian); with m < 1 no factor is held at all.
+
+    Reuse is safe because it changes only how x is found, never what is
+    accepted: a GMRES solution passes the same residual check as a direct
+    one.  The rule reads fill counts and residual norms, no clock and no
+    random numbers, so a march repeats bit for bit.  ``factorizations`` and
+    ``krylov_iterations`` count the ``splu`` calls and GMRES iterations
+    made so far.
     """
 
     def __init__(self, rtol: float = 1e-10):
         self.rtol = rtol
+        self.factorizations = 0
+        self.krylov_iterations = 0
+        self._held: _HeldFactor | None = None
+        self._reuse = True
 
     def solve(self, matrix, rhs: np.ndarray) -> np.ndarray:
         matrix = matrix.tocsc()
-        sol = _lu_solve(matrix, rhs, permc_spec="MMD_AT_PLUS_A",
-                        diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        held = self._held
+        if held is not None and held.fits(matrix):
+            # a decade below the contract: the accepted solution stays clear
+            # of the check's boundary and close to the direct one
+            sol, iterations = _preconditioned_gmres(
+                matrix, rhs, held.lu.solve, held.cycle,
+                0.1 * self.rtol * np.linalg.norm(rhs))
+            self.krylov_iterations += iterations
+            if sol is not None and self._miss(matrix, sol, rhs) is None:
+                held.reused = True
+                return sol
+            self._reuse = held.reused
+        self._held = None  # before factoring: one factor alive at a time
+        lu = self._factor(matrix, permc_spec="MMD_AT_PLUS_A",
+                          diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        sol = None if lu is None else lu.solve(rhs)
         if sol is not None and self._miss(matrix, sol, rhs) is None:
+            if self._reuse:
+                self._hold(lu, matrix)
             return sol
-        sol = _lu_solve(matrix, rhs)
-        if sol is None:
+        del lu  # free the failed factor before the fallback builds its own
+        lu = self._factor(matrix)
+        if lu is None:
             raise LinearSolveFailure("sparse LU: matrix is exactly singular")
+        sol = lu.solve(rhs)
         miss = self._miss(matrix, sol, rhs)
         if miss is not None:
             raise LinearSolveFailure(miss)
         return sol
+
+    def _factor(self, matrix, **options):
+        """``spla.splu(matrix, **options)``, or None on an exactly zero pivot."""
+        self.factorizations += 1
+        try:
+            return spla.splu(matrix, **options)
+        except RuntimeError:
+            return None
+
+    def _hold(self, lu, matrix) -> None:
+        """Keep ``lu`` for the next solve if its work budget allows an iteration."""
+        fill = getattr(lu, "nnz", 0)  # a factor that reports no fill gets no budget
+        cycle = fill * fill // (4 * matrix.shape[0] * (fill + matrix.nnz))
+        if cycle >= 1:
+            self._held = _HeldFactor(lu, matrix.indptr, matrix.indices, cycle)
 
     def _miss(self, matrix, sol: np.ndarray, rhs: np.ndarray) -> str | None:
         """Why ``sol`` breaks the residual contract, or None if it keeps it."""
@@ -119,13 +187,67 @@ class LinearSolver:
         return None
 
 
-def _lu_solve(matrix, rhs: np.ndarray, **options) -> np.ndarray | None:
-    """``splu(matrix, **options).solve(rhs)``, or None on an exactly zero pivot."""
-    try:
-        lu = spla.splu(matrix, **options)
-    except RuntimeError:
-        return None
-    return lu.solve(rhs)
+@dataclass
+class _HeldFactor:
+    """A symmetric-mode factor, the pattern it was built on and its cycle length."""
+
+    lu: object
+    indptr: np.ndarray
+    indices: np.ndarray
+    cycle: int
+    reused: bool = False
+
+    def fits(self, matrix) -> bool:
+        """True when ``matrix`` shares the factored matrix's index arrays."""
+        return (np.shares_memory(matrix.indptr, self.indptr)
+                and np.shares_memory(matrix.indices, self.indices))
+
+
+def _preconditioned_gmres(matrix, rhs: np.ndarray, precondition, max_iter: int,
+                          atol: float) -> tuple[np.ndarray | None, int]:
+    """One cycle of GMRES on matrix M^-1 y = rhs from y = 0, with x = M^-1 y.
+
+    ``precondition`` applies M^-1.  The Arnoldi basis is orthogonalized by
+    classical Gram-Schmidt applied twice, and Givens rotations keep the
+    Hessenberg matrix triangular, so the least-squares residual norm is at
+    hand after every iteration.  Returns x and the iteration count; x is
+    None when that residual is still above ``atol`` after ``max_iter``
+    iterations, or the iteration broke down.
+    """
+    beta = np.linalg.norm(rhs)
+    if beta == 0.0:
+        return np.zeros_like(rhs), 0
+    basis = np.empty((max_iter + 1, len(rhs)))
+    search = np.empty((max_iter, len(rhs)))  # M^-1 of each basis vector
+    tri = np.zeros((max_iter, max_iter))     # rotated Hessenberg matrix
+    rotations = []
+    g = np.zeros(max_iter + 1)               # rotated beta e_1
+    g[0] = beta
+    basis[0] = rhs / beta
+    for j in range(max_iter):
+        search[j] = precondition(basis[j])
+        w = matrix @ search[j]
+        col = np.zeros(j + 2)
+        for _ in range(2):
+            h = basis[:j + 1] @ w
+            w -= h @ basis[:j + 1]
+            col[:j + 1] += h
+        col[j + 1] = np.linalg.norm(w)
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        r = np.hypot(col[j], col[j + 1])
+        if not (np.isfinite(r) and r > 0.0):
+            return None, j + 1
+        c, s = col[j] / r, col[j + 1] / r
+        rotations.append((c, s))
+        tri[:j, j] = col[:j]
+        tri[j, j] = r
+        g[j], g[j + 1] = c * g[j], -s * g[j]
+        if abs(g[j + 1]) <= atol or col[j + 1] == 0.0:
+            y = solve_triangular(tri[:j + 1, :j + 1], g[:j + 1])
+            return y @ search[:j + 1], j + 1
+        basis[j + 1] = w / col[j + 1]
+    return None, max_iter
 
 
 @dataclass
@@ -143,6 +265,8 @@ class StepDiagnostics:
     residual_norm: float
     energy_rho: float = np.nan       # ||rho_bar_n||_L2^2
     energy_m_accum: float = np.nan   # sum_i dt ||m_i||_Ls^s up to this step
+    factorizations: int = 0          # LU factorizations of this step's solves
+    krylov_iterations: int = 0       # GMRES iterations of this step's solves
 
 
 def newton_solve(assembler: Assembler, state_prev: SystemState, t_n: float,
@@ -163,8 +287,12 @@ def newton_solve(assembler: Assembler, state_prev: SystemState, t_n: float,
         step = linear_solver.solve(assembler.jacobian(state, dt), -r)
         scale = 1.0
         for _ in range(8):
-            candidate = SystemState(state.rho_bar + scale * step[n_m:],
-                                    state.m + scale * step[:n_m], t_n)
+            rho_bar = state.rho_bar + scale * step[n_m:]
+            m = state.m + scale * step[:n_m]
+            if not (np.all(np.isfinite(rho_bar)) and np.all(np.isfinite(m))):
+                raise NonConvergence(
+                    f"non-finite Newton iterate at t={t_n:.6g}", trace)
+            candidate = SystemState(rho_bar, m, t_n)
             r_new = assembler.residual(candidate, state_prev, dt)
             rnorm_new = float(np.linalg.norm(r_new))
             if not config.damping or rnorm_new < rnorm or scale <= 1 / 128:
@@ -185,9 +313,11 @@ def march(data: ProblemData, mesh: StructuredTriMesh, march_config: MarchConfig,
     """Run the backward-Euler march from the projected initial state.
 
     Returns the final state and per-step diagnostics.  The first Newton
-    failure aborts with the step index attached.
+    failure aborts with the step index attached.  One linear solver serves
+    every step, so it can reuse its factor across time levels.
     """
     newton_config = newton_config or NewtonConfig()
+    linear_solver = linear_solver or LinearSolver()
     assembler = Assembler(mesh, data, options)
     state = assembler.initial_state(newton_tol=newton_config.tol)
     dt = march_config.dt
@@ -196,16 +326,22 @@ def march(data: ProblemData, mesh: StructuredTriMesh, march_config: MarchConfig,
     energy_m_accum = 0.0
     for n in range(1, march_config.n_steps + 1):
         t_n = n * dt
+        factorizations = linear_solver.factorizations
+        krylov_iterations = linear_solver.krylov_iterations
         try:
             state, stats = newton_solve(assembler, state, t_n, dt,
                                         newton_config, linear_solver)
         except NonConvergence as exc:
-            raise NonConvergence(f"march aborted at step {n} (t={t_n:.6g})",
-                                 exc.trace) from exc
+            raise NonConvergence(
+                f"march aborted at step {n} (t={t_n:.6g}): {exc.reason}",
+                exc.trace) from exc
         except LinearSolveFailure as exc:
             raise LinearSolveFailure(
                 f"march aborted at step {n} (t={t_n:.6g}): {exc}") from exc
-        diag = StepDiagnostics(n, t_n, stats.iterations, stats.residual_norm)
+        diag = StepDiagnostics(
+            n, t_n, stats.iterations, stats.residual_norm,
+            factorizations=linear_solver.factorizations - factorizations,
+            krylov_iterations=linear_solver.krylov_iterations - krylov_iterations)
         if march_config.record_energies:
             diag.energy_rho = norm(assembler.scalar_space, state.rho_bar, 2.0) ** 2
             energy_m_accum += dt * norm(assembler.vector_space, state.m, s) ** s

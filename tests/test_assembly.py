@@ -209,23 +209,6 @@ class TestOptions:
 
 
 class TestModuleLevelApi:
-    def test_one_shot_functions_match_assembler(self, example1):
-        from mixedflow.assembly import initial_state, jacobian, residual
-        mesh = build_mesh(2)
-        asm = Assembler(mesh, example1)
-        st0 = initial_state(example1, mesh)
-        np.testing.assert_allclose(st0.rho_bar, asm.initial_state().rho_bar,
-                                   atol=1e-12)
-        nv = mesh.n_nodes
-        state = SystemState(np.ones(nv), np.tile([0.4, 0.1], nv), 0.5)
-        prev = SystemState(np.ones(nv), np.tile([0.4, 0.1], nv), 0.4)
-        np.testing.assert_array_equal(
-            residual(state, prev, 0.1, example1, mesh),
-            asm.residual(state, prev, 0.1))
-        np.testing.assert_array_equal(
-            jacobian(state, 0.1, example1, mesh).toarray(),
-            asm.jacobian(state, 0.1).toarray())
-
     def test_state_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SystemState(np.array([np.nan]), np.zeros(2), 0.0)

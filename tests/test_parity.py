@@ -1,6 +1,8 @@
-"""Parity of the fixed-pattern Jacobian and the symmetric-mode LU with the
-paths they replaced: a ``sp.bmat`` assembly with LIL row surgery, and
-SciPy's default (COLAMD, partial pivoting) ``splu``."""
+"""Parity of the fixed-pattern Jacobian, the per-level residual loads and
+the reused symmetric-mode LU with the paths they replaced: a ``sp.bmat``
+assembly with LIL row surgery, a residual that assembles its load vectors
+on every call, and SciPy's default (COLAMD, partial pivoting) ``splu`` on
+every solve."""
 
 import numpy as np
 import pytest
@@ -65,6 +67,53 @@ def reference_jacobian(asm, state, dt):
     return sp.bmat([[a_blk, -bt], [b, m_dt]], format="csc")
 
 
+def reference_flux_vector(asm, m_dofs, t):
+    """(F(|m|) m, v) from the four-operand einsum and an ``np.add.at`` scatter."""
+    vs = asm.vector_space
+    rule = vs.quadrature
+    mq = vs.eval_at_quadrature(m_dofs)
+    f = asm.data.law.eval_F(np.sqrt(np.sum(mq * mq, axis=-1)), t)
+    r_el = np.einsum("q,tq,tqc,qk->tkc", rule.weights, f, mq, rule.basis_values()) \
+        * asm.mesh.areas[:, None, None]
+    out = np.zeros(vs.n_dofs)
+    np.add.at(out, vs.element_dof_map.ravel(), r_el.reshape(-1, 6).ravel())
+    return out
+
+
+def reference_momentum_residual(asm, m_dofs, rho_bar, t):
+    data = asm.data
+    grad_psi = asm.vector_space.load_vector(
+        lambda pts: np.asarray(data.grad_psi(pts, t), dtype=float))
+    r = reference_flux_vector(asm, m_dofs, t) - asm.div_coupling.T @ rho_bar + grad_psi
+    if asm.options.momentum_bc == "exact":
+        bn = asm.mesh.boundary_nodes
+        pinned = pinned_momentum_dofs(asm)
+        r[pinned] = m_dofs[pinned] - data.exact.m(asm.mesh.nodes[bn], t).reshape(-1)
+    return r
+
+
+def reference_residual(asm, state, prev, dt):
+    """The residual with every load vector assembled on the call."""
+    data, ss, t = asm.data, asm.scalar_space, state.t
+
+    def phi_dpsi(pts):
+        if asm.options.psi_t_mode == "analytic":
+            dpsi = data.psi_t(pts, t)
+        else:
+            dpsi = (data.psi(pts, t) - data.psi(pts, t - dt)) / dt
+        return np.asarray(data.phi(pts), dtype=float) * dpsi * np.ones(pts.shape[:2])
+
+    f_vec = ss.load_vector(lambda pts: np.asarray(data.f(pts, t), dtype=float)
+                           * np.ones(pts.shape[:2]))
+    r_mom = reference_momentum_residual(asm, state.m, state.rho_bar, t)
+    r_den = asm.mass_phi @ (state.rho_bar - prev.rho_bar) / dt \
+        + asm.div_coupling @ state.m - f_vec + ss.load_vector(phi_dpsi)
+    if asm.options.pin_rho_boundary:
+        bn = asm.mesh.boundary_nodes
+        r_den[bn] = state.rho_bar[bn]
+    return np.concatenate([r_mom, r_den])
+
+
 def random_state(asm, rng, t=0.5):
     nv = asm.mesh.n_nodes
     m = np.tile([0.8, -0.6], nv) + 0.3 * rng.standard_normal(2 * nv)
@@ -122,6 +171,37 @@ class TestJacobianParity:
         np.testing.assert_array_equal(first.toarray(), before)
 
 
+class TestResidualParity:
+    def test_matches_per_call_assembly(self, systems):
+        for n, options, asm, state, dt in systems:
+            rng = np.random.default_rng(n)
+            prev = random_state(asm, rng, state.t - dt)
+            # a second level and a return to the first must not reuse stale loads
+            later = random_state(asm, rng, state.t + dt)
+            for cur, before in ((state, prev), (later, state), (state, prev)):
+                got = asm.residual(cur, before, dt)
+                ref = reference_residual(asm, cur, before, dt)
+                assert rel_diff(got, ref) <= 1e-13, (n, options, cur.t)
+
+    @pytest.mark.parametrize("psi_t_mode", ["discrete", "analytic"])
+    def test_loads_follow_dt_at_one_time(self, psi_t_mode):
+        options = DiscretizationOptions(psi_t_mode=psi_t_mode)
+        asm = Assembler(build_mesh(8), builtin_problem("example1"), options)
+        rng = np.random.default_rng(8)
+        state = random_state(asm, rng)
+        for dt in (0.25, 0.125, 0.25):
+            prev = random_state(asm, rng, state.t - dt)
+            ref = reference_residual(asm, state, prev, dt)
+            assert rel_diff(asm.residual(state, prev, dt), ref) <= 1e-13, dt
+
+    def test_momentum_residual_matches(self, systems):
+        for n, options, asm, state, _ in systems:
+            for t in (state.t, 0.0, state.t):
+                got = asm.momentum_residual(state.m, state.rho_bar, t)
+                ref = reference_momentum_residual(asm, state.m, state.rho_bar, t)
+                assert rel_diff(got, ref) <= 1e-13, (n, options, t)
+
+
 class TestSymmetricModeParity:
     def test_solutions_match_default_splu(self, systems):
         solver = LinearSolver()
@@ -162,13 +242,16 @@ class TestMarchParity:
 
 
 class _RecordingSpla:
-    """Stands in for ``scipy.sparse.linalg`` and records ``splu`` keywords."""
+    """Stands in for ``scipy.sparse.linalg`` and records ``splu`` keywords
+    and matrix sizes."""
 
     def __init__(self):
         self.calls = []
+        self.sizes = []
 
     def splu(self, matrix, **kwargs):
         self.calls.append(kwargs)
+        self.sizes.append(matrix.shape[0])
         return spla.splu(matrix, **kwargs)
 
 
@@ -209,3 +292,88 @@ class TestPivotingFallback:
         with pytest.raises(LinearSolveFailure):
             LinearSolver().solve(singular, np.array([1.0, 0.0]))
         assert len(recorder.calls) == 2
+
+
+def keeps_contract(matrix, sol, rhs):
+    return np.linalg.norm(matrix @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+class TestFactorReuse:
+    @pytest.fixture
+    def recorder(self, monkeypatch):
+        recorder = _RecordingSpla()
+        monkeypatch.setattr(solver_module, "spla", recorder)
+        return recorder
+
+    @staticmethod
+    def coupled_factorizations(recorder, mesh):
+        """``splu`` calls on the coupled system, not on the momentum block."""
+        return recorder.sizes.count(3 * mesh.n_nodes)
+
+    def test_n16_march_factors_once(self, recorder):
+        mesh = build_mesh(16)
+        _, diags = march(builtin_problem("example1"), mesh, MarchConfig(dt=1 / 32))
+        assert sum(d.newton_iterations for d in diags) == 63
+        assert self.coupled_factorizations(recorder, mesh) == 1
+        assert sum(d.factorizations for d in diags) == 1
+        assert diags[0].factorizations == 1
+        assert sum(d.krylov_iterations for d in diags) > 0
+
+    def test_n4_march_factors_every_jacobian(self, recorder):
+        mesh = build_mesh(4)
+        _, diags = march(builtin_problem("example1"), mesh, MarchConfig(dt=0.125))
+        newton_total = sum(d.newton_iterations for d in diags)
+        assert self.coupled_factorizations(recorder, mesh) == newton_total
+        assert sum(d.factorizations for d in diags) == newton_total
+        # the one reuse attempt missed, and reuse stopped after it
+        assert 0 < sum(d.krylov_iterations for d in diags) <= 3
+
+    @pytest.fixture(scope="class")
+    def n16_systems(self):
+        """Two Jacobians of one assembler at different states, and a twin
+        assembler of the same problem."""
+        data, mesh = builtin_problem("example1"), build_mesh(16)
+        asm, twin = Assembler(mesh, data), Assembler(mesh, data)
+        state = asm.initial_state(newton_tol=1e-6)
+        moved = SystemState(state.rho_bar, 1.1 * state.m, 0.5)
+        return asm, twin, state, moved
+
+    def test_reused_factor_keeps_contract(self, recorder, n16_systems):
+        asm, _, state, moved = n16_systems
+        solver = LinearSolver()
+        rhs = np.random.default_rng(16).standard_normal(3 * asm.mesh.n_nodes)
+        solver.solve(asm.jacobian(state, 1 / 32), rhs)
+        jac = asm.jacobian(moved, 1 / 32)
+        sol = solver.solve(jac, rhs)
+        assert len(recorder.calls) == 1 and solver.factorizations == 1
+        assert solver.krylov_iterations > 0
+        assert keeps_contract(jac, sol, rhs)
+
+    def test_forced_miss_refactors_once(self, recorder, n16_systems, monkeypatch):
+        asm, _, state, moved = n16_systems
+        solver = LinearSolver()
+        rhs = np.ones(3 * asm.mesh.n_nodes)
+        solver.solve(asm.jacobian(state, 1 / 32), rhs)
+        real_gmres = solver_module._preconditioned_gmres
+        monkeypatch.setattr(solver_module, "_preconditioned_gmres",
+                            lambda *args: (np.zeros_like(rhs), 1))
+        jac = asm.jacobian(moved, 1 / 32)
+        sol = solver.solve(jac, rhs)
+        assert keeps_contract(jac, sol, rhs)
+        assert len(recorder.calls) == 2
+        assert recorder.calls[1]["options"] == dict(SymmetricMode=True)
+        assert solver.krylov_iterations == 1
+        # the fresh factor's first reuse missed, so reuse is off from here on
+        monkeypatch.setattr(solver_module, "_preconditioned_gmres", real_gmres)
+        solver.solve(asm.jacobian(state, 1 / 32), rhs)
+        assert len(recorder.calls) == 3 and solver.krylov_iterations == 1
+
+    def test_foreign_factor_never_used(self, recorder, n16_systems):
+        asm, twin, state, _ = n16_systems
+        solver = LinearSolver()
+        rhs = np.ones(3 * asm.mesh.n_nodes)
+        solver.solve(asm.jacobian(state, 1 / 32), rhs)
+        jac = twin.jacobian(state, 1 / 32)
+        assert (jac != asm.jacobian(state, 1 / 32)).nnz == 0  # same pattern and values
+        assert keeps_contract(jac, solver.solve(jac, rhs), rhs)
+        assert len(recorder.calls) == 2 and solver.krylov_iterations == 0

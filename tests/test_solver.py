@@ -1,9 +1,13 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
+from mixedflow import harness
+from mixedflow import solver as solver_module
 from mixedflow.assembly import Assembler
+from mixedflow.cli import EXIT_NEWTON_FAILURE, main
 from mixedflow.constitutive import (CoefficientVector, GeneralizedPolynomial,
                                     PowerSpec)
 from mixedflow.harness import builtin_problem
@@ -94,7 +98,7 @@ class TestLinearSolver:
         import scipy.sparse as sp
         solver = LinearSolver()
         singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises((LinearSolveFailure, RuntimeError)):
+        with pytest.raises(LinearSolveFailure):
             solver.solve(singular, np.array([1.0, 0.0]))
 
 
@@ -143,3 +147,27 @@ class TestMarch:
             march(example1, build_mesh(2), MarchConfig(dt=0.5),
                   NewtonConfig(tol=1e-12, max_iter=1))
         assert "step 1" in str(err.value)
+
+
+class NanSteps(LinearSolver):
+    """A linear solver whose every solution is NaN."""
+
+    def solve(self, matrix, rhs):
+        return np.full(rhs.shape, np.nan)
+
+
+class TestNonFiniteIterate:
+    def test_newton_raises_nonconvergence_with_trace(self, example1):
+        asm = Assembler(build_mesh(2), example1)
+        state0 = asm.initial_state(newton_tol=1e-6)
+        with pytest.raises(NonConvergence, match="non-finite Newton iterate") as err:
+            newton_solve(asm, state0, 0.25, 0.25, linear_solver=NanSteps())
+        assert len(err.value.trace) == 1 and np.isfinite(err.value.trace[0])
+
+    def test_cli_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "march", functools.partial(
+            solver_module.march, linear_solver=NanSteps()))
+        assert main(["single", "--levels", "4"]) == EXIT_NEWTON_FAILURE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("solver failure: ")
+        assert "non-finite Newton iterate" in err[0]
