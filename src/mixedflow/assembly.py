@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from . import solver
 from .constitutive import GeneralizedPolynomial
 from .mesh_fem import (QuadratureRule, ScalarP1Space, StructuredTriMesh,
                        VectorP1Space, l2_project)
@@ -161,11 +162,15 @@ class _FixedCsc:
     def scatter(self, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
         return np.bincount(slots, weights=values, minlength=self.nnz)
 
-    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        """CSC matrix over ``data``, with the pinned rows set to identity rows."""
+    def pin(self, data: np.ndarray) -> np.ndarray:
+        """``data`` with the pinned rows set to identity rows, in place."""
         data[self._pinned] = 0.0
         data[self._pinned_diag] = 1.0
-        return sp.csc_matrix((data, self.indices, self.indptr),
+        return data
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """CSC matrix over ``data``, with the pinned rows set to identity rows."""
+        return sp.csc_matrix((self.pin(data), self.indices, self.indptr),
                              shape=(self.n, self.n))
 
 
@@ -196,10 +201,11 @@ class Assembler:
             if self.options.momentum_bc == "exact" else np.empty(0, dtype=int)
         self._pinned_rho = bn if self.options.pin_rho_boundary \
             else np.empty(0, dtype=int)
-        # W[q, 3i+j] = w_q phi_i phi_j at quadrature point q
+        # W[q, i] = w_q phi_i and W[q, 3i+j] = w_q phi_i phi_j at quadrature point q
         basis = rule.basis_values()
-        self._w_ij = (rule.weights[:, None, None] * basis[:, :, None]
-                      * basis[:, None, :]).reshape(len(rule.weights), 9)
+        self._w_i = rule.weights[:, None] * basis
+        self._w_ij = (self._w_i[:, :, None] * basis[:, None, :]).reshape(
+            len(rule.weights), 9)
         self._level_loads: dict = {}
 
     # -- static operators ----------------------------------------------------
@@ -252,6 +258,25 @@ class Assembler:
         coupling = pattern.scatter(b_slots, np.concatenate([-b.data, b.data]))
         return pattern, flux_slots, coupling, pattern.scatter(mass_slots, mass.data)
 
+    @cached_property
+    def _momentum_block(self):
+        """The A block [:n_m, :n_m] of the Jacobian pattern.
+
+        Returns a mask that picks its entries out of the pattern's ``data``
+        (over the first n_m columns) and its own read-only CSC ``indices``
+        and ``indptr``, so every momentum Jacobian of this assembler shares
+        one pair of index arrays.
+        """
+        pattern = self._jacobian_pattern[0]
+        n_m = self.vector_space.n_dofs
+        in_block = pattern.indices[:pattern.indptr[n_m]] < n_m
+        indices = pattern.indices[:len(in_block)][in_block]
+        indptr = np.concatenate([[0], np.cumsum(in_block)])[
+            pattern.indptr[:n_m + 1]].astype(np.int32)
+        indices.flags.writeable = False
+        indptr.flags.writeable = False
+        return in_block, indices, indptr
+
     # -- per-step data -------------------------------------------------------
 
     def _dpsi_values(self, t_n: float, dt: float) -> np.ndarray:
@@ -292,12 +317,9 @@ class Assembler:
     def _flux_vector(self, m_dofs: np.ndarray, t_n: float) -> np.ndarray:
         """(F(|m|) m, v) for all vector test functions v."""
         vs = self.vector_space
-        rule = vs.quadrature
-        mq = vs.eval_at_quadrature(m_dofs)  # (nt, nq, 2)
-        mag = np.sqrt(np.sum(mq * mq, axis=-1))
-        wf = self.data.law.eval_F(mag, t_n) * rule.weights \
-            * self.mesh.areas[:, None]
-        r_el = rule.basis_values().T @ (wf[:, :, None] * mq)  # (nt, 3, 2)
+        flux = self.data.law.flux(vs.eval_at_quadrature(m_dofs), t_n)  # (nt, nq, 2)
+        r_el = self._w_i.T @ flux  # (nt, 3, 2)
+        r_el *= self.mesh.areas[:, None, None]
         return np.bincount(vs.element_dof_map.ravel(), weights=r_el.ravel(),
                            minlength=vs.n_dofs)
 
@@ -305,17 +327,10 @@ class Assembler:
         """Element flux-Jacobian entries, flattened in (t, i, j, c, d) order.
 
         Entry (t, i, j, c, d) is the sum over quadrature points of
-        W[q, 3i+j] |T_t| dF_c/dm_d(m_q), with dF/dm = F I + F'/|m| m m^T.
+        W[q, 3i+j] |T_t| dF_c/dm_d(m_q), with dF/dm the law's flux Jacobian.
         """
-        law = self.data.law
-        mq = self.vector_space.eval_at_quadrature(m_dofs)  # (nt, nq, 2)
-        mag = np.sqrt(np.sum(mq * mq, axis=-1))
-        f = law.eval_F(mag, t_n)
-        magc = np.maximum(mag, law.eps_reg)
-        fp = law.eval_F_prime(magc, t_n)
-        jq = (fp / magc)[:, :, None, None] * mq[:, :, :, None] * mq[:, :, None, :]
-        jq[:, :, 0, 0] += f
-        jq[:, :, 1, 1] += f
+        jq = self.data.law.flux_jacobian(
+            self.vector_space.eval_at_quadrature(m_dofs), t_n)  # (nt, nq, 2, 2)
         jq *= self.mesh.areas[:, None, None, None]
         return (self._w_ij.T @ jq.reshape(len(jq), -1, 4)).ravel()
 
@@ -329,9 +344,7 @@ class Assembler:
         if abs(state_n.t - state_prev.t - dt) > 1e-10 * max(1.0, abs(state_n.t)):
             raise ValueError("state times inconsistent with dt")
         t_n = state_n.t
-        flux_vec = self._flux_vector(state_n.m, t_n)
-        r_mom = flux_vec - self._div_coupling_T @ state_n.rho_bar \
-            + self._grad_psi_load(t_n)
+        r_mom = self.momentum_residual(state_n.m, state_n.rho_bar, t_n)
         ss = self.scalar_space
         f_vec = self._level_load("f", t_n, lambda: ss.load_vector(
             lambda pts: np.asarray(self.data.f(pts, t_n), dtype=float)
@@ -340,9 +353,6 @@ class Assembler:
             lambda pts: self._phi_q * self._dpsi_values(t_n, dt)))
         r_den = self.mass_phi @ (state_n.rho_bar - state_prev.rho_bar) / dt \
             + self.div_coupling @ state_n.m - f_vec + dpsi_vec
-        if len(self._pinned_m):
-            r_mom[self._pinned_m] = state_n.m[self._pinned_m] \
-                - self._momentum_bc_values(t_n)
         r_den[self._pinned_rho] = state_n.rho_bar[self._pinned_rho]
         return np.concatenate([r_mom, r_den])
 
@@ -375,45 +385,41 @@ class Assembler:
 
     def momentum_residual(self, m_dofs: np.ndarray, rho_bar: np.ndarray,
                           t: float) -> np.ndarray:
-        """Momentum rows alone, used by the initialization solve."""
-        flux_vec = self._flux_vector(m_dofs, t)
-        r = flux_vec - self._div_coupling_T @ rho_bar + self._grad_psi_load(t)
+        """Momentum rows of :meth:`residual`; alone, the initialization residual."""
+        r = self._flux_vector(m_dofs, t) - self._div_coupling_T @ rho_bar \
+            + self._grad_psi_load(t)
         if len(self._pinned_m):
             r[self._pinned_m] = m_dofs[self._pinned_m] - self._momentum_bc_values(t)
         return r
 
     def momentum_jacobian(self, m_dofs: np.ndarray, t: float) -> sp.csc_matrix:
-        """Derivative of :meth:`momentum_residual` w.r.t. m: the A block, in CSC."""
+        """Derivative of :meth:`momentum_residual` w.r.t. m: the A block, in CSC.
+
+        Every call shares the block's index arrays, so a held factor of one
+        call preconditions the next.
+        """
         pattern, flux_slots, _, _ = self._jacobian_pattern
-        jac = pattern.matrix(pattern.scatter(
+        in_block, indices, indptr = self._momentum_block
+        data = pattern.pin(pattern.scatter(
             flux_slots, self._flux_jacobian_elements(m_dofs, t)))
-        n_m = self.vector_space.n_dofs
-        return jac[:n_m, :n_m]
+        return sp.csc_matrix((data[:len(in_block)][in_block], indices, indptr),
+                             shape=(len(indptr) - 1,) * 2)
 
     def initial_state(self, newton_tol: float = 1e-10,
                       max_iter: int = 60) -> SystemState:
-        """Project the initial density; solve the momentum block by Newton from 0.
+        """Project the initial density; solve the momentum rows by Newton from 0.
 
-        The momentum initialization trace is attached to the raised error on
-        failure so non-convergence is diagnosable.
+        The law is singular at m = 0, so the first steps are tiny; undamped
+        Newton walks out of the clamp region reliably.  A failure raises
+        :class:`~mixedflow.solver.NonConvergence` with the residual trace.
         """
-        from .solver import LinearSolver, NonConvergence  # local: avoid cycle
-
         data = self.data
         rho_bar0 = l2_project(self.scalar_space,
                               lambda pts: np.asarray(data.rho0(pts), dtype=float)
                               - np.asarray(data.psi(pts, 0.0), dtype=float))
-        m = np.zeros(self.vector_space.n_dofs)
-        solver = LinearSolver()
-        trace = []
-        for _ in range(max_iter):
-            r = self.momentum_residual(m, rho_bar0, 0.0)
-            rnorm = float(np.linalg.norm(r))
-            trace.append(rnorm)
-            if rnorm <= newton_tol:
-                return SystemState(rho_bar0, m, 0.0)
-            step = solver.solve(self.momentum_jacobian(m, 0.0), -r)
-            # singular law makes the first steps from m = 0 tiny; plain
-            # undamped Newton walks out of the clamp region reliably
-            m = m + step
-        raise NonConvergence("momentum initialization did not converge", trace)
+        m, _ = solver._newton(lambda m: self.momentum_residual(m, rho_bar0, 0.0),
+                              lambda m: self.momentum_jacobian(m, 0.0),
+                              np.zeros(self.vector_space.n_dofs), newton_tol,
+                              max_iter, solver.LinearSolver(),
+                              "in the momentum initialization")
+        return SystemState(rho_bar0, m, 0.0)

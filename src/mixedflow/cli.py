@@ -59,11 +59,13 @@ def _config_from_args(args: argparse.Namespace) -> StudyConfig:
     fields["study"] = args.study
     if args.levels:
         fields["levels"] = tuple(int(tok) for tok in args.levels.split(",") if tok)
-    for key in ("seed", "out", "verbose", "problem", "dt_ratio", "trials",
+    for key in ("seed", "out", "problem", "dt_ratio", "trials",
                 "psi_t_mode", "momentum_bc", "pairing"):
-        value = getattr(args, key, None)
-        if value not in (None, False):
+        value = getattr(args, key)
+        if value is not None:
             fields[key] = value
+    if args.verbose:  # a flag: absent leaves the config's value
+        fields["verbose"] = True
     known = set(StudyConfig.__dataclass_fields__)
     unknown = set(fields) - known
     if unknown:

@@ -218,13 +218,12 @@ class GeneralizedPolynomial:
         momentum block of the Newton matrix positive definite at any state.
         """
         m = np.asarray(m, dtype=float)
-        mag = np.sqrt(np.sum(m * m, axis=-1))
-        magc = np.maximum(mag, self.eps_reg)
-        f = np.asarray(self.eval_F(magc, t), dtype=float)
-        fp = np.asarray(self.eval_F_prime(magc, t), dtype=float)
-        eye = np.eye(2)
-        outer = m[..., :, None] * m[..., None, :]
-        jac = f[..., None, None] * eye + (fp / magc)[..., None, None] * outer
+        magc = np.maximum(np.sqrt(np.sum(m * m, axis=-1)), self.eps_reg)
+        jac = np.asarray(self.eval_F_prime(magc, t) / magc)[..., None, None] \
+            * m[..., :, None] * m[..., None, :]
+        f = self.eval_F(magc, t)
+        jac[..., 0, 0] += f
+        jac[..., 1, 1] += f
         return jac
 
     # -- unregularized evaluation (witness path) -----------------------------

@@ -231,7 +231,6 @@ class StudyConfig:
     # solver settings
     newton_tol: float = 1e-6
     newton_max_iter: int = 30
-    newton_damping: bool = False
     # discretization switches
     psi_t_mode: str = "discrete"
     pin_rho_boundary: bool = False
@@ -263,8 +262,16 @@ class StudyConfig:
             raise ValueError(f"unknown pairing {self.pairing!r}")
         if self.problem not in BUILTIN_PROBLEMS:
             raise ValueError(f"unknown builtin problem {self.problem!r}")
-        self.discretization()  # validate the option values now, not mid-study
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("trials", "gronwall_trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # validate the option values and every time grid now, not mid-study
+        self.discretization()
         self.newton()
+        for n in levels:
+            self.march_config(n)
 
     def discretization(self) -> DiscretizationOptions:
         return DiscretizationOptions(psi_t_mode=self.psi_t_mode,
@@ -273,12 +280,11 @@ class StudyConfig:
                                      quad_order=self.quad_order)
 
     def newton(self) -> NewtonConfig:
-        return NewtonConfig(tol=self.newton_tol, max_iter=self.newton_max_iter,
-                            damping=self.newton_damping)
+        return NewtonConfig(tol=self.newton_tol, max_iter=self.newton_max_iter)
 
     def march_config(self, n: int) -> MarchConfig:
         return MarchConfig(dt=self.dt_ratio / n, final_time=self.final_time,
-                           record_energies=True, verbose=self.verbose)
+                           verbose=self.verbose)
 
     def law_a(self) -> GeneralizedPolynomial:
         a_star, a_sup = self._box()

@@ -16,7 +16,7 @@ verification sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +32,6 @@ __all__ = [
     "l2_project",
     "norm",
     "element_divergence",
-    "write_mesh",
 ]
 
 _BOUNDARY_TOL = 1e-12
@@ -71,10 +70,6 @@ class QuadratureRule:
         ])
         wts = np.array([w1, w1, w1, w2, w2, w2])
         return cls(4, pts, wts)
-
-    @property
-    def n_points(self) -> int:
-        return len(self.weights)
 
     def basis_values(self) -> np.ndarray:
         """P1 nodal basis at the quadrature points: identical to ``points``."""
@@ -154,8 +149,6 @@ def build_mesh(n: int) -> StructuredTriMesh:
 class ScalarP1Space:
     """Continuous piecewise-linear scalar space with one dof per node."""
 
-    n_components = 1
-
     def __init__(self, mesh: StructuredTriMesh,
                  quadrature: QuadratureRule | None = None):
         self.mesh = mesh
@@ -166,9 +159,6 @@ class ScalarP1Space:
     @property
     def n_dofs(self) -> int:
         return self.mesh.n_nodes
-
-    def element_dofs(self) -> np.ndarray:
-        return self.mesh.triangles
 
     def eval_at_quadrature(self, dofs: np.ndarray) -> np.ndarray:
         """Field values at all quadrature points, shape (nt, nq)."""
@@ -230,8 +220,6 @@ class ScalarP1Space:
 
 class VectorP1Space:
     """Two interleaved P1 components sharing the scalar node ordering."""
-
-    n_components = 2
 
     def __init__(self, mesh: StructuredTriMesh,
                  quadrature: QuadratureRule | None = None):
@@ -342,10 +330,3 @@ def element_divergence(space: VectorP1Space, dofs: np.ndarray,
         raise IndexError(f"triangle {triangle} out of range")
     return float(space.divergence(dofs)[triangle])
 
-
-def write_mesh(mesh: StructuredTriMesh, stream: TextIO) -> None:
-    """Plain-text dump: one 'x y' line per node, then one 'i j k' per triangle."""
-    for x, y in mesh.nodes:
-        stream.write(f"{float(x)!r} {float(y)!r}\n")
-    for i, j, k in mesh.triangles:
-        stream.write(f"{i} {j} {k}\n")

@@ -1,14 +1,14 @@
-"""Newton iteration per time level and the backward-Euler march."""
+"""The Newton loop, its checked sparse linear solver and the backward-Euler march."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
-from .assembly import Assembler, DiscretizationOptions, ProblemData, SystemState
+from . import assembly  # by module: assembly.initial_state uses _newton in turn
 from .mesh_fem import StructuredTriMesh, norm
 
 __all__ = [
@@ -29,7 +29,7 @@ class LinearSolveFailure(RuntimeError):
 
 
 class NonConvergence(RuntimeError):
-    """Newton ran out of iterations; carries the residual-norm trace."""
+    """Newton stalled or left the finite numbers; carries the residual-norm trace."""
 
     def __init__(self, message: str, trace):
         super().__init__(f"{message} (residual trace: "
@@ -44,7 +44,6 @@ class NewtonConfig:
 
     tol: float = 1e-6
     max_iter: int = 30
-    damping: bool = False  # step halving, engaged only on residual growth
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -55,11 +54,10 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class MarchConfig:
-    """Backward-Euler time grid and diagnostics switches."""
+    """Backward-Euler time grid and the per-step print switch."""
 
     dt: float
     final_time: float = 1.0
-    record_energies: bool = True
     verbose: bool = False
 
     def __post_init__(self):
@@ -254,7 +252,7 @@ def _preconditioned_gmres(matrix, rhs: np.ndarray, precondition, max_iter: int,
 class NewtonStats:
     iterations: int
     residual_norm: float
-    trace: list = field(default_factory=list)
+    trace: list
 
 
 @dataclass
@@ -263,53 +261,58 @@ class StepDiagnostics:
     t: float
     newton_iterations: int
     residual_norm: float
-    energy_rho: float = np.nan       # ||rho_bar_n||_L2^2
-    energy_m_accum: float = np.nan   # sum_i dt ||m_i||_Ls^s up to this step
-    factorizations: int = 0          # LU factorizations of this step's solves
-    krylov_iterations: int = 0       # GMRES iterations of this step's solves
+    energy_rho: float                # ||rho_bar_n||_L2^2
+    energy_m_accum: float            # sum_i dt ||m_i||_Ls^s up to this step
+    factorizations: int              # LU factorizations of this step's solves
+    krylov_iterations: int           # GMRES iterations of this step's solves
 
 
-def newton_solve(assembler: Assembler, state_prev: SystemState, t_n: float,
-                 dt: float, config: NewtonConfig | None = None,
+def _newton(residual, jacobian, x: np.ndarray, tol: float, max_iter: int,
+            linear_solver: LinearSolver, where: str
+            ) -> tuple[np.ndarray, NewtonStats]:
+    """Undamped Newton on flat vectors from ``x`` until ||residual(x)|| <= tol.
+
+    Takes at most ``max_iter`` steps.  ``where`` names the solve in the
+    :class:`NonConvergence` raised on a non-finite iterate or when the
+    steps run out; the error carries the residual-norm trace.
+    """
+    r = residual(x)
+    trace = [float(np.linalg.norm(r))]
+    while not trace[-1] <= tol:  # a NaN norm is not converged
+        if len(trace) > max_iter:
+            raise NonConvergence(f"Newton stalled {where}", trace)
+        x = x + linear_solver.solve(jacobian(x), -r)
+        if not np.all(np.isfinite(x)):
+            raise NonConvergence(f"non-finite Newton iterate {where}", trace)
+        r = residual(x)
+        trace.append(float(np.linalg.norm(r)))
+    return x, NewtonStats(len(trace) - 1, trace[-1], trace)
+
+
+def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState,
+                 t_n: float, dt: float, config: NewtonConfig | None = None,
                  linear_solver: LinearSolver | None = None
-                 ) -> tuple[SystemState, NewtonStats]:
+                 ) -> tuple[assembly.SystemState, NewtonStats]:
     """Advance one backward-Euler level; initial guess is the previous state."""
     config = config or NewtonConfig()
-    linear_solver = linear_solver or LinearSolver()
     n_m = assembler.vector_space.n_dofs
-    state = SystemState(state_prev.rho_bar.copy(), state_prev.m.copy(), t_n)
-    r = assembler.residual(state, state_prev, dt)
-    rnorm = float(np.linalg.norm(r))
-    trace = [rnorm]
-    for it in range(1, config.max_iter + 1):
-        if rnorm <= config.tol:
-            return state, NewtonStats(it - 1, rnorm, trace)
-        step = linear_solver.solve(assembler.jacobian(state, dt), -r)
-        scale = 1.0
-        for _ in range(8):
-            rho_bar = state.rho_bar + scale * step[n_m:]
-            m = state.m + scale * step[:n_m]
-            if not (np.all(np.isfinite(rho_bar)) and np.all(np.isfinite(m))):
-                raise NonConvergence(
-                    f"non-finite Newton iterate at t={t_n:.6g}", trace)
-            candidate = SystemState(rho_bar, m, t_n)
-            r_new = assembler.residual(candidate, state_prev, dt)
-            rnorm_new = float(np.linalg.norm(r_new))
-            if not config.damping or rnorm_new < rnorm or scale <= 1 / 128:
-                break
-            scale *= 0.5
-        state, r, rnorm = candidate, r_new, rnorm_new
-        trace.append(rnorm)
-    if rnorm <= config.tol:
-        return state, NewtonStats(config.max_iter, rnorm, trace)
-    raise NonConvergence(f"Newton stalled at t={t_n:.6g}", trace)
+
+    def state(x):
+        return assembly.SystemState(x[n_m:], x[:n_m], t_n)
+
+    x, stats = _newton(lambda x: assembler.residual(state(x), state_prev, dt),
+                       lambda x: assembler.jacobian(state(x), dt),
+                       np.concatenate([state_prev.m, state_prev.rho_bar]),
+                       config.tol, config.max_iter,
+                       linear_solver or LinearSolver(), f"at t={t_n:.6g}")
+    return state(x), stats
 
 
-def march(data: ProblemData, mesh: StructuredTriMesh, march_config: MarchConfig,
-          newton_config: NewtonConfig | None = None,
-          options: DiscretizationOptions | None = None,
+def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
+          march_config: MarchConfig, newton_config: NewtonConfig | None = None,
+          options: assembly.DiscretizationOptions | None = None,
           linear_solver: LinearSolver | None = None
-          ) -> tuple[SystemState, list[StepDiagnostics]]:
+          ) -> tuple[assembly.SystemState, list[StepDiagnostics]]:
     """Run the backward-Euler march from the projected initial state.
 
     Returns the final state and per-step diagnostics.  The first Newton
@@ -318,7 +321,7 @@ def march(data: ProblemData, mesh: StructuredTriMesh, march_config: MarchConfig,
     """
     newton_config = newton_config or NewtonConfig()
     linear_solver = linear_solver or LinearSolver()
-    assembler = Assembler(mesh, data, options)
+    assembler = assembly.Assembler(mesh, data, options)
     state = assembler.initial_state(newton_tol=newton_config.tol)
     dt = march_config.dt
     s = data.law.spec.s
@@ -338,18 +341,15 @@ def march(data: ProblemData, mesh: StructuredTriMesh, march_config: MarchConfig,
         except LinearSolveFailure as exc:
             raise LinearSolveFailure(
                 f"march aborted at step {n} (t={t_n:.6g}): {exc}") from exc
+        energy_m_accum += dt * norm(assembler.vector_space, state.m, s) ** s
         diag = StepDiagnostics(
             n, t_n, stats.iterations, stats.residual_norm,
+            energy_rho=norm(assembler.scalar_space, state.rho_bar, 2.0) ** 2,
+            energy_m_accum=energy_m_accum,
             factorizations=linear_solver.factorizations - factorizations,
             krylov_iterations=linear_solver.krylov_iterations - krylov_iterations)
-        if march_config.record_energies:
-            diag.energy_rho = norm(assembler.scalar_space, state.rho_bar, 2.0) ** 2
-            energy_m_accum += dt * norm(assembler.vector_space, state.m, s) ** s
-            diag.energy_m_accum = energy_m_accum
         if march_config.verbose:
-            energy = diag.energy_rho + diag.energy_m_accum \
-                if march_config.record_energies else float("nan")
             print(f"{n} {t_n:.6g} {stats.iterations} {stats.residual_norm:.3e} "
-                  f"{energy:.6e}")
+                  f"{diag.energy_rho + energy_m_accum:.6e}")
         diagnostics.append(diag)
     return state, diagnostics

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from mixedflow.analysis import report_from_csv
-from mixedflow.cli import EXIT_CONFIG_ERROR, main
+from mixedflow.cli import (EXIT_CONFIG_ERROR, _build_parser,
+                           _config_from_args, main)
 from mixedflow.harness import (StudyConfig, _linear_field_defect,
                                builtin_problem, consistency_defects,
                                parse_config_text, run_convergence,
@@ -170,13 +171,45 @@ class TestCli:
 
     @pytest.mark.parametrize("line", ["exponents = abc", "dt_ratio = fast",
                                       "linear_mode = iterative",
-                                      "check_linear = true"])
+                                      "check_linear = true",
+                                      "newton_damping = true"])
     def test_bad_config_value_one_line_error(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"levels = 4\n{line}\n")
         assert main(["dependence", "--config", str(cfgfile)]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["convergence", "--levels", "4", "--dt-ratio", "0.3"], ""),
+        (["verify"], "seed = -1"),
+        (["verify"], "trials = 0"),
+        (["verify", "--trials", "0"], ""),
+        (["verify"], "gronwall_trials = -5"),
+    ])
+    def test_bad_study_value_one_line_error(self, tmp_path, capsys, argv, line):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"{line}\n")
+        assert main(argv + ["--config", str(cfgfile)]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert captured.out == ""
+
+    def test_zero_seed_flag_overrides_config(self, tmp_path, capsys):
+        cfgfile = tmp_path / "seeded.cfg"
+        cfgfile.write_text("seed = 3\ntrials = 200\ngronwall_trials = 20\n")
+        assert main(["verify", "--config", str(cfgfile), "--seed", "0"]) == 0
+        assert "seed=0 trials=200" in capsys.readouterr().out
+
+    def test_absent_verbose_flag_keeps_config_value(self, tmp_path):
+        cfgfile = tmp_path / "loud.cfg"
+        cfgfile.write_text("verbose = true\n")
+        args = _build_parser().parse_args(["single", "--config", str(cfgfile)])
+        assert _config_from_args(args).verbose is True
+        args = _build_parser().parse_args(["single", "--verbose"])
+        assert _config_from_args(args).verbose is True
+        assert _config_from_args(_build_parser().parse_args(["single"])).verbose is False
 
     def test_scalar_exponents_config_runs(self, tmp_path, capsys):
         cfgfile = tmp_path / "one.cfg"

@@ -1,11 +1,10 @@
-import io
 
 import numpy as np
 import pytest
 
 from mixedflow.mesh_fem import (QuadratureRule, ScalarP1Space, VectorP1Space,
                                 build_mesh, element_divergence, interpolate,
-                                l2_project, norm, write_mesh)
+                                l2_project, norm)
 
 
 class TestMesh:
@@ -43,17 +42,6 @@ class TestMesh:
         ones = np.ones(space.n_dofs)
         vals = space.eval_at_quadrature(ones)
         assert np.abs(vals - 1.0).max() <= 1e-13
-
-    def test_dump_format(self):
-        mesh = build_mesh(1)
-        buf = io.StringIO()
-        write_mesh(mesh, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert len(lines) == mesh.n_nodes + mesh.n_triangles
-        x, y = lines[0].split()
-        assert float(x) == 0.0 and float(y) == 0.0
-        i, j, k = lines[mesh.n_nodes].split()
-        assert [int(i), int(j), int(k)] == list(mesh.triangles[0])
 
 
 class TestQuadrature:

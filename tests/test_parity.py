@@ -319,6 +319,12 @@ class TestFactorReuse:
         assert diags[0].factorizations == 1
         assert sum(d.krylov_iterations for d in diags) > 0
 
+    def test_initial_state_factors_momentum_block_once(self, recorder):
+        mesh = build_mesh(16)
+        Assembler(mesh, builtin_problem("example1")).initial_state()
+        assert recorder.sizes.count(2 * mesh.n_nodes) == 1
+        assert len(recorder.sizes) == 1
+
     def test_n4_march_factors_every_jacobian(self, recorder):
         mesh = build_mesh(4)
         _, diags = march(builtin_problem("example1"), mesh, MarchConfig(dt=0.125))

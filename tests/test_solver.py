@@ -164,6 +164,15 @@ class TestNonFiniteIterate:
             newton_solve(asm, state0, 0.25, 0.25, linear_solver=NanSteps())
         assert len(err.value.trace) == 1 and np.isfinite(err.value.trace[0])
 
+    def test_initial_state_names_momentum_initialization(self, example1,
+                                                         monkeypatch):
+        monkeypatch.setattr(LinearSolver, "solve", NanSteps.solve)
+        asm = Assembler(build_mesh(2), example1)
+        with pytest.raises(NonConvergence, match="non-finite Newton iterate "
+                           "in the momentum initialization") as err:
+            asm.initial_state()
+        assert len(err.value.trace) == 1 and np.isfinite(err.value.trace[0])
+
     def test_cli_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(harness, "march", functools.partial(
             solver_module.march, linear_solver=NanSteps()))
