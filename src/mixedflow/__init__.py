@@ -3,16 +3,14 @@ flow whose momentum law spans the pre-Darcy, Darcy and post-Darcy regimes."""
 
 from .constitutive import (CoefficientVector, GeneralizedPolynomial,
                            LemmaConstants, PowerSpec, lemma_witness)
-from .mesh_fem import (QuadratureRule, ScalarP1Space, StructuredTriMesh,
-                       VectorP1Space, build_mesh, element_divergence,
-                       interpolate, l2_project, norm)
+from .mesh_fem import (ScalarP1Space, StructuredTriMesh, VectorP1Space,
+                       build_mesh, l2_project, norm)
 from .assembly import (Assembler, DiscretizationOptions, ExactSolution,
                        ProblemData, SystemState)
 from .solver import (LinearSolveFailure, LinearSolver, MarchConfig,
                      NewtonConfig, NonConvergence, march, newton_solve)
-from .analysis import (InequalityReport, LevelResult, StabilityEnergy,
-                       final_time_errors, gronwall_check, inequality_suite,
-                       rates, stability_energy)
+from .analysis import (InequalityReport, LevelResult, final_time_errors,
+                       gronwall_check, inequality_suite, rates)
 from .harness import (StudyConfig, builtin_problem, run_convergence,
                       run_dependence, run_single, run_verify)
 

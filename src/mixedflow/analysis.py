@@ -1,9 +1,9 @@
-"""Error norms, convergence rates, stability diagnostics and randomized checks.
+"""Error norms, convergence rates and randomized checks.
 
 Two kinds of verification live here: deterministic post-processing of runs
-(final-time errors, refinement rates, stability energies) and randomized
-certification of the structural results (the inequality suite over the
-constitutive witnesses and the discrete Gronwall bound).  Generic constants
+(final-time errors, refinement rates) and randomized certification of the
+structural results (the inequality suite over the constitutive witnesses
+and the discrete Gronwall bound).  Generic constants
 in the stability and error theorems are unknowable, so those checks are
 expressed as boundedness and rate statements, never as literal inequalities
 with invented constants.
@@ -18,18 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .assembly import Assembler, ProblemData, SystemState
+from .assembly import ProblemData, SystemState
 from .constitutive import (GREATER_OR_EQUAL_KINDS, WITNESS_KINDS,
                            GeneralizedPolynomial, lemma_witness)
-from .mesh_fem import StructuredTriMesh, norm
-from .solver import StepDiagnostics
+from .mesh_fem import ScalarP1Space, StructuredTriMesh, VectorP1Space, norm
 
 __all__ = [
     "LevelResult",
-    "StabilityEnergy",
     "final_time_errors",
     "rates",
-    "stability_energy",
     "gronwall_check",
     "sample_gronwall_sequences",
     "InequalityReport",
@@ -54,28 +51,8 @@ class LevelResult:
     newton_total: int = 0
 
 
-@dataclass(frozen=True)
-class StabilityEnergy:
-    """Left side of the discrete stability bound and its data functional.
-
-    ``e_rho + e_m_accum`` is the quantity the stability lemma bounds;
-    ``data_side`` is the bracketed data functional with generic constant 1.
-    The meaningful check is that the left side stays bounded (no blow-up),
-    not the literal inequality.
-    """
-
-    e_rho: float
-    e_m_accum: float
-    data_side: float
-
-    @property
-    def left_side(self) -> float:
-        return self.e_rho + self.e_m_accum
-
-
 def final_time_errors(state: SystemState, data: ProblemData,
-                      mesh: StructuredTriMesh,
-                      assembler: Assembler | None = None) -> tuple[float, float]:
+                      mesh: StructuredTriMesh) -> tuple[float, float]:
     """L2 density error and Ls momentum error at the final time.
 
     The density error is measured on the homogenized variable, i.e. against
@@ -84,7 +61,6 @@ def final_time_errors(state: SystemState, data: ProblemData,
     """
     if data.exact is None:
         raise ValueError("final_time_errors needs ProblemData.exact")
-    asm = assembler or Assembler(mesh, data)
     t = state.t
     exact = data.exact
 
@@ -92,9 +68,9 @@ def final_time_errors(state: SystemState, data: ProblemData,
         return np.asarray(exact.rho(pts, t), dtype=float) \
             - np.asarray(data.psi(pts, t), dtype=float)
 
-    err_rho = norm(asm.scalar_space, state.rho_bar, 2.0, against=rho_bar_exact)
+    err_rho = norm(ScalarP1Space(mesh), state.rho_bar, 2.0, against=rho_bar_exact)
     s = data.law.spec.s
-    err_m = norm(asm.vector_space, state.m, s,
+    err_m = norm(VectorP1Space(mesh), state.m, s,
                  against=lambda pts: np.asarray(exact.m(pts, t), dtype=float))
     return err_rho, err_m
 
@@ -115,34 +91,6 @@ def rates(levels: Sequence[LevelResult]) -> list[LevelResult]:
         cur.rate_m = None if cur.err_m <= 0.0 or prev.err_m <= 0.0 \
             else math.log(cur.err_m / prev.err_m) / lh
     return out
-
-
-def stability_energy(diagnostics: Sequence[StepDiagnostics], data: ProblemData,
-                     mesh: StructuredTriMesh, dt: float,
-                     initial_state: SystemState,
-                     assembler: Assembler | None = None) -> StabilityEnergy:
-    """Stability energy after the last recorded step plus its data functional."""
-    asm = assembler or Assembler(mesh, data)
-    last = diagnostics[-1]
-    s = data.law.spec.s
-    s_star = data.law.spec.s_conjugate
-    rho0_norm = norm(asm.scalar_space, initial_state.rho_bar, 2.0)
-    data_side = rho0_norm ** 2
-    ss = asm.scalar_space
-    vs = asm.vector_space
-    for diag in diagnostics:
-        t = diag.t
-        f_sq = ss.integrate(np.asarray(data.f(ss.quadrature_coords(), t),
-                                       dtype=float) ** 2
-                            * np.ones(ss.quadrature_coords().shape[:2]))
-        psi_t_sq = ss.integrate(np.asarray(data.psi_t(ss.quadrature_coords(), t),
-                                           dtype=float) ** 2
-                                * np.ones(ss.quadrature_coords().shape[:2]))
-        gpsi = np.asarray(data.grad_psi(vs.quadrature_coords(), t), dtype=float)
-        gpsi_ss = ss.integrate(np.sum(gpsi * gpsi, axis=-1) ** (s_star / 2.0))
-        data_side += dt * (f_sq + psi_t_sq + gpsi_ss)
-    return StabilityEnergy(e_rho=last.energy_rho, e_m_accum=last.energy_m_accum,
-                           data_side=data_side)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ import scipy.sparse as sp
 
 from . import solver
 from .constitutive import GeneralizedPolynomial
-from .mesh_fem import (QuadratureRule, ScalarP1Space, StructuredTriMesh,
-                       VectorP1Space, l2_project)
+from .mesh_fem import (ScalarP1Space, StructuredTriMesh, VectorP1Space,
+                       l2_project)
 
 __all__ = [
     "ExactSolution",
@@ -95,9 +95,6 @@ class SystemState:
         if not (np.all(np.isfinite(self.rho_bar)) and np.all(np.isfinite(self.m))):
             raise ValueError("state contains non-finite entries")
 
-    def copy(self) -> "SystemState":
-        return SystemState(self.rho_bar.copy(), self.m.copy(), self.t)
-
 
 @dataclass(frozen=True)
 class DiscretizationOptions:
@@ -117,14 +114,11 @@ class DiscretizationOptions:
         pins boundary momentum dofs to the exact solution (requires
         ``ProblemData.exact``), a variant kept for sensitivity studies of
         the equal-order pair.
-    quad_order:
-        quadrature order for every pairing (default 4).
     """
 
     psi_t_mode: str = "discrete"
     pin_rho_boundary: bool = False
     momentum_bc: str = "none"
-    quad_order: int = 4
 
     def __post_init__(self):
         if self.psi_t_mode not in ("discrete", "analytic"):
@@ -182,9 +176,8 @@ class Assembler:
         self.mesh = mesh
         self.data = data
         self.options = options or DiscretizationOptions()
-        rule = QuadratureRule.on_triangle(self.options.quad_order)
-        self.scalar_space = ScalarP1Space(mesh, rule)
-        self.vector_space = VectorP1Space(mesh, rule)
+        self.scalar_space = ScalarP1Space(mesh)
+        self.vector_space = VectorP1Space(mesh)
         if self.options.momentum_bc == "exact" and data.exact is None:
             raise ValueError("momentum_bc='exact' needs ProblemData.exact")
         self._qpts = self.scalar_space.quadrature_coords()
@@ -201,11 +194,6 @@ class Assembler:
             if self.options.momentum_bc == "exact" else np.empty(0, dtype=int)
         self._pinned_rho = bn if self.options.pin_rho_boundary \
             else np.empty(0, dtype=int)
-        # W[q, i] = w_q phi_i and W[q, 3i+j] = w_q phi_i phi_j at quadrature point q
-        basis = rule.basis_values()
-        self._w_i = rule.weights[:, None] * basis
-        self._w_ij = (self._w_i[:, :, None] * basis[:, None, :]).reshape(
-            len(rule.weights), 9)
         self._level_loads: dict = {}
 
     # -- static operators ----------------------------------------------------
@@ -281,11 +269,9 @@ class Assembler:
 
     def _dpsi_values(self, t_n: float, dt: float) -> np.ndarray:
         if self.options.psi_t_mode == "analytic":
-            return np.asarray(self.data.psi_t(self._qpts, t_n), dtype=float) \
-                * np.ones(self._qpts.shape[:2])
+            return np.asarray(self.data.psi_t(self._qpts, t_n), dtype=float)
         return (np.asarray(self.data.psi(self._qpts, t_n), dtype=float)
-                - np.asarray(self.data.psi(self._qpts, t_n - dt), dtype=float)) / dt \
-            * np.ones(self._qpts.shape[:2])
+                - np.asarray(self.data.psi(self._qpts, t_n - dt), dtype=float)) / dt
 
     def _level_load(self, name: str, key, build: Callable[[], np.ndarray]
                     ) -> np.ndarray:
@@ -304,7 +290,7 @@ class Assembler:
     def _grad_psi_load(self, t_n: float) -> np.ndarray:
         """(grad Psi(t_n), v) for all vector test functions v."""
         return self._level_load("grad_psi", t_n, lambda: self.vector_space.load_vector(
-            lambda pts: np.asarray(self.data.grad_psi(pts, t_n), dtype=float)))
+            self.data.grad_psi(self._qpts, t_n)))
 
     def _momentum_bc_values(self, t_n: float) -> np.ndarray:
         """Exact momentum at the pinned dofs, in ``_pinned_m`` order."""
@@ -314,25 +300,15 @@ class Assembler:
 
     # -- nonlinear pieces ------------------------------------------------------
 
-    def _flux_vector(self, m_dofs: np.ndarray, t_n: float) -> np.ndarray:
-        """(F(|m|) m, v) for all vector test functions v."""
-        vs = self.vector_space
-        flux = self.data.law.flux(vs.eval_at_quadrature(m_dofs), t_n)  # (nt, nq, 2)
-        r_el = self._w_i.T @ flux  # (nt, 3, 2)
-        r_el *= self.mesh.areas[:, None, None]
-        return np.bincount(vs.element_dof_map.ravel(), weights=r_el.ravel(),
-                           minlength=vs.n_dofs)
-
-    def _flux_jacobian_elements(self, m_dofs: np.ndarray, t_n: float) -> np.ndarray:
+    def _flux_jacobian_elements(self, m_dofs: np.ndarray) -> np.ndarray:
         """Element flux-Jacobian entries, flattened in (t, i, j, c, d) order.
 
-        Entry (t, i, j, c, d) is the sum over quadrature points of
-        W[q, 3i+j] |T_t| dF_c/dm_d(m_q), with dF/dm the law's flux Jacobian.
+        Entry (t, i, j, c, d) is (dF_c/dm_d(m) phi_j, phi_i) on triangle t,
+        with dF/dm the law's flux Jacobian.
         """
         jq = self.data.law.flux_jacobian(
-            self.vector_space.eval_at_quadrature(m_dofs), t_n)  # (nt, nq, 2, 2)
-        jq *= self.mesh.areas[:, None, None, None]
-        return (self._w_ij.T @ jq.reshape(len(jq), -1, 4)).ravel()
+            self.vector_space.eval_at_quadrature(m_dofs))  # (nt, nq, 2, 2)
+        return self.scalar_space.element_matrices(jq).ravel()
 
     # -- public assembly -------------------------------------------------------
 
@@ -347,10 +323,9 @@ class Assembler:
         r_mom = self.momentum_residual(state_n.m, state_n.rho_bar, t_n)
         ss = self.scalar_space
         f_vec = self._level_load("f", t_n, lambda: ss.load_vector(
-            lambda pts: np.asarray(self.data.f(pts, t_n), dtype=float)
-            * np.ones(pts.shape[:2])))
+            self.data.f(self._qpts, t_n)))
         dpsi_vec = self._level_load("dpsi", (t_n, dt), lambda: ss.load_vector(
-            lambda pts: self._phi_q * self._dpsi_values(t_n, dt)))
+            self._phi_q * self._dpsi_values(t_n, dt)))
         r_den = self.mass_phi @ (state_n.rho_bar - state_prev.rho_bar) / dt \
             + self.div_coupling @ state_n.m - f_vec + dpsi_vec
         r_den[self._pinned_rho] = state_n.rho_bar[self._pinned_rho]
@@ -377,8 +352,7 @@ class Assembler:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         pattern, flux_slots, coupling, mass = self._jacobian_pattern
-        data = pattern.scatter(flux_slots,
-                               self._flux_jacobian_elements(state_n.m, state_n.t))
+        data = pattern.scatter(flux_slots, self._flux_jacobian_elements(state_n.m))
         data += coupling
         data += mass / dt
         return pattern.matrix(data)
@@ -386,13 +360,14 @@ class Assembler:
     def momentum_residual(self, m_dofs: np.ndarray, rho_bar: np.ndarray,
                           t: float) -> np.ndarray:
         """Momentum rows of :meth:`residual`; alone, the initialization residual."""
-        r = self._flux_vector(m_dofs, t) - self._div_coupling_T @ rho_bar \
-            + self._grad_psi_load(t)
+        vs = self.vector_space
+        r = vs.load_vector(self.data.law.flux(vs.eval_at_quadrature(m_dofs))) \
+            - self._div_coupling_T @ rho_bar + self._grad_psi_load(t)
         if len(self._pinned_m):
             r[self._pinned_m] = m_dofs[self._pinned_m] - self._momentum_bc_values(t)
         return r
 
-    def momentum_jacobian(self, m_dofs: np.ndarray, t: float) -> sp.csc_matrix:
+    def momentum_jacobian(self, m_dofs: np.ndarray) -> sp.csc_matrix:
         """Derivative of :meth:`momentum_residual` w.r.t. m: the A block, in CSC.
 
         Every call shares the block's index arrays, so a held factor of one
@@ -401,7 +376,7 @@ class Assembler:
         pattern, flux_slots, _, _ = self._jacobian_pattern
         in_block, indices, indptr = self._momentum_block
         data = pattern.pin(pattern.scatter(
-            flux_slots, self._flux_jacobian_elements(m_dofs, t)))
+            flux_slots, self._flux_jacobian_elements(m_dofs)))
         return sp.csc_matrix((data[:len(in_block)][in_block], indices, indptr),
                              shape=(len(indptr) - 1,) * 2)
 
@@ -418,7 +393,7 @@ class Assembler:
                               lambda pts: np.asarray(data.rho0(pts), dtype=float)
                               - np.asarray(data.psi(pts, 0.0), dtype=float))
         m, _ = solver._newton(lambda m: self.momentum_residual(m, rho_bar0, 0.0),
-                              lambda m: self.momentum_jacobian(m, 0.0),
+                              self.momentum_jacobian,
                               np.zeros(self.vector_space.n_dofs), newton_tol,
                               max_iter, solver.LinearSolver(),
                               "in the momentum initialization")

@@ -101,6 +101,9 @@ def main(argv=None) -> int:
     except (NonConvergence, LinearSolveFailure) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_NEWTON_FAILURE
+    except OSError as exc:  # writing --out failed after the config check
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     return EXIT_OK
 
 

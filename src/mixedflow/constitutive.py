@@ -23,7 +23,7 @@ positive definite at m = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,19 +93,14 @@ class CoefficientVector:
     *not* enforced at construction so that degenerate vectors such as the
     pure-Darcy (0, 1, 0) remain usable in linear sanity checks; witness
     evaluation rejects a_star <= 0 instead.
-
-    ``schedules`` optionally scales entries over time (one callable per
-    entry, or None to keep an entry constant).
     """
 
     values: tuple[float, ...]
     a_star: float
     a_sup: float
-    schedules: tuple[Callable[[float], float] | None, ...] | None = None
 
     def __init__(self, values: Sequence[float], a_star: float | None = None,
-                 a_sup: float | None = None,
-                 schedules: Sequence[Callable[[float], float] | None] | None = None):
+                 a_sup: float | None = None):
         vals = tuple(float(v) for v in values)
         if len(vals) < 3:
             raise ValueError("need at least (a_-1, a_0, a_N)")
@@ -123,19 +118,9 @@ class CoefficientVector:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "a_star", float(a_star))
         object.__setattr__(self, "a_sup", float(a_sup))
-        object.__setattr__(self, "schedules",
-                           tuple(schedules) if schedules is not None else None)
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def at_time(self, t: float) -> np.ndarray:
-        a = np.array(self.values, dtype=float)
-        if self.schedules is not None:
-            for i, sched in enumerate(self.schedules):
-                if sched is not None:
-                    a[i] *= sched(t)
-        return a
 
 
 @dataclass(frozen=True)
@@ -177,41 +162,41 @@ class GeneralizedPolynomial:
             raise ValueError("inequality constants need a_star > 0")
         return LemmaConstants.from_law(self.spec, self.coeffs.a_star)
 
-    def coefficients(self, t: float = 0.0) -> np.ndarray:
-        return self.coeffs.at_time(t)
+    def coefficients(self) -> np.ndarray:
+        return np.array(self.coeffs.values, dtype=float)
 
     # -- regularized evaluation (assembly path) -----------------------------
 
-    def eval_F(self, z, t: float = 0.0):
+    def eval_F(self, z):
         """F(max(z, eps_reg)); exact for z >= eps_reg, finite at z = 0."""
         z = np.maximum(np.asarray(z, dtype=float), self.eps_reg)
-        a = self.coefficients(t)
+        a = self.coefficients()
         out = np.zeros_like(z)
         for ai, ei in zip(a, self._exps):
             if ai != 0.0:
                 out += ai * z ** ei
         return out if out.ndim else float(out)
 
-    def eval_F_prime(self, z, t: float = 0.0):
+    def eval_F_prime(self, z):
         """dF/dz at max(z, eps_reg), including the singular -alpha term."""
         z = np.maximum(np.asarray(z, dtype=float), self.eps_reg)
-        a = self.coefficients(t)
+        a = self.coefficients()
         out = np.zeros_like(z)
         for ai, ei in zip(a, self._exps):
             if ai != 0.0 and ei != 0.0:
                 out += ai * ei * z ** (ei - 1.0)
         return out if out.ndim else float(out)
 
-    def flux(self, m, t: float = 0.0):
+    def flux(self, m):
         """F(|m|) m for one 2-vector or an (..., 2) array of vectors."""
         m = np.asarray(m, dtype=float)
         mag = np.sqrt(np.sum(m * m, axis=-1))
-        f = self.eval_F(mag, t)
+        f = self.eval_F(mag)
         if m.ndim == 1:
             return float(f) * m
         return np.asarray(f)[..., None] * m
 
-    def flux_jacobian(self, m, t: float = 0.0):
+    def flux_jacobian(self, m):
         """d(flux)/dm = F(|m^|) I + F'(|m^|)/|m^| m (x) m with |m^| = max(|m|, eps_reg).
 
         Symmetric, eigenvalues >= (1 - alpha) F(|m^|) > 0; this keeps the
@@ -219,9 +204,9 @@ class GeneralizedPolynomial:
         """
         m = np.asarray(m, dtype=float)
         magc = np.maximum(np.sqrt(np.sum(m * m, axis=-1)), self.eps_reg)
-        jac = np.asarray(self.eval_F_prime(magc, t) / magc)[..., None, None] \
+        jac = np.asarray(self.eval_F_prime(magc) / magc)[..., None, None] \
             * m[..., :, None] * m[..., None, :]
-        f = self.eval_F(magc, t)
+        f = self.eval_F(magc)
         jac[..., 0, 0] += f
         jac[..., 1, 1] += f
         return jac

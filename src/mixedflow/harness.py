@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
@@ -38,8 +39,7 @@ from .assembly import (Assembler, DiscretizationOptions, ExactSolution,
                        ProblemData, SystemState)
 from .constitutive import (CoefficientVector, GeneralizedPolynomial,
                            PowerSpec)
-from .mesh_fem import (QuadratureRule, ScalarP1Space, VectorP1Space,
-                       build_mesh, norm)
+from .mesh_fem import ScalarP1Space, VectorP1Space, build_mesh, norm
 from .solver import MarchConfig, NewtonConfig, march
 
 __all__ = [
@@ -70,7 +70,7 @@ def manufactured_problem(law: GeneralizedPolynomial, name: str) -> ProblemData:
     balance.  The built-in example problems are its (1,1,1) and
     (0.95,1,0.95) instances.
     """
-    a = law.coefficients(0.0)
+    a = law.coefficients()
     decay = 2.0 * (1.0 + law.spec.all_exponents())
 
     def coef(t):
@@ -163,7 +163,7 @@ def consistency_defects(data: ProblemData, n_points: int = 100,
     for t in np.unique(ts):
         m = np.asarray(data.exact.m(x, float(t)), dtype=float)
         gp = np.asarray(data.grad_psi(x, float(t)), dtype=float)
-        flux = data.law.flux(m, float(t))
+        flux = data.law.flux(m)
         law_defect = max(law_defect, float(np.max(np.abs(flux + gp))))
         try:
             # complex-step derivative: exact to roundoff for analytic rho(t)
@@ -235,7 +235,6 @@ class StudyConfig:
     psi_t_mode: str = "discrete"
     pin_rho_boundary: bool = False
     momentum_bc: str = "none"
-    quad_order: int = 4
     # verification
     seed: int = 0
     trials: int = 10_000
@@ -267,17 +266,28 @@ class StudyConfig:
         for name in ("trials", "gronwall_trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # validate the option values and every time grid now, not mid-study
+        for name in ("coefficients_a", "coefficients_b"):
+            if len(getattr(self, name)) < 3:  # _box indexes a_-1, a_0 and a_N
+                raise ValueError(f"{name} needs at least (a_-1, a_0, a_N), "
+                                 f"got {getattr(self, name)}")
+        if self.out:
+            target = os.path.abspath(self.out)
+            if os.path.isdir(target) \
+                    or not os.access(os.path.dirname(target), os.W_OK):
+                raise ValueError(f"out: cannot write {self.out!r}")
+        # validate the option values, both laws and every time grid now, not
+        # mid-study
         self.discretization()
         self.newton()
+        self.law_a()
+        self.law_b()
         for n in levels:
             self.march_config(n)
 
     def discretization(self) -> DiscretizationOptions:
         return DiscretizationOptions(psi_t_mode=self.psi_t_mode,
                                      pin_rho_boundary=self.pin_rho_boundary,
-                                     momentum_bc=self.momentum_bc,
-                                     quad_order=self.quad_order)
+                                     momentum_bc=self.momentum_bc)
 
     def newton(self) -> NewtonConfig:
         return NewtonConfig(tol=self.newton_tol, max_iter=self.newton_max_iter)
@@ -308,7 +318,7 @@ def _coerce(name: str, kind: str, value):
 
     A config line holding one value parses to a scalar, so tuple fields take
     scalars too.  A value of the wrong type raises ``ValueError`` naming the
-    field.
+    field; a ``str`` field takes strings only, and None where it is optional.
     """
     def as_int(v):
         if isinstance(v, float) and v.is_integer():
@@ -325,6 +335,9 @@ def _coerce(name: str, kind: str, value):
         if kind == "int":
             return as_int(value)
         if kind == "bool" and not isinstance(value, bool):
+            raise TypeError
+        if kind.startswith("str") and not isinstance(value, str) \
+                and not (value is None and kind.endswith("None")):
             raise TypeError
     except (TypeError, ValueError):
         raise ValueError(f"{name}: expected {kind}, got {value!r}") from None
@@ -405,8 +418,7 @@ def run_convergence(cfg: StudyConfig) -> StudyReport:
     report = StudyReport("convergence", cfg.problem)
     for n in cfg.levels:
         mesh, final, diags = _march_level(cfg, data, n)
-        asm = Assembler(mesh, data, cfg.discretization())
-        err_rho, err_m = final_time_errors(final, data, mesh, asm)
+        err_rho, err_m = final_time_errors(final, data, mesh)
         report.levels.append(LevelResult(
             n_cells=n, h=1.0 / n, dt=cfg.dt_ratio / n,
             err_rho=err_rho, err_m=err_m,
@@ -433,11 +445,8 @@ def run_dependence(cfg: StudyConfig) -> StudyReport:
     for n in cfg.levels:
         mesh, final_a, diags_a = _march_level(cfg, data_a, n)
         _, final_b, diags_b = _march_level(cfg, data_b, n)
-        rule = QuadratureRule.on_triangle(cfg.quad_order)
-        sspace = ScalarP1Space(mesh, rule)
-        vspace = VectorP1Space(mesh, rule)
-        err_rho = norm(sspace, final_a.rho_bar - final_b.rho_bar, 2.0)
-        err_m = norm(vspace, final_a.m - final_b.m, s)
+        err_rho = norm(ScalarP1Space(mesh), final_a.rho_bar - final_b.rho_bar, 2.0)
+        err_m = norm(VectorP1Space(mesh), final_a.m - final_b.m, s)
         report.levels.append(LevelResult(
             n_cells=n, h=1.0 / n, dt=cfg.dt_ratio / n,
             err_rho=err_rho, err_m=err_m,
@@ -548,7 +557,7 @@ def _linear_field_defect(space: ScalarP1Space, dofs: np.ndarray,
 def _quadrature_polynomial_defect() -> float:
     """Compare degree <= 4 monomial quadrature on [0,1]^2 with closed forms."""
     mesh = build_mesh(3)
-    space = ScalarP1Space(mesh, QuadratureRule.on_triangle(4))
+    space = ScalarP1Space(mesh)
     qpts = space.quadrature_coords()
     defect = 0.0
     for px in range(5):

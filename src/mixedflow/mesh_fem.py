@@ -6,16 +6,17 @@ triangles.  Scalar fields use continuous piecewise-linear (P1) nodal
 elements; vector fields use two interleaved P1 components sharing the
 scalar node ordering (dof 2*i and 2*i+1 belong to node i).
 
-Element quadrature defaults to a degree-4, 6-point rule, which integrates
-every polynomial term of the discrete forms exactly and approximates the
-non-polynomial generalized-polynomial flux terms well enough for the
-bundled refinement studies; lower-order rules are available for
-verification sweeps.
+Every pairing uses one element quadrature, Dunavant's degree-4, 6-point
+rule, which integrates every polynomial term of the discrete forms exactly
+and approximates the non-polynomial generalized-polynomial flux terms well
+enough for the bundled refinement studies.  This module is the only one
+that knows the rule: callers sample their integrands at
+``quadrature_coords()`` and pair them with the basis through a space's
+``load_vector``, ``integrate`` and ``element_matrices``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,57 +24,31 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "QuadratureRule",
+    "QUAD_POINTS",
+    "QUAD_WEIGHTS",
     "StructuredTriMesh",
     "ScalarP1Space",
     "VectorP1Space",
     "build_mesh",
-    "interpolate",
     "l2_project",
     "norm",
-    "element_divergence",
 ]
 
 _BOUNDARY_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Points (barycentric) and weights on the reference triangle.
-
-    Weights are normalized to sum to 1; element integrals multiply by the
-    element area.  ``order`` is the highest polynomial degree integrated
-    exactly.
-    """
-
-    order: int
-    points: np.ndarray   # (nq, 3) barycentric coordinates
-    weights: np.ndarray  # (nq,), sums to 1
-
-    @classmethod
-    def on_triangle(cls, order: int = 4) -> "QuadratureRule":
-        if order <= 1:
-            pts = np.array([[1 / 3, 1 / 3, 1 / 3]])
-            wts = np.array([1.0])
-            return cls(1, pts, wts)
-        if order == 2:
-            # edge-midpoint rule
-            pts = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-            wts = np.full(3, 1 / 3)
-            return cls(2, pts, wts)
-        # Dunavant degree-4 rule, 6 points, all weights positive
-        a1, w1 = 0.445948490915965, 0.223381589678011
-        a2, w2 = 0.091576213509771, 0.109951743655322
-        pts = np.array([
-            [1 - 2 * a1, a1, a1], [a1, 1 - 2 * a1, a1], [a1, a1, 1 - 2 * a1],
-            [1 - 2 * a2, a2, a2], [a2, 1 - 2 * a2, a2], [a2, a2, 1 - 2 * a2],
-        ])
-        wts = np.array([w1, w1, w1, w2, w2, w2])
-        return cls(4, pts, wts)
-
-    def basis_values(self) -> np.ndarray:
-        """P1 nodal basis at the quadrature points: identical to ``points``."""
-        return self.points
+# Dunavant's degree-4 rule on the reference triangle, all weights positive.
+# A point's barycentric coordinates are the values of the three local P1
+# basis functions there, and the weights sum to 1, so an element integral is
+# the element area times the weighted sum.
+_A1, _A2 = 0.445948490915965, 0.091576213509771
+QUAD_POINTS = np.array([
+    [1 - 2 * _A1, _A1, _A1], [_A1, 1 - 2 * _A1, _A1], [_A1, _A1, 1 - 2 * _A1],
+    [1 - 2 * _A2, _A2, _A2], [_A2, 1 - 2 * _A2, _A2], [_A2, _A2, 1 - 2 * _A2],
+])
+QUAD_WEIGHTS = np.repeat([0.223381589678011, 0.109951743655322], 3)
+# _W_I[q, i] = w_q phi_i and _W_IJ[q, 3i+j] = w_q phi_i phi_j at point q
+_W_I = QUAD_WEIGHTS[:, None] * QUAD_POINTS
+_W_IJ = (_W_I[:, :, None] * QUAD_POINTS[:, None, :]).reshape(len(QUAD_WEIGHTS), 9)
 
 
 class StructuredTriMesh:
@@ -134,26 +109,55 @@ class StructuredTriMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def quad_points(self, rule: QuadratureRule) -> np.ndarray:
-        """Physical coordinates of quadrature points, shape (nt, nq, 2)."""
-        lam = rule.points
-        p = self.nodes[self.triangles]  # (nt, 3, 2)
-        return np.einsum("qk,tkc->tqc", lam, p)
-
 
 def build_mesh(n: int) -> StructuredTriMesh:
     """Triangulate the unit square into an n x n grid of split squares."""
     return StructuredTriMesh(n)
 
 
-class ScalarP1Space:
+class _P1Space:
+    """Quadrature sampling and load vectors common to both P1 spaces.
+
+    ``element_dof_map[t]`` lists the dofs of triangle t node by node, the
+    components of a node adjacent; ``_value_shape`` is the shape of one
+    field value.
+    """
+
+    _value_shape: tuple = ()
+
+    def __init__(self, mesh: StructuredTriMesh, element_dof_map: np.ndarray):
+        self.mesh = mesh
+        self.element_dof_map = element_dof_map
+        # (nt, nq, 2) physical coordinates of the quadrature points
+        self._qpts = QUAD_POINTS @ mesh.nodes[mesh.triangles]
+
+    def quadrature_coords(self) -> np.ndarray:
+        return self._qpts
+
+    def integrate(self, values_at_quadrature: np.ndarray) -> float:
+        """Integrate a (nt, nq) sampled integrand over the mesh."""
+        return float(np.einsum("q,tq,t->", QUAD_WEIGHTS,
+                               values_at_quadrature, self.mesh.areas))
+
+    def load_vector(self, values: np.ndarray) -> np.ndarray:
+        """(g, v) for every basis function v of the space, by quadrature.
+
+        ``values`` holds g at :meth:`quadrature_coords`: shape (nt, nq) in
+        the scalar space and (nt, nq, 2) in the vector space, or any shape
+        that broadcasts to it.
+        """
+        vals = np.broadcast_to(values, self._qpts.shape[:2] + self._value_shape)
+        r_el = _W_I.T @ vals.reshape(*vals.shape[:2], -1)  # (nt, 3, components)
+        r_el *= self.mesh.areas[:, None, None]
+        return np.bincount(self.element_dof_map.ravel(), weights=r_el.ravel(),
+                           minlength=self.n_dofs)
+
+
+class ScalarP1Space(_P1Space):
     """Continuous piecewise-linear scalar space with one dof per node."""
 
-    def __init__(self, mesh: StructuredTriMesh,
-                 quadrature: QuadratureRule | None = None):
-        self.mesh = mesh
-        self.quadrature = quadrature or QuadratureRule.on_triangle(4)
-        self._qpts = mesh.quad_points(self.quadrature)
+    def __init__(self, mesh: StructuredTriMesh):
+        super().__init__(mesh, mesh.triangles)
         self._mass = None
 
     @property
@@ -162,10 +166,7 @@ class ScalarP1Space:
 
     def eval_at_quadrature(self, dofs: np.ndarray) -> np.ndarray:
         """Field values at all quadrature points, shape (nt, nq)."""
-        return np.asarray(dofs)[self.mesh.triangles] @ self.quadrature.basis_values().T
-
-    def quadrature_coords(self) -> np.ndarray:
-        return self._qpts
+        return np.asarray(dofs)[self.mesh.triangles] @ QUAD_POINTS.T
 
     def eval_at_points(self, dofs: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Field values at (npts, 2) points of the unit square.
@@ -185,29 +186,24 @@ class ScalarP1Space:
         lam = 1.0 / 3.0 + np.einsum("pkc,pc->pk", mesh.grads[tri], pts - centroid)
         return np.einsum("pk,pk->p", lam, np.asarray(dofs, dtype=float)[nodes])
 
-    def integrate(self, values_at_quadrature: np.ndarray) -> float:
-        """Integrate a (nt, nq) sampled integrand over the mesh."""
-        return float(np.einsum("q,tq,t->", self.quadrature.weights,
-                               values_at_quadrature, self.mesh.areas))
+    def element_matrices(self, values: np.ndarray) -> np.ndarray:
+        """(v phi_j, phi_i) on every triangle, for each component of v.
 
-    def load_vector(self, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """(g, phi_j) for all nodal test functions, by quadrature."""
-        gq = np.asarray(g(self._qpts), dtype=float)
-        r_el = np.einsum("q,tq,qk->tk", self.quadrature.weights, gq,
-                         self.quadrature.basis_values()) * self.mesh.areas[:, None]
-        out = np.zeros(self.n_dofs)
-        np.add.at(out, self.mesh.triangles.ravel(), r_el.ravel())
-        return out
+        ``values`` holds v at :meth:`quadrature_coords`, shape (nt, nq, ...).
+        Returns shape (nt, 9, k) with k the number of components of one
+        value: entry (t, 3i+j, c) pairs local basis functions i and j of
+        triangle t under component c.
+        """
+        m_el = _W_IJ.T @ values.reshape(*values.shape[:2], -1)
+        m_el *= self.mesh.areas[:, None, None]
+        return m_el
 
     def mass_matrix(self, weight: Callable[[np.ndarray], np.ndarray] | None = None):
         """(w phi_i, phi_j); cached for the unweighted case."""
         if weight is None and self._mass is not None:
             return self._mass
-        basis = self.quadrature.basis_values()
-        wq = np.ones(self._qpts.shape[:2]) if weight is None \
-            else np.asarray(weight(self._qpts), dtype=float) * np.ones(self._qpts.shape[:2])
-        m_el = np.einsum("q,tq,qi,qj->tij", self.quadrature.weights, wq,
-                         basis, basis) * self.mesh.areas[:, None, None]
+        wq = 1.0 if weight is None else np.asarray(weight(self._qpts), dtype=float)
+        m_el = self.element_matrices(np.broadcast_to(wq, self._qpts.shape[:2]))
         tris = self.mesh.triangles
         rows = np.repeat(tris, 3, axis=1).ravel()
         cols = np.tile(tris, (1, 3)).ravel()
@@ -218,18 +214,15 @@ class ScalarP1Space:
         return mat
 
 
-class VectorP1Space:
+class VectorP1Space(_P1Space):
     """Two interleaved P1 components sharing the scalar node ordering."""
 
-    def __init__(self, mesh: StructuredTriMesh,
-                 quadrature: QuadratureRule | None = None):
-        self.mesh = mesh
-        self.quadrature = quadrature or QuadratureRule.on_triangle(4)
-        self._qpts = mesh.quad_points(self.quadrature)
-        tris = mesh.triangles
+    _value_shape = (2,)
+
+    def __init__(self, mesh: StructuredTriMesh):
         # (nt, 6): local dof order (node0_x, node0_y, node1_x, ...)
-        self.element_dof_map = (2 * tris[:, :, None]
-                                + np.arange(2)[None, None, :]).reshape(-1, 6)
+        super().__init__(mesh, (2 * mesh.triangles[:, :, None]
+                                + np.arange(2)[None, None, :]).reshape(-1, 6))
 
     @property
     def n_dofs(self) -> int:
@@ -241,56 +234,13 @@ class VectorP1Space:
     def eval_at_quadrature(self, dofs: np.ndarray) -> np.ndarray:
         """Vector field at quadrature points, shape (nt, nq, 2)."""
         nodal = self.as_nodal(dofs)[self.mesh.triangles]  # (nt, 3, 2)
-        return self.quadrature.basis_values() @ nodal
-
-    def quadrature_coords(self) -> np.ndarray:
-        return self._qpts
-
-    def load_vector(self, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """(g, v) for all vector test functions; g maps (nt,nq,2) -> (nt,nq,2)."""
-        gq = np.asarray(g(self._qpts), dtype=float)
-        r_el = np.einsum("q,tqc,qk->tkc", self.quadrature.weights, gq,
-                         self.quadrature.basis_values()) * self.mesh.areas[:, None, None]
-        out = np.zeros(self.n_dofs)
-        np.add.at(out, self.element_dof_map.ravel(), r_el.reshape(-1, 6).ravel())
-        return out
-
-    def divergence(self, dofs: np.ndarray) -> np.ndarray:
-        """Per-triangle (constant) divergence, shape (nt,)."""
-        nodal = self.as_nodal(dofs)[self.mesh.triangles]  # (nt, 3, 2)
-        return np.einsum("tkc,tkc->t", self.mesh.grads, nodal)
+        return QUAD_POINTS @ nodal
 
 
-def interpolate(space, g: Callable) -> np.ndarray:
-    """Nodal interpolant; exact on members of the space."""
-    nodes = space.mesh.nodes
-    vals = np.asarray(g(nodes), dtype=float)
-    if isinstance(space, VectorP1Space):
-        if vals.shape != (space.mesh.n_nodes, 2):
-            raise ValueError("vector interpolation needs g returning (n_nodes, 2)")
-        return vals.reshape(-1)
-    if vals.shape != (space.mesh.n_nodes,):
-        vals = np.broadcast_to(vals, (space.mesh.n_nodes,)).copy()
-    return vals
-
-
-def l2_project(space, g: Callable) -> np.ndarray:
+def l2_project(space: ScalarP1Space, g: Callable) -> np.ndarray:
     """Solve the mass-matrix system so the residual is quadrature-orthogonal."""
-    if isinstance(space, VectorP1Space):
-        scalar = ScalarP1Space(space.mesh, space.quadrature)
-        mass = scalar.mass_matrix()
-        qpts = space.quadrature_coords()
-        gq = np.asarray(g(qpts), dtype=float)
-        out = np.empty((space.mesh.n_nodes, 2))
-        for c in range(2):
-            rhs = scalar.load_vector(lambda pts, c=c: np.asarray(g(pts))[..., c]
-                                     * np.ones(pts.shape[:2]))
-            out[:, c] = _solve_spd(mass, rhs)
-        return out.reshape(-1)
-    mass = space.mass_matrix()
-    rhs = space.load_vector(lambda pts: np.asarray(g(pts), dtype=float)
-                            * np.ones(pts.shape[:2]))
-    return _solve_spd(mass, rhs)
+    return _solve_spd(space.mass_matrix(),
+                      space.load_vector(g(space.quadrature_coords())))
 
 
 def _solve_spd(mat, rhs: np.ndarray) -> np.ndarray:
@@ -308,25 +258,11 @@ def norm(space, dofs: np.ndarray, p: float = 2.0,
     ``against`` is omitted."""
     if p <= 0:
         raise ValueError("p must be positive")
-    qpts = space.quadrature_coords()
     vals = space.eval_at_quadrature(np.asarray(dofs, dtype=float))
+    if against is not None:
+        vals = vals - np.asarray(against(space.quadrature_coords()), dtype=float)
     if isinstance(space, VectorP1Space):
-        if against is not None:
-            vals = vals - np.asarray(against(qpts), dtype=float)
         mag = np.sqrt(np.sum(vals * vals, axis=-1))
     else:
-        if against is not None:
-            vals = vals - np.asarray(against(qpts), dtype=float)
         mag = np.abs(vals)
-    total = np.einsum("q,tq,t->", space.quadrature.weights, mag ** p,
-                      space.mesh.areas)
-    return float(total) ** (1.0 / p)
-
-
-def element_divergence(space: VectorP1Space, dofs: np.ndarray,
-                       triangle: int) -> float:
-    """Constant divergence of the P1 vector field on one triangle."""
-    if not 0 <= triangle < space.mesh.n_triangles:
-        raise IndexError(f"triangle {triangle} out of range")
-    return float(space.divergence(dofs)[triangle])
-
+    return space.integrate(mag ** p) ** (1.0 / p)

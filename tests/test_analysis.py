@@ -5,12 +5,9 @@ from hypothesis import strategies as st
 
 from mixedflow.analysis import (LevelResult, format_table, gronwall_check,
                                 inequality_suite, rates, report_from_csv,
-                                report_to_csv, sample_gronwall_sequences,
-                                stability_energy)
-from mixedflow.assembly import Assembler
+                                report_to_csv, sample_gronwall_sequences)
 from mixedflow.harness import builtin_problem
 from mixedflow.mesh_fem import build_mesh
-from mixedflow.solver import MarchConfig, march
 
 TABLE1_ERR_RHO = (2.566e-1, 1.689e-1, 1.016e-1, 5.746e-2, 3.120e-2,
                   1.650e-2, 8.574e-3)
@@ -117,54 +114,6 @@ class TestInequalitySuite:
                                            CoefficientVector([0.0, 1.0, 0.0]))
         with pytest.raises(ValueError):
             inequality_suite(degenerate, trials=10)
-
-
-class TestStabilityEnergy:
-    def test_zero_data_constant_energy(self):
-        import dataclasses
-        base = builtin_problem("example1")
-        zs = lambda x, t: np.zeros(np.shape(x)[:-1])
-        zv = lambda x, t: np.zeros(np.shape(x))
-        data = dataclasses.replace(base, f=zs, psi=zs, psi_t=zs, grad_psi=zv,
-                                   rho0=lambda x: np.zeros(np.shape(x)[:-1]),
-                                   exact=None)
-        mesh = build_mesh(2)
-        final, diags = march(data, mesh, MarchConfig(dt=0.25))
-        asm = Assembler(mesh, data)
-        init = asm.initial_state()
-        energy = stability_energy(diags, data, mesh, 0.25, init, asm)
-        assert energy.left_side == pytest.approx(0.0, abs=1e-20)
-        assert energy.data_side == pytest.approx(0.0, abs=1e-20)
-
-    def test_example1_bounded(self):
-        data = builtin_problem("example1")
-        mesh = build_mesh(4)
-        final, diags = march(data, mesh, MarchConfig(dt=0.125))
-        asm = Assembler(mesh, data)
-        init = asm.initial_state()
-        energy = stability_energy(diags, data, mesh, 0.125, init, asm)
-        assert 0.0 < energy.left_side < 10.0
-        assert energy.data_side > 0.0
-
-    def test_doubling_f_roughly_quadruples_its_term(self):
-        import dataclasses
-        data = builtin_problem("example1")
-        mesh = build_mesh(2)
-        _, diags = march(data, mesh, MarchConfig(dt=0.25))
-        asm = Assembler(mesh, data)
-        init = asm.initial_state()
-        base = stability_energy(diags, data, mesh, 0.25, init, asm)
-        doubled_data = dataclasses.replace(
-            data, f=lambda x, t: 2.0 * data.f(x, t))
-        asm2 = Assembler(mesh, doubled_data)
-        doubled = stability_energy(diags, doubled_data, mesh, 0.25, init, asm2)
-        # data side splits into f-term + psi terms; isolate the f-term
-        zero_f = dataclasses.replace(data, f=lambda x, t: 0.0 * x[..., 0])
-        asm0 = Assembler(mesh, zero_f)
-        nof = stability_energy(diags, zero_f, mesh, 0.25, init, asm0)
-        f_term = base.data_side - nof.data_side
-        f_term_doubled = doubled.data_side - nof.data_side
-        assert f_term_doubled == pytest.approx(4.0 * f_term, rel=1e-12)
 
 
 class TestTableArithmetic:

@@ -3,7 +3,7 @@ import pytest
 
 from mixedflow.assembly import Assembler, DiscretizationOptions, SystemState
 from mixedflow.harness import builtin_problem, jacobian_fd_error
-from mixedflow.mesh_fem import build_mesh, interpolate, norm
+from mixedflow.mesh_fem import build_mesh, norm
 
 
 @pytest.fixture(scope="module")
@@ -17,10 +17,9 @@ def assembler4(example1):
 
 
 def interpolated_exact_state(asm, data, t):
-    ex = data.exact
-    rb = interpolate(asm.scalar_space,
-                     lambda x: np.asarray(ex.rho(x, t)) - np.asarray(data.psi(x, t)))
-    m = interpolate(asm.vector_space, lambda x: np.asarray(ex.m(x, t)))
+    ex, nodes = data.exact, asm.mesh.nodes
+    rb = np.asarray(ex.rho(nodes, t)) - np.asarray(data.psi(nodes, t))
+    m = np.asarray(ex.m(nodes, t)).reshape(-1)
     return SystemState(rb, m, t)
 
 
@@ -51,8 +50,8 @@ class TestResidual:
         prev = SystemState(np.zeros(nv), np.zeros(2 * nv), 0.1)
         r1 = asm1.residual(state, prev, 0.1)
         r2 = asm2.residual(state, prev, 0.1)
-        fvec = asm1.scalar_space.load_vector(
-            lambda pts: np.asarray(example1.f(pts, 0.2)) * np.ones(pts.shape[:2]))
+        ss = asm1.scalar_space
+        fvec = ss.load_vector(example1.f(ss.quadrature_coords(), 0.2))
         np.testing.assert_allclose(r2[2 * nv:] - r1[2 * nv:], -fvec,
                                    atol=1e-14)
         np.testing.assert_allclose(r2[: 2 * nv], r1[: 2 * nv])

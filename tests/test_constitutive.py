@@ -43,12 +43,6 @@ class TestCoefficientVector:
         with pytest.raises(ValueError):
             CoefficientVector([1.0, -0.1, 1.0])
 
-    def test_schedule_scales_entry(self):
-        c = CoefficientVector([1.0, 1.0, 1.0],
-                              schedules=(None, None, lambda t: 1.0 + t))
-        assert list(c.at_time(0.0)) == [1.0, 1.0, 1.0]
-        assert list(c.at_time(1.0)) == [1.0, 1.0, 2.0]
-
 
 class TestEvaluation:
     def test_unit_argument(self, reference_law):

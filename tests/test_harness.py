@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from mixedflow.harness import (StudyConfig, _linear_field_defect,
                                parse_config_text, run_convergence,
                                run_dependence, run_single, run_verify)
 from mixedflow.mesh_fem import ScalarP1Space, build_mesh
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestBuiltinProblems:
@@ -73,9 +77,8 @@ class TestConfig:
             StudyConfig(study="explore")
 
     def test_scalar_tuple_fields_coerced(self):
-        cfg = StudyConfig(exponents=1.5, coefficients_a=2, levels=8)
+        cfg = StudyConfig(exponents=1.5, levels=8)
         assert cfg.exponents == (1.5,)
-        assert cfg.coefficients_a == (2.0,)
         assert cfg.levels == (8,)
 
     def test_wrong_value_types_rejected(self):
@@ -172,7 +175,8 @@ class TestCli:
     @pytest.mark.parametrize("line", ["exponents = abc", "dt_ratio = fast",
                                       "linear_mode = iterative",
                                       "check_linear = true",
-                                      "newton_damping = true"])
+                                      "newton_damping = true",
+                                      "quad_order = 4"])
     def test_bad_config_value_one_line_error(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"levels = 4\n{line}\n")
@@ -186,6 +190,12 @@ class TestCli:
         (["verify"], "trials = 0"),
         (["verify", "--trials", "0"], ""),
         (["verify"], "gronwall_trials = -5"),
+        (["dependence", "--levels", "4"], "eps_reg = 0"),
+        (["dependence", "--levels", "4"], "alpha = 1.5"),
+        (["dependence", "--levels", "4"], "coefficients_a = -1, 1, 1"),
+        (["dependence", "--levels", "4"], "exponents = 2, 1"),
+        (["dependence", "--levels", "4"], "exponents = 1, 2"),
+        (["dependence", "--levels", "4"], "coefficients_a = 1"),
     ])
     def test_bad_study_value_one_line_error(self, tmp_path, capsys, argv, line):
         cfgfile = tmp_path / "bad.cfg"
@@ -195,6 +205,28 @@ class TestCli:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert captured.out == ""
+
+    # in a subprocess: an unchecked ``out = true`` opens fd 1 and closes stdout
+    @pytest.mark.parametrize("line, argv", [
+        ("out = true", []),
+        ("out = 7", []),
+        ("", ["--out", "missing/x.csv"]),
+        pytest.param("", ["--out", "/dev/full"], marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="needs a full device")),
+    ])
+    def test_bad_out_one_line_error(self, tmp_path, line, argv):
+        cfgfile = tmp_path / "out.cfg"
+        cfgfile.write_text(f"levels = 4\n{line}\n")
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixedflow.cli", "single",
+             "--config", str(cfgfile)] + argv,
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_CONFIG_ERROR
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), proc.stderr
+        assert proc.stdout == ""
 
     def test_zero_seed_flag_overrides_config(self, tmp_path, capsys):
         cfgfile = tmp_path / "seeded.cfg"

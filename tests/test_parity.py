@@ -1,8 +1,8 @@
 """Parity of the fixed-pattern Jacobian, the per-level residual loads and
 the reused symmetric-mode LU with the paths they replaced: a ``sp.bmat``
 assembly with LIL row surgery, a residual that assembles its load vectors
-on every call, and SciPy's default (COLAMD, partial pivoting) ``splu`` on
-every solve."""
+on every call by a four-operand einsum and ``np.add.at``, and SciPy's
+default (COLAMD, partial pivoting) ``splu`` on every solve."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from mixedflow import solver as solver_module
 from mixedflow.assembly import Assembler, DiscretizationOptions, SystemState
 from mixedflow.harness import builtin_problem
-from mixedflow.mesh_fem import build_mesh
+from mixedflow.mesh_fem import QUAD_POINTS, QUAD_WEIGHTS, build_mesh
 from mixedflow.solver import (LinearSolveFailure, LinearSolver, MarchConfig,
                               march)
 
@@ -20,20 +20,31 @@ OPTIONS = [DiscretizationOptions(momentum_bc=bc, pin_rho_boundary=pin)
            for bc in ("none", "exact") for pin in (False, True)]
 
 
-def reference_momentum_block(asm, m_dofs, t):
+def reference_load(space, g):
+    """(g, v) for every basis function v of ``space``, from the einsum and an
+    ``np.add.at`` scatter; g maps (nt, nq, 2) points to (nt, nq) scalars or
+    (nt, nq, 2) vectors."""
+    gq = np.asarray(g(space.quadrature_coords()), dtype=float)
+    r_el = np.einsum("q,tq...,qk->tk...", QUAD_WEIGHTS, gq, QUAD_POINTS)
+    r_el *= space.mesh.areas.reshape(-1, *(1,) * (r_el.ndim - 1))
+    out = np.zeros(space.n_dofs)
+    np.add.at(out, space.element_dof_map.ravel(), r_el.ravel())
+    return out
+
+
+def reference_momentum_block(asm, m_dofs):
     """A(m) from the four-operand element einsum and a coo->csr scatter."""
     law = asm.data.law
     vs = asm.vector_space
-    rule = vs.quadrature
-    basis = rule.basis_values()
+    basis = QUAD_POINTS
     mq = vs.eval_at_quadrature(m_dofs)
     mag = np.sqrt(np.sum(mq * mq, axis=-1))
-    f = law.eval_F(mag, t)
+    f = law.eval_F(mag)
     magc = np.maximum(mag, law.eps_reg)
-    fp = law.eval_F_prime(magc, t)
+    fp = law.eval_F_prime(magc)
     jq = f[:, :, None, None] * np.eye(2)[None, None] \
         + (fp / magc)[:, :, None, None] * mq[:, :, :, None] * mq[:, :, None, :]
-    a_el = np.einsum("q,qi,qj,tqcd->ticjd", rule.weights, basis, basis, jq) \
+    a_el = np.einsum("q,qi,qj,tqcd->ticjd", QUAD_WEIGHTS, basis, basis, jq) \
         * asm.mesh.areas[:, None, None, None, None]
     dof = vs.element_dof_map
     rows = np.repeat(dof, 6, axis=1).ravel()
@@ -48,7 +59,7 @@ def pinned_momentum_dofs(asm):
 
 
 def reference_jacobian(asm, state, dt):
-    a_blk = reference_momentum_block(asm, state.m, state.t)
+    a_blk = reference_momentum_block(asm, state.m)
     bt = asm.div_coupling.T.tocsr()
     b = asm.div_coupling
     m_dt = asm.mass_phi / dt
@@ -67,13 +78,12 @@ def reference_jacobian(asm, state, dt):
     return sp.bmat([[a_blk, -bt], [b, m_dt]], format="csc")
 
 
-def reference_flux_vector(asm, m_dofs, t):
+def reference_flux_vector(asm, m_dofs):
     """(F(|m|) m, v) from the four-operand einsum and an ``np.add.at`` scatter."""
     vs = asm.vector_space
-    rule = vs.quadrature
     mq = vs.eval_at_quadrature(m_dofs)
-    f = asm.data.law.eval_F(np.sqrt(np.sum(mq * mq, axis=-1)), t)
-    r_el = np.einsum("q,tq,tqc,qk->tkc", rule.weights, f, mq, rule.basis_values()) \
+    f = asm.data.law.eval_F(np.sqrt(np.sum(mq * mq, axis=-1)))
+    r_el = np.einsum("q,tq,tqc,qk->tkc", QUAD_WEIGHTS, f, mq, QUAD_POINTS) \
         * asm.mesh.areas[:, None, None]
     out = np.zeros(vs.n_dofs)
     np.add.at(out, vs.element_dof_map.ravel(), r_el.reshape(-1, 6).ravel())
@@ -82,9 +92,8 @@ def reference_flux_vector(asm, m_dofs, t):
 
 def reference_momentum_residual(asm, m_dofs, rho_bar, t):
     data = asm.data
-    grad_psi = asm.vector_space.load_vector(
-        lambda pts: np.asarray(data.grad_psi(pts, t), dtype=float))
-    r = reference_flux_vector(asm, m_dofs, t) - asm.div_coupling.T @ rho_bar + grad_psi
+    grad_psi = reference_load(asm.vector_space, lambda pts: data.grad_psi(pts, t))
+    r = reference_flux_vector(asm, m_dofs) - asm.div_coupling.T @ rho_bar + grad_psi
     if asm.options.momentum_bc == "exact":
         bn = asm.mesh.boundary_nodes
         pinned = pinned_momentum_dofs(asm)
@@ -103,11 +112,11 @@ def reference_residual(asm, state, prev, dt):
             dpsi = (data.psi(pts, t) - data.psi(pts, t - dt)) / dt
         return np.asarray(data.phi(pts), dtype=float) * dpsi * np.ones(pts.shape[:2])
 
-    f_vec = ss.load_vector(lambda pts: np.asarray(data.f(pts, t), dtype=float)
+    f_vec = reference_load(ss, lambda pts: np.asarray(data.f(pts, t), dtype=float)
                            * np.ones(pts.shape[:2]))
     r_mom = reference_momentum_residual(asm, state.m, state.rho_bar, t)
     r_den = asm.mass_phi @ (state.rho_bar - prev.rho_bar) / dt \
-        + asm.div_coupling @ state.m - f_vec + ss.load_vector(phi_dpsi)
+        + asm.div_coupling @ state.m - f_vec + reference_load(ss, phi_dpsi)
     if asm.options.pin_rho_boundary:
         bn = asm.mesh.boundary_nodes
         r_den[bn] = state.rho_bar[bn]
@@ -156,11 +165,11 @@ class TestJacobianParity:
 
     def test_momentum_jacobian_matches_reference_block(self, systems):
         for n, options, asm, state, _ in systems:
-            ref = reference_momentum_block(asm, state.m, state.t).tolil()
+            ref = reference_momentum_block(asm, state.m).tolil()
             if options.momentum_bc == "exact":
                 for d in pinned_momentum_dofs(asm):
                     ref.rows[d], ref.data[d] = [d], [1.0]
-            got = asm.momentum_jacobian(state.m, state.t)
+            got = asm.momentum_jacobian(state.m)
             assert rel_diff(got.toarray(), ref.toarray()) <= 1e-13, (n, options)
 
     def test_calls_do_not_share_data(self, systems):

@@ -30,4 +30,5 @@ def test_traced_march_records_call_boundaries():
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     spans = set(proc.stdout.split())
-    assert {"assembly.initial_state", "solver.newton", "solver.factor"} <= spans
+    assert {"assembly.initial_state", "solver.newton", "solver.factor",
+            "constitutive.eval"} <= spans
