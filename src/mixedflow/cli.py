@@ -11,8 +11,9 @@ import argparse
 import sys
 
 from .harness import (StudyConfig, parse_config_text, run_convergence,
-                      run_dependence, run_single, run_verify)
+                      run_dependence, run_single)
 from .solver import LinearSolveFailure, NonConvergence
+from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1

@@ -32,11 +32,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import (InequalityReport, LevelResult, final_time_errors,
-                       format_table, gronwall_check, inequality_suite,
-                       rates, report_to_csv, sample_gronwall_sequences)
-from .assembly import (Assembler, DiscretizationOptions, ExactSolution,
-                       ProblemData, SystemState)
+from .analysis import (LevelResult, final_time_errors, format_table, rates,
+                       report_to_csv)
+from .assembly import (DiscretizationOptions, ExactSolution, ProblemData,
+                       SystemState)
 from .constitutive import (CoefficientVector, GeneralizedPolynomial,
                            PowerSpec)
 from .mesh_fem import ScalarP1Space, VectorP1Space, build_mesh, norm
@@ -49,11 +48,9 @@ __all__ = [
     "BUILTIN_PROBLEMS",
     "manufactured_problem",
     "consistency_defects",
-    "jacobian_fd_error",
     "run_single",
     "run_convergence",
     "run_dependence",
-    "run_verify",
     "parse_config_text",
 ]
 
@@ -180,31 +177,6 @@ def consistency_defects(data: ProblemData, n_points: int = 100,
     return law_defect, mass_defect
 
 
-def jacobian_fd_error(assembler: Assembler, state: SystemState,
-                      state_prev: SystemState, dt: float,
-                      step_scale: float = 1e-6) -> float:
-    """Max entrywise relative deviation of the Jacobian from central differences."""
-    x0 = np.concatenate([state.m, state.rho_bar])
-    n_m = assembler.vector_space.n_dofs
-
-    def residual_at(x):
-        st = SystemState(x[n_m:], x[:n_m], state.t)
-        return assembler.residual(st, state_prev, dt)
-
-    jac = assembler.jacobian(state, dt).toarray()
-    fd = np.empty_like(jac)
-    for j in range(len(x0)):
-        h = step_scale * (1.0 + abs(x0[j]))
-        xp = x0.copy()
-        xp[j] += h
-        xm = x0.copy()
-        xm[j] -= h
-        fd[:, j] = (residual_at(xp) - residual_at(xm)) / (2.0 * h)
-    scale = np.abs(jac).max()
-    denom = np.maximum(np.abs(jac), 1e-6 * scale)
-    return float(np.max(np.abs(fd - jac) / denom))
-
-
 # ---------------------------------------------------------------------------
 # Study configuration
 # ---------------------------------------------------------------------------
@@ -317,21 +289,28 @@ def _coerce(name: str, kind: str, value):
     """``value`` as a ``StudyConfig`` field of annotated type ``kind``.
 
     A config line holding one value parses to a scalar, so tuple fields take
-    scalars too.  A value of the wrong type raises ``ValueError`` naming the
-    field; a ``str`` field takes strings only, and None where it is optional.
+    scalars too.  A value of the wrong type, or a nan or infinite float,
+    raises ``ValueError`` naming the field; a ``str`` field takes strings
+    only, and None where it is optional.
     """
     def as_int(v):
         if isinstance(v, float) and v.is_integer():
             return int(v)
         return operator.index(v)
 
+    def as_float(v):
+        v = float(v)
+        if not math.isfinite(v):
+            raise ValueError
+        return v
+
     try:
         if kind.startswith("tuple"):
-            cast = as_int if kind.startswith("tuple[int") else float
+            cast = as_int if kind.startswith("tuple[int") else as_float
             items = value if isinstance(value, (tuple, list)) else (value,)
             return tuple(cast(v) for v in items)
         if kind == "float":
-            return float(value)
+            return as_float(value)
         if kind == "int":
             return as_int(value)
         if kind == "bool" and not isinstance(value, bool):
@@ -457,115 +436,6 @@ def run_dependence(cfg: StudyConfig) -> StudyReport:
                                err_labels=("diff_rho(L2)", "diff_m(Ls)"))
     _emit(cfg, report)
     return report
-
-
-@dataclass
-class VerifyReport:
-    inequality: InequalityReport
-    gronwall_failures: int
-    gronwall_trials: int
-    jacobian_fd_max: float
-    mesh_area_defect: float
-    p1_eval_defect: float
-    quadrature_defect: float
-
-    @property
-    def ok(self) -> bool:
-        return (self.inequality.total_violations == 0
-                and self.gronwall_failures == 0
-                and self.jacobian_fd_max <= 1e-5
-                and self.mesh_area_defect <= 1e-14
-                and self.p1_eval_defect <= 1e-13
-                and self.quadrature_defect <= 1e-13)
-
-    def summary(self) -> str:
-        lines = [self.inequality.summary()]
-        lines.append(f"  gronwall       {'ok' if self.gronwall_failures == 0 else 'VIOLATED'}"
-                     f"        failures={self.gronwall_failures}/{self.gronwall_trials}")
-        lines.append(f"  jacobian_fd    {'ok' if self.jacobian_fd_max <= 1e-5 else 'VIOLATED'}"
-                     f"        max_rel_err={self.jacobian_fd_max:.3e}")
-        lines.append(f"  mesh/quadrature defects: area={self.mesh_area_defect:.2e} "
-                     f"p1_eval={self.p1_eval_defect:.2e} "
-                     f"polynomial={self.quadrature_defect:.2e}")
-        lines.append("verification " + ("PASSED" if self.ok else "FAILED"))
-        return "\n".join(lines)
-
-
-def run_verify(cfg: StudyConfig) -> VerifyReport:
-    """Randomized inequality suite, Gronwall sampling and discrete checks."""
-    law = cfg.law_a()
-    ineq = inequality_suite(law, seed=cfg.seed, trials=cfg.trials)
-
-    rng = np.random.default_rng(cfg.seed)
-    failures = 0
-    for _ in range(cfg.gronwall_trials):
-        n_steps = int(rng.integers(1, 40))
-        dt = float(rng.uniform(0.01, 0.5))
-        a, b, g = sample_gronwall_sequences(rng, n_steps, dt)
-        if not gronwall_check(a, b, g, dt):
-            failures += 1
-
-    data = builtin_problem("example1")
-    mesh = build_mesh(2)
-    asm = Assembler(mesh, data, cfg.discretization())
-    jac_err = 0.0
-    for k in range(3):
-        state, prev = _random_states(asm, rng)
-        jac_err = max(jac_err, jacobian_fd_error(asm, state, prev, dt=0.1))
-
-    mesh8 = build_mesh(8)
-    area_defect = abs(mesh8.areas.sum() - 1.0)
-    coeffs = rng.standard_normal(3)
-    p1_defect = _linear_field_defect(ScalarP1Space(mesh8),
-                                     coeffs[0] + mesh8.nodes @ coeffs[1:],
-                                     coeffs, rng.uniform(0.0, 1.0, size=(1000, 2)))
-    quad_defect = _quadrature_polynomial_defect()
-
-    return VerifyReport(inequality=ineq, gronwall_failures=failures,
-                        gronwall_trials=cfg.gronwall_trials,
-                        jacobian_fd_max=jac_err,
-                        mesh_area_defect=area_defect,
-                        p1_eval_defect=p1_defect,
-                        quadrature_defect=quad_defect)
-
-
-def _random_states(asm: Assembler, rng: np.random.Generator
-                   ) -> tuple[SystemState, SystemState]:
-    """Random smooth states biased away from the law's singular origin."""
-    nv = asm.mesh.n_nodes
-    base = np.tile([0.8, -0.6], nv)
-    m = base + 0.3 * rng.standard_normal(2 * nv)
-    rho = rng.standard_normal(nv)
-    prev = SystemState(rho + 0.1 * rng.standard_normal(nv),
-                       m + 0.1 * rng.standard_normal(2 * nv), 0.4)
-    return SystemState(rho, m, 0.5), prev
-
-
-def _linear_field_defect(space: ScalarP1Space, dofs: np.ndarray,
-                         coeffs: np.ndarray, points: np.ndarray) -> float:
-    """Max deviation of the P1 field ``dofs``, evaluated through the mesh at
-    ``points``, from the linear function c0 + c1 x + c2 y.
-
-    The nodal interpolant of a linear function is that function, so the
-    defect is roundoff unless point location, the element geometry or a
-    nodal value is wrong.
-    """
-    exact = coeffs[0] + points @ coeffs[1:]
-    return float(np.max(np.abs(space.eval_at_points(dofs, points) - exact)))
-
-
-def _quadrature_polynomial_defect() -> float:
-    """Compare degree <= 4 monomial quadrature on [0,1]^2 with closed forms."""
-    mesh = build_mesh(3)
-    space = ScalarP1Space(mesh)
-    qpts = space.quadrature_coords()
-    defect = 0.0
-    for px in range(5):
-        for py in range(5 - px):
-            vals = qpts[..., 0] ** px * qpts[..., 1] ** py
-            exact = 1.0 / ((px + 1) * (py + 1))
-            defect = max(defect, abs(space.integrate(vals) - exact))
-    return defect
 
 
 def _emit(cfg: StudyConfig, report: StudyReport) -> None:

@@ -100,14 +100,13 @@ class StructuredTriMesh:
         gy = (np.roll(xs, -2, axis=1) - np.roll(xs, -1, axis=1)) / det[:, None]
         # grads[t, k, :] = gradient of the k-th local nodal basis on triangle t
         self.grads = np.stack([gx, gy], axis=2)
+        # (nt, nq, 2) quadrature point coordinates, shared by the mesh's spaces
+        self._qpts = QUAD_POINTS @ self.nodes[self.triangles]
+        self._qpts.flags.writeable = False
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    @property
-    def n_triangles(self) -> int:
-        return len(self.triangles)
 
 
 def build_mesh(n: int) -> StructuredTriMesh:
@@ -128,8 +127,7 @@ class _P1Space:
     def __init__(self, mesh: StructuredTriMesh, element_dof_map: np.ndarray):
         self.mesh = mesh
         self.element_dof_map = element_dof_map
-        # (nt, nq, 2) physical coordinates of the quadrature points
-        self._qpts = QUAD_POINTS @ mesh.nodes[mesh.triangles]
+        self._qpts = mesh._qpts
 
     def quadrature_coords(self) -> np.ndarray:
         return self._qpts

@@ -17,14 +17,13 @@ import time
 import numpy as np
 import pytest
 
-from mixedflow.analysis import (LevelResult, gronwall_check,
-                                inequality_suite, rates,
-                                sample_gronwall_sequences)
+from mixedflow.analysis import LevelResult, rates
 from mixedflow.assembly import Assembler, SystemState
-from mixedflow.harness import (StudyConfig, builtin_problem,
-                               jacobian_fd_error, run_convergence,
+from mixedflow.harness import (StudyConfig, builtin_problem, run_convergence,
                                run_dependence)
 from mixedflow.mesh_fem import build_mesh
+from mixedflow.verify import (gronwall_check, inequality_suite,
+                              jacobian_fd_error, sample_gronwall_sequences)
 
 ACCEPTANCE_LEVELS = (4, 8, 16, 32, 64)
 

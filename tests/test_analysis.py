@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedflow.analysis import (LevelResult, format_table, gronwall_check,
-                                inequality_suite, rates, report_from_csv,
-                                report_to_csv, sample_gronwall_sequences)
+from mixedflow.analysis import (LevelResult, format_table, rates,
+                                report_from_csv, report_to_csv)
 from mixedflow.harness import builtin_problem
 from mixedflow.mesh_fem import build_mesh
+from mixedflow.verify import (WITNESSES, gronwall_check, inequality_suite,
+                              sample_gronwall_sequences)
 
 TABLE1_ERR_RHO = (2.566e-1, 1.689e-1, 1.016e-1, 5.746e-2, 3.120e-2,
                   1.650e-2, 8.574e-3)
@@ -95,15 +96,30 @@ class TestInequalitySuite:
             assert ka.max_violation == kb.max_violation
             assert ka.worst_inputs == kb.worst_inputs
 
-    def test_corrupted_constant_detected(self, perturbed_law):
-        report = inequality_suite(perturbed_law, seed=0, trials=2000,
-                                  constant_scales={"monotone0": 1e3})
+    def test_corrupted_constant_detected(self, perturbed_law, monkeypatch):
+        witness = WITNESSES["monotone0"]
+
+        def scaled(law, **inputs):  # the constant c3 taken 1e3 times
+            return [(1e3 * small, large)
+                    for small, large in witness.evaluate(law, **inputs)]
+
+        monkeypatch.setitem(WITNESSES, "monotone0",
+                            witness._replace(evaluate=scaled))
+        report = inequality_suite(perturbed_law, seed=0, trials=2000)
         kind = {k.kind: k for k in report.kinds}["monotone0"]
         assert kind.violations > 0
 
-    def test_narrow_ordf_constant_detected(self, reference_law):
-        report = inequality_suite(reference_law, seed=0, trials=2000,
-                                  narrow_ordf_constant=True)
+    def test_narrow_ordf_constant_detected(self, reference_law, monkeypatch):
+        witness = WITNESSES["OrdF"]
+
+        def narrow(law, w, a):  # upper constant N a_sup (w^-alpha + w^alpha_N)
+            lower, (f, _) = witness.evaluate(law, w=w, a=a)
+            spec = law.spec
+            return [lower, (f, spec.n_powers * law.coeffs.a_sup
+                            * (w ** -spec.alpha + w ** spec.alpha_top))]
+
+        monkeypatch.setitem(WITNESSES, "OrdF", witness._replace(evaluate=narrow))
+        report = inequality_suite(reference_law, seed=0, trials=2000)
         kind = {k.kind: k for k in report.kinds}["OrdF"]
         assert kind.violations > 0
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mixedflow.assembly import Assembler, DiscretizationOptions, SystemState
-from mixedflow.harness import builtin_problem, jacobian_fd_error
+from mixedflow.harness import builtin_problem
 from mixedflow.mesh_fem import build_mesh, norm
+from mixedflow.verify import jacobian_fd_error
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +159,13 @@ class TestJacobian:
         j1 = Assembler(mesh, example1).jacobian(state, 0.1).toarray()
         j2 = Assembler(mesh, other).jacobian(state, 0.1).toarray()
         np.testing.assert_array_equal(j1, j2)
+
+
+class TestSpaces:
+    def test_spaces_share_quadrature_coords(self, assembler4):
+        asm = assembler4
+        assert asm.scalar_space.quadrature_coords() \
+            is asm.vector_space.quadrature_coords()
 
 
 class TestInitialState:

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedflow.constitutive import (CoefficientVector, GeneralizedPolynomial,
-                                    PowerSpec, lemma_witness)
+                                    PowerSpec)
+from mixedflow.verify import WITNESSES, lemma_constants
 
 
 def vec(mag_lo=1e-6, mag_hi=1e2):
@@ -18,7 +19,6 @@ class TestPowerSpec:
     def test_derived_exponents(self):
         spec = PowerSpec(0.5, [1.0])
         assert spec.s == 3.0
-        assert spec.s_conjugate == pytest.approx(1.5)
         assert list(spec.all_exponents()) == [-0.5, 0.0, 1.0]
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
@@ -146,72 +146,84 @@ class TestFluxJacobian:
 
 class TestLemmaConstants:
     def test_reference_values(self, reference_law):
-        c = reference_law.constants
-        assert c.c1 == pytest.approx(8.0)       # 2(s-1)/(1-alpha) = 4/0.5
-        assert c.c2 == pytest.approx(3.0)       # 3N
-        assert c.c3 == pytest.approx(0.0625)    # a*(1-alpha)/(2^{s-1}(s-1))
+        c1, c2, c3 = lemma_constants(reference_law)
+        assert c1 == pytest.approx(8.0)       # 2(s-1)/(1-alpha) = 4/0.5
+        assert c2 == pytest.approx(3.0)       # 3N
+        assert c3 == pytest.approx(0.0625)    # a*(1-alpha)/(2^{s-1}(s-1))
 
     def test_tracks_box(self, perturbed_law):
-        assert perturbed_law.constants.c3 == pytest.approx(0.95 * 0.0625)
+        assert lemma_constants(perturbed_law)[2] == pytest.approx(0.95 * 0.0625)
 
 
 class TestLemmaWitness:
-    def test_monotone0_example(self, reference_law):
-        lhs, rhs = lemma_witness("monotone0", reference_law,
-                                 y=[1.0, 0.0], y2=[2.0, 0.0])
-        assert lhs == pytest.approx(4.4142, abs=1e-4)
-        assert rhs == pytest.approx(0.0625)
-        assert lhs >= rhs
+    """Each witness returns (small, large) pairs whose contract is small <= large."""
 
-    def test_cont1_coincident_points(self):
-        lhs, rhs = lemma_witness("cont1", x=[0.3, -0.1], y=[0.3, -0.1], p=-0.5)
-        assert lhs == 0.0
-        assert rhs == 0.0
+    def test_monotone0_example(self, reference_law):
+        [(small, large)] = WITNESSES["monotone0"].evaluate(
+            reference_law, y=[1.0, 0.0], y2=[2.0, 0.0])
+        assert large == pytest.approx(4.4142, abs=1e-4)
+        assert small == pytest.approx(0.0625)
+        assert large >= small
+
+    def test_cont1_coincident_points(self, reference_law):
+        [(small, large)] = WITNESSES["cont1"].evaluate(
+            reference_law, x=[0.3, -0.1], y=[0.3, -0.1], p=-0.5)
+        assert small == 0.0
+        assert large == 0.0
 
     def test_ordf_lower_equality_at_one(self, reference_law):
-        lhs, rhs = lemma_witness("OrdF", reference_law, side="lower", w=1.0)
-        assert lhs == pytest.approx(3.0)
-        assert rhs == pytest.approx(3.0)
+        (small, large), _ = WITNESSES["OrdF"].evaluate(
+            reference_law, w=1.0, a=reference_law.coefficients())
+        assert small == pytest.approx(3.0)
+        assert large == pytest.approx(3.0)
 
     def test_ordf_narrow_constant_fails_at_one(self, reference_law):
-        lhs, rhs = lemma_witness("OrdF", reference_law, side="upper", w=1.0,
-                                 narrow_constant=True)
-        assert lhs == pytest.approx(3.0)
-        assert rhs == pytest.approx(2.0)
-        assert lhs > rhs  # the narrow constant is too small
+        w = 1.0
+        _, (f, _) = WITNESSES["OrdF"].evaluate(
+            reference_law, w=w, a=reference_law.coefficients())
+        spec = reference_law.spec
+        narrow = spec.n_powers * reference_law.coeffs.a_sup \
+            * (w ** -spec.alpha + w ** spec.alpha_top)
+        assert f == pytest.approx(3.0)
+        assert narrow == pytest.approx(2.0)
+        assert f > narrow  # the narrow constant is too small
 
     def test_widened_ordf_constant_holds(self, reference_law, rng):
         w = np.exp(rng.uniform(np.log(1e-10), np.log(1e3), size=2000))
-        lhs, rhs = lemma_witness("OrdF", reference_law, side="upper", w=w)
-        assert np.all(lhs <= rhs * (1 + 1e-12))
+        _, (small, large) = WITNESSES["OrdF"].evaluate(
+            reference_law, w=w, a=reference_law.coefficients())
+        assert np.all(small <= large * (1 + 1e-12))
 
     def test_rejects_unregularized_singularity(self, reference_law):
         with pytest.raises(ValueError):
-            lemma_witness("dervF", reference_law, side="upper", w=0.0)
+            WITNESSES["dervF"].evaluate(reference_law, w=0.0,
+                                        a=reference_law.coefficients())
         with pytest.raises(ValueError):
-            lemma_witness("monotone0", reference_law,
-                          y=[0.0, 0.0], y2=[0.0, 0.0])
+            WITNESSES["monotone0"].evaluate(reference_law,
+                                            y=[0.0, 0.0], y2=[0.0, 0.0])
 
-    def test_rejects_bad_power_range(self):
+    def test_rejects_bad_power_range(self, reference_law):
         with pytest.raises(ValueError):
-            lemma_witness("cont1", x=[1.0, 0.0], y=[0.0, 1.0], p=0.3)
+            WITNESSES["cont1"].evaluate(reference_law, x=[1.0, 0.0],
+                                        y=[0.0, 1.0], p=0.3)
         with pytest.raises(ValueError):
-            lemma_witness("cont2", x=[1.0, 0.0], y=[0.0, 1.0], p=-0.3)
+            WITNESSES["cont2"].evaluate(reference_law, x=[1.0, 0.0],
+                                        y=[0.0, 1.0], p=-0.3)
 
     @given(x=vec(), y=vec(), p=st.floats(min_value=-0.95, max_value=-0.05))
     @settings(max_examples=200, deadline=None)
-    def test_cont1_property(self, x, y, p):
-        lhs, rhs = lemma_witness("cont1", x=x, y=y, p=p)
-        assert lhs <= rhs + 1e-12 * max(1.0, rhs)
+    def test_cont1_property(self, reference_law, x, y, p):
+        [(small, large)] = WITNESSES["cont1"].evaluate(reference_law, x=x, y=y, p=p)
+        assert small <= large + 1e-12 * max(1.0, large)
 
     @given(y=vec(), y2=vec())
     @settings(max_examples=200, deadline=None)
     def test_monotonicity_property(self, reference_law, y, y2):
-        lhs, rhs = lemma_witness("monotone0", reference_law, y=y, y2=y2)
-        assert lhs >= rhs - 1e-12 * max(1.0, abs(lhs), abs(rhs))
+        [(small, large)] = WITNESSES["monotone0"].evaluate(reference_law, y=y, y2=y2)
+        assert large >= small - 1e-12 * max(1.0, abs(large), abs(small))
 
     @given(y=vec(), y2=vec())
     @settings(max_examples=200, deadline=None)
     def test_hoelder_property(self, reference_law, y, y2):
-        lhs, rhs = lemma_witness("Lipchitz", reference_law, y=y, y2=y2)
-        assert lhs <= rhs + 1e-12 * max(1.0, rhs)
+        [(small, large)] = WITNESSES["Lipchitz"].evaluate(reference_law, y=y, y2=y2)
+        assert small <= large + 1e-12 * max(1.0, large)

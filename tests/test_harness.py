@@ -9,13 +9,19 @@ import pytest
 from mixedflow.analysis import report_from_csv
 from mixedflow.cli import (EXIT_CONFIG_ERROR, _build_parser,
                            _config_from_args, main)
-from mixedflow.harness import (StudyConfig, _linear_field_defect,
-                               builtin_problem, consistency_defects,
-                               parse_config_text, run_convergence,
-                               run_dependence, run_single, run_verify)
+from mixedflow.harness import (StudyConfig, builtin_problem,
+                               consistency_defects, parse_config_text,
+                               run_convergence, run_dependence, run_single)
 from mixedflow.mesh_fem import ScalarP1Space, build_mesh
+from mixedflow.verify import _linear_field_defect, run_verify
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def cli_env() -> dict:
+    """This environment with the checkout's src/ first on PYTHONPATH."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
 
 
 class TestBuiltinProblems:
@@ -196,6 +202,11 @@ class TestCli:
         (["dependence", "--levels", "4"], "exponents = 2, 1"),
         (["dependence", "--levels", "4"], "exponents = 1, 2"),
         (["dependence", "--levels", "4"], "coefficients_a = 1"),
+        (["single", "--levels", "4"], "final_time = inf"),
+        (["single", "--levels", "4"], "final_time = 1e400"),
+        (["single", "--levels", "4"], "newton_tol = nan"),
+        (["dependence", "--levels", "4,8"], "eps_reg = nan"),
+        (["dependence", "--levels", "4"], "exponents = nan"),
     ])
     def test_bad_study_value_one_line_error(self, tmp_path, capsys, argv, line):
         cfgfile = tmp_path / "bad.cfg"
@@ -217,12 +228,11 @@ class TestCli:
     def test_bad_out_one_line_error(self, tmp_path, line, argv):
         cfgfile = tmp_path / "out.cfg"
         cfgfile.write_text(f"levels = 4\n{line}\n")
-        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
         proc = subprocess.run(
             [sys.executable, "-m", "mixedflow.cli", "single",
              "--config", str(cfgfile)] + argv,
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+            cwd=tmp_path, env=cli_env(), capture_output=True, text=True,
+            timeout=300)
         assert proc.returncode == EXIT_CONFIG_ERROR
         err = proc.stderr.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), proc.stderr
@@ -251,7 +261,7 @@ class TestCli:
     def test_installed_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "mixedflow.cli", "verify", "--trials", "200"],
-            capture_output=True, text=True)
+            env=cli_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
     def test_newton_failure_exit_code(self, tmp_path):
@@ -259,6 +269,25 @@ class TestCli:
         cfgfile.write_text("levels = 4\nnewton_tol = 1e-14\n"
                            "newton_max_iter = 1\n")
         assert main(["single", "--config", str(cfgfile)]) == 2
+
+    def test_verify_matches_recorded_output(self, capsys):
+        expected = (ROOT / "tests" / "data" / "verify_seed3_trials500.txt").read_text()
+        assert main(["verify", "--seed", "3", "--trials", "500"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_verify_overflowing_witness_exit_code(self, tmp_path, capsys):
+        # F(w) and the constants overflow at w^150: inf and nan trials must
+        # count as violations, not pass because nan > 0 is false
+        cfgfile = tmp_path / "steep.cfg"
+        cfgfile.write_text("exponents = 1, 150\n"
+                           "coefficients_a = 1, 1, 1, 1\n"
+                           "coefficients_b = 1, 1, 1, 1\n"
+                           "trials = 2000\ngronwall_trials = 20\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["verify", "--config", str(cfgfile)]) == 3
+        out = capsys.readouterr().out
+        assert "verification FAILED" in out
+        assert out.count("VIOLATED") == 6
 
     def test_verify_violations_exit_code(self, tmp_path, capsys):
         # the fixed Hoelder/perturbation constants only hold on unit-scale

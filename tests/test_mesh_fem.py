@@ -13,7 +13,7 @@ class TestMesh:
     def test_counts(self, n, nodes, tris, bnodes):
         mesh = build_mesh(n)
         assert mesh.n_nodes == nodes
-        assert mesh.n_triangles == tris
+        assert len(mesh.triangles) == tris
         assert len(mesh.boundary_nodes) == bnodes
 
     def test_h(self):
