@@ -221,6 +221,8 @@ class StudyConfig:
         for f in fields(self):
             setattr(self, f.name, _coerce(f.name, str(f.type), getattr(self, f.name)))
         levels = self.levels
+        if not levels:
+            raise ValueError("levels must name at least one mesh level")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
         for n in levels:
@@ -233,6 +235,19 @@ class StudyConfig:
             raise ValueError(f"unknown pairing {self.pairing!r}")
         if self.problem not in BUILTIN_PROBLEMS:
             raise ValueError(f"unknown builtin problem {self.problem!r}")
+        # marches that need an exact solution: for the errors, or for the
+        # momentum boundary values
+        no_exact = builtin_problem(self.problem).exact is None
+        if self.study == "convergence" and no_exact:
+            raise ValueError(f"convergence needs an exact solution; problem "
+                             f"{self.problem!r} has none")
+        if self.momentum_bc == "exact":
+            if self.study == "single" and no_exact:
+                raise ValueError(f"momentum_bc = exact needs an exact solution; "
+                                 f"problem {self.problem!r} has none")
+            if self.study == "dependence" and self.pairing == "shared_data":
+                raise ValueError("momentum_bc = exact needs an exact solution; "
+                                 "the shared_data pairing's law a has none")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("trials", "gronwall_trials"):
@@ -253,6 +268,9 @@ class StudyConfig:
         self.newton()
         self.law_a()
         self.law_b()
+        if self.study == "verify" and self._box()[0] <= 0.0:
+            raise ValueError("verify needs the anchor coefficients a_-1, a_0, a_N "
+                             f"of both laws > 0, got a_star = {self._box()[0]}")
         for n in levels:
             self.march_config(n)
 

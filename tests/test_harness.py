@@ -207,6 +207,15 @@ class TestCli:
         (["single", "--levels", "4"], "newton_tol = nan"),
         (["dependence", "--levels", "4,8"], "eps_reg = nan"),
         (["dependence", "--levels", "4"], "exponents = nan"),
+        (["verify", "--trials", "10"], "coefficients_a = 0, 1, 1"),
+        (["convergence", "--problem", "example2_F1", "--levels", "4"], ""),
+        (["single", "--problem", "example2_F1", "--momentum-bc", "exact",
+          "--levels", "4"], ""),
+        (["dependence", "--pairing", "shared_data", "--momentum-bc", "exact",
+          "--levels", "4"], ""),
+        (["single", "--levels", ","], ""),
+        (["convergence", "--levels", ","], ""),
+        (["dependence"], "levels = ,"),
     ])
     def test_bad_study_value_one_line_error(self, tmp_path, capsys, argv, line):
         cfgfile = tmp_path / "bad.cfg"
@@ -263,6 +272,13 @@ class TestCli:
             [sys.executable, "-m", "mixedflow.cli", "verify", "--trials", "200"],
             env=cli_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_package_runs_as_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixedflow", "verify", "--trials", "10"],
+            env=cli_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "verification PASSED" in proc.stdout
 
     def test_newton_failure_exit_code(self, tmp_path):
         cfgfile = tmp_path / "fail.cfg"

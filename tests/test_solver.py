@@ -6,7 +6,7 @@ import pytest
 
 from mixedflow import harness
 from mixedflow import solver as solver_module
-from mixedflow.assembly import Assembler
+from mixedflow.assembly import Assembler, DiscretizationOptions
 from mixedflow.cli import EXIT_NEWTON_FAILURE, main
 from mixedflow.constitutive import (CoefficientVector, GeneralizedPolynomial,
                                     PowerSpec)
@@ -147,6 +147,43 @@ class TestMarch:
             march(example1, build_mesh(2), MarchConfig(dt=0.5),
                   NewtonConfig(tol=1e-12, max_iter=1))
         assert "step 1" in str(err.value)
+
+    def test_newton_starts_from_guess(self, example1):
+        asm = Assembler(build_mesh(4), example1)
+        state0 = asm.initial_state(newton_tol=1e-6)
+        tight, stats = newton_solve(asm, state0, 0.125, 0.125,
+                                    NewtonConfig(tol=1e-12))
+        assert stats.iterations > 0
+        again, stats = newton_solve(asm, state0, 0.125, 0.125,
+                                    NewtonConfig(tol=1e-12),
+                                    guess=np.concatenate([tight.m, tight.rho_bar]))
+        assert stats.iterations == 0
+        assert np.array_equal(again.m, tight.m)
+
+
+class TestTightReference:
+    """The march at the default tolerance stays near a tol=1e-12 march.
+
+    Newton stops on an absolute residual of 1e-6, so each level keeps a
+    residual error; the start of the iteration decides how large it is.
+    Starting each level from the previous state leaves example1 at N=32
+    7.4e-5 from the reference; the extrapolated start leaves 7.9e-8.
+    """
+
+    @pytest.mark.parametrize("problem, n, final_time, options", [
+        ("example1", 8, 1.0, DiscretizationOptions()),
+        ("example1", 32, 1.0, DiscretizationOptions()),
+        ("example2_F2", 32, 0.25,
+         DiscretizationOptions(momentum_bc="exact", pin_rho_boundary=True)),
+    ])
+    def test_fields_near_tight_reference(self, problem, n, final_time, options):
+        data, mesh = builtin_problem(problem), build_mesh(n)
+        config = MarchConfig(dt=0.5 / n, final_time=final_time)
+        final, _ = march(data, mesh, config, NewtonConfig(tol=1e-6), options)
+        ref, _ = march(data, mesh, config, NewtonConfig(tol=1e-12), options)
+        x = np.concatenate([final.m, final.rho_bar])
+        x_ref = np.concatenate([ref.m, ref.rho_bar])
+        assert np.linalg.norm(x - x_ref) <= 1e-5 * np.linalg.norm(x_ref)
 
 
 class NanSteps(LinearSolver):
