@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (StudyConfig, parse_config_text, run_convergence,
-                      run_dependence, run_single)
+from .harness import (StudyConfig, parse_config_text, parse_value,
+                      run_convergence, run_dependence, run_single)
 from .solver import LinearSolveFailure, NonConvergence
 from .verify import run_verify
 
@@ -58,8 +58,8 @@ def _config_from_args(args: argparse.Namespace) -> StudyConfig:
         with open(args.config) as fh:
             fields.update(parse_config_text(fh.read()))
     fields["study"] = args.study
-    if args.levels:
-        fields["levels"] = tuple(int(tok) for tok in args.levels.split(",") if tok)
+    if args.levels is not None:  # typed by StudyConfig, as a config value is
+        fields["levels"] = parse_value("levels", args.levels)
     for key in ("seed", "out", "problem", "dt_ratio", "trials",
                 "psi_t_mode", "momentum_bc", "pairing"):
         value = getattr(args, key)

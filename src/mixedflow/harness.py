@@ -52,6 +52,7 @@ __all__ = [
     "run_convergence",
     "run_dependence",
     "parse_config_text",
+    "parse_value",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -341,10 +342,16 @@ def _coerce(name: str, kind: str, value):
     return value
 
 
-def _parse_value(raw: str):
+def parse_value(key: str, raw: str):
+    """The value of ``key = raw``: a tuple for a comma list, else a bool,
+    int, float or the stripped string.  An empty list item raises
+    ``ValueError`` naming ``key``; ``StudyConfig`` checks the types."""
     raw = raw.strip()
     if "," in raw:
-        return tuple(_parse_value(part) for part in raw.split(",") if part.strip())
+        parts = raw.split(",")
+        if not all(part.strip() for part in parts):
+            raise ValueError(f"{key}: empty item in list {raw!r}")
+        return tuple(parse_value(key, part) for part in parts)
     low = raw.lower()
     if low in ("true", "yes", "on"):
         return True
@@ -368,7 +375,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
-        out[key.strip()] = _parse_value(raw)
+        out[key.strip()] = parse_value(key.strip(), raw)
     return out
 
 

@@ -96,10 +96,17 @@ class LinearSolver:
     changes, and slowly, so the last symmetric-mode factor is held.  A
     matrix on the same sparsity pattern (one that shares the index arrays
     of the factored matrix, as every Jacobian of one ``Assembler`` does) is
-    first solved by one cycle of right-preconditioned GMRES from x = 0, with
-    the held factor as the preconditioner and no restart, aiming at a
-    residual a decade below the contract.  The cycle length is a work
-    budget read from the fill counts alone:
+    first solved by one cycle of right-preconditioned GMRES, with the held
+    factor as the preconditioner and no restart, aiming at a residual a
+    decade below the contract.  GMRES starts from the x0 of least residual
+    ||b - J x0|| in the span S of the last 8 solutions accepted on the
+    pattern, the factor's own direct solution among them: x0 = S c with c
+    from a least-squares fit of J S c to b, one sparse-dense product and a
+    dense fit on 8 columns.  The systems change slowly, so x0 carries what
+    earlier solves found; GMRES then runs on b - J x0 towards the same
+    absolute aim.  The kept solutions go with the factor, so they cost 2 * 8
+    * n floats (S and J S) and never reach another pattern.  The cycle
+    length is a work budget read from the fill counts alone:
 
         m = floor(nnz(LU)^2 / (4 n (nnz(LU) + nnz(J)))).
 
@@ -114,10 +121,11 @@ class LinearSolver:
     the N=4 Jacobian); with m < 1 no factor is held at all.
 
     Reuse is safe because it changes only how x is found, never what is
-    accepted: a GMRES solution passes the same residual check as a direct
-    one.  The rule reads fill counts and residual norms, no clock and no
-    random numbers, so a march repeats bit for bit.  ``factorizations`` and
-    ``krylov_iterations`` count the ``splu`` calls and GMRES iterations
+    accepted: a GMRES solution, x0 included, passes the same residual check
+    as a direct one, so a start that does not help costs at most a miss and
+    a refactor.  The rule reads fill counts and residual norms, no clock and
+    no random numbers, so a march repeats bit for bit.  ``factorizations``
+    and ``krylov_iterations`` count the ``splu`` calls and GMRES iterations
     made so far.
     """
 
@@ -132,14 +140,18 @@ class LinearSolver:
         matrix = matrix.tocsc()
         held = self._held
         if held is not None and held.fits(matrix):
-            # a decade below the contract: the accepted solution stays clear
-            # of the check's boundary and close to the direct one
-            sol, iterations = _preconditioned_gmres(
-                matrix, rhs, held.lu.solve, held.cycle,
+            x0, r0 = held.start(matrix, rhs)
+            # a decade below the contract on the original b: the accepted
+            # solution stays clear of the check's boundary and close to the
+            # direct one
+            step, iterations = _preconditioned_gmres(
+                matrix, r0, held.lu.solve, held.cycle,
                 0.1 * self.rtol * np.linalg.norm(rhs))
             self.krylov_iterations += iterations
+            sol = None if step is None else x0 + step
             if sol is not None and self._miss(matrix, sol, rhs) is None:
                 held.reused = True
+                held.keep(sol)
                 return sol
             self._reuse = held.reused
         self._held = None  # before factoring: one factor alive at a time
@@ -148,7 +160,7 @@ class LinearSolver:
         sol = None if lu is None else lu.solve(rhs)
         if sol is not None and self._miss(matrix, sol, rhs) is None:
             if self._reuse:
-                self._hold(lu, matrix)
+                self._hold(lu, matrix, sol)
             return sol
         del lu  # free the failed factor before the fallback builds its own
         lu = self._factor(matrix)
@@ -168,12 +180,15 @@ class LinearSolver:
         except RuntimeError:
             return None
 
-    def _hold(self, lu, matrix) -> None:
-        """Keep ``lu`` for the next solve if its work budget allows an iteration."""
+    def _hold(self, lu, matrix, sol: np.ndarray) -> None:
+        """Keep ``lu`` and its solution ``sol`` for the next solve if its work
+        budget allows an iteration."""
         fill = getattr(lu, "nnz", 0)  # a factor that reports no fill gets no budget
         cycle = fill * fill // (4 * matrix.shape[0] * (fill + matrix.nnz))
         if cycle >= 1:
-            self._held = _HeldFactor(lu, matrix.indptr, matrix.indices, cycle)
+            self._held = _HeldFactor(lu, matrix.indptr, matrix.indices, cycle,
+                                     np.empty((_RECYCLED, len(sol))))
+            self._held.keep(sol)
 
     def _miss(self, matrix, sol: np.ndarray, rhs: np.ndarray) -> str | None:
         """Why ``sol`` breaks the residual contract, or None if it keeps it."""
@@ -185,20 +200,51 @@ class LinearSolver:
         return None
 
 
+# Accepted solutions a held factor keeps for the next solve's start.  On the
+# example2_F2 N=32 march with exact momentum BC (dt = h/2, t = 1) 8 cut the
+# GMRES total from 527 to 155 and 4 only to 213.  Keeping 30 cut it to 120,
+# but at N=64 (one BLAS thread) the fit over 30 vectors costs as much as 3 to
+# 4 triangular solves and saves 2 of 69 iterations over the example1 march
+# to t = 0.125, so that march gained nothing.
+_RECYCLED = 8
+
+
 @dataclass
 class _HeldFactor:
-    """A symmetric-mode factor, the pattern it was built on and its cycle length."""
+    """A symmetric-mode factor, the pattern it was built on, its cycle length
+    and the last ``_RECYCLED`` solutions accepted on that pattern."""
 
     lu: object
     indptr: np.ndarray
     indices: np.ndarray
     cycle: int
+    solutions: np.ndarray  # (_RECYCLED, n), filled round robin
+    kept: int = 0
     reused: bool = False
 
     def fits(self, matrix) -> bool:
         """True when ``matrix`` shares the factored matrix's index arrays."""
         return (np.shares_memory(matrix.indptr, self.indptr)
                 and np.shares_memory(matrix.indices, self.indices))
+
+    def keep(self, sol: np.ndarray) -> None:
+        """Store ``sol`` in place of the oldest kept solution."""
+        self.solutions[self.kept % _RECYCLED] = sol
+        self.kept += 1
+
+    def start(self, matrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x0 = S c of least residual in the span S of the kept solutions, and
+        rhs - matrix x0.
+
+        x0 = 0 when matrix S is not finite, which LAPACK's least-squares
+        solver would reject.
+        """
+        span = self.solutions[:min(self.kept, _RECYCLED)]
+        image = matrix @ span.T
+        if not np.all(np.isfinite(image)):
+            return np.zeros_like(rhs), rhs
+        coef = np.linalg.lstsq(image, rhs, rcond=None)[0]
+        return coef @ span, rhs - image @ coef
 
 
 def _preconditioned_gmres(matrix, rhs: np.ndarray, precondition, max_iter: int,

@@ -216,6 +216,9 @@ class TestCli:
         (["single", "--levels", ","], ""),
         (["convergence", "--levels", ","], ""),
         (["dependence"], "levels = ,"),
+        (["single", "--levels", "abc"], ""),
+        (["single", "--levels", "4,,8"], ""),
+        (["single"], "levels = 4,,8"),
     ])
     def test_bad_study_value_one_line_error(self, tmp_path, capsys, argv, line):
         cfgfile = tmp_path / "bad.cfg"
@@ -225,6 +228,14 @@ class TestCli:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert captured.out == ""
+
+    def test_bad_levels_error_names_the_key(self, tmp_path, capsys):
+        cfgfile = tmp_path / "levels.cfg"
+        cfgfile.write_text("levels = 4,,8\n")
+        for argv in (["--levels", "abc"], ["--levels", "4,,8"],
+                     ["--config", str(cfgfile)]):
+            assert main(["single"] + argv) == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err.startswith("error: levels: ")
 
     # in a subprocess: an unchecked ``out = true`` opens fd 1 and closes stdout
     @pytest.mark.parametrize("line, argv", [

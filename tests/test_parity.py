@@ -328,6 +328,33 @@ class TestFactorReuse:
         assert diags[0].factorizations == 1
         assert sum(d.krylov_iterations for d in diags) > 0
 
+    def test_exact_bc_march_recycles_solutions(self, recorder):
+        """Started from the span of the kept solutions, GMRES needs about 2
+        iterations per level from level 15 on; started from zero it needs
+        5 rising to 10, 527 over the march."""
+        mesh = build_mesh(32)
+        _, diags = march(builtin_problem("example2_F2"), mesh,
+                         MarchConfig(dt=1 / 64), None,
+                         DiscretizationOptions(momentum_bc="exact",
+                                               pin_rho_boundary=True))
+        assert sum(d.newton_iterations for d in diags) == 65
+        assert self.coupled_factorizations(recorder, mesh) == 1
+        assert sum(d.factorizations for d in diags) == 1
+        assert sum(d.krylov_iterations for d in diags) <= 200
+
+    def test_exact_bc_march_repeats_bit_for_bit(self):
+        def run():
+            return march(builtin_problem("example2_F2"), build_mesh(16),
+                         MarchConfig(dt=1 / 32), None,
+                         DiscretizationOptions(momentum_bc="exact"))
+
+        (first, diags), (again, diags_again) = run(), run()
+        assert np.array_equal(first.m, again.m)
+        assert np.array_equal(first.rho_bar, again.rho_bar)
+        krylov = [d.krylov_iterations for d in diags]
+        assert sum(krylov) > 0
+        assert krylov == [d.krylov_iterations for d in diags_again]
+
     def test_initial_state_factors_momentum_block_once(self, recorder):
         mesh = build_mesh(16)
         Assembler(mesh, builtin_problem("example1")).initial_state()
@@ -383,6 +410,19 @@ class TestFactorReuse:
         solver.solve(asm.jacobian(state, 1 / 32), rhs)
         assert len(recorder.calls) == 3 and solver.krylov_iterations == 1
 
+    @pytest.mark.parametrize("garbage", [np.nan, "random"])
+    def test_garbage_start_keeps_contract(self, recorder, n16_systems, garbage):
+        asm, _, state, moved = n16_systems
+        solver = LinearSolver()
+        rng = np.random.default_rng(7)
+        rhs = rng.standard_normal(3 * asm.mesh.n_nodes)
+        solver.solve(asm.jacobian(state, 1 / 32), rhs)
+        kept = solver._held.solutions
+        kept[:] = rng.standard_normal(kept.shape) if garbage == "random" else garbage
+        jac = asm.jacobian(moved, 1 / 32)
+        assert keeps_contract(jac, solver.solve(jac, rhs), rhs)
+        assert len(recorder.calls) <= 2
+
     def test_foreign_factor_never_used(self, recorder, n16_systems):
         asm, twin, state, _ = n16_systems
         solver = LinearSolver()
@@ -390,5 +430,9 @@ class TestFactorReuse:
         solver.solve(asm.jacobian(state, 1 / 32), rhs)
         jac = twin.jacobian(state, 1 / 32)
         assert (jac != asm.jacobian(state, 1 / 32)).nnz == 0  # same pattern and values
-        assert keeps_contract(jac, solver.solve(jac, rhs), rhs)
+        sol = solver.solve(jac, rhs)
+        assert keeps_contract(jac, sol, rhs)
         assert len(recorder.calls) == 2 and solver.krylov_iterations == 0
+        # the twin's factor keeps its own direct solution and nothing else
+        assert solver._held.fits(jac) and solver._held.kept == 1
+        assert np.array_equal(solver._held.solutions[0], sol)
