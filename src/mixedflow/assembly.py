@@ -127,14 +127,20 @@ class DiscretizationOptions:
             raise ValueError(f"unknown momentum_bc {self.momentum_bc!r}")
 
 
+# Newton steps the momentum initialization may take before it fails.
+_INIT_MAX_ITER = 60
+
+
 class _FixedCsc:
     """CSC pattern of an n x n matrix summed from triplets, built once.
 
     A triplet is given by its key ``col * n + row``; triplet k adds into
     ``data[slots[k]]``, so ``np.bincount`` over ``slots`` assembles the
-    ``data`` array of the pattern.  Rows listed in ``pinned`` become
-    identity rows in :meth:`matrix`; their off-diagonal entries stay in the
-    pattern as explicit zeros.
+    ``data`` array of the pattern.  Every matrix of one pattern shares its
+    read-only ``indices`` and ``indptr``, which is how a held factor
+    recognises the next matrix as its own.  Rows listed in ``pinned``
+    become identity rows in :meth:`matrix`; their off-diagonal entries stay
+    in the pattern as explicit zeros.
     """
 
     def __init__(self, keys: np.ndarray, n: int, pinned: np.ndarray):
@@ -156,15 +162,12 @@ class _FixedCsc:
     def scatter(self, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
         return np.bincount(slots, weights=values, minlength=self.nnz)
 
-    def pin(self, data: np.ndarray) -> np.ndarray:
-        """``data`` with the pinned rows set to identity rows, in place."""
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """CSC matrix over ``data``, with the pinned rows of ``data`` set to
+        identity rows in place."""
         data[self._pinned] = 0.0
         data[self._pinned_diag] = 1.0
-        return data
-
-    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        """CSC matrix over ``data``, with the pinned rows set to identity rows."""
-        return sp.csc_matrix((self.pin(data), self.indices, self.indptr),
+        return sp.csc_matrix((data, self.indices, self.indptr),
                              shape=(self.n, self.n))
 
 
@@ -215,55 +218,43 @@ class Assembler:
             shape=(mesh.n_nodes, 2 * mesh.n_nodes)).tocsr()
 
     @cached_property
-    def _jacobian_pattern(self):
-        """Pattern of [[A, -B^T], [B, M_phi/dt]] and its static data.
-
-        Built on first use, so assemblers that never form a Jacobian (error
-        evaluation) skip it.  Returns the pattern, the slots of the
-        :meth:`_flux_jacobian_elements` entries, and the data arrays of the
-        B blocks and of M_phi.
-        """
+    def _momentum_pattern(self) -> _FixedCsc:
+        """Pattern of the A block, exact-BC momentum rows pinned.  Built on
+        first use: assemblers that only evaluate errors never need it."""
         n_m = self.vector_space.n_dofs
-        n = n_m + self.scalar_space.n_dofs
         dof = 2 * self.mesh.triangles  # (nt, 3): x-dof of local node i
         comp = np.arange(2)
         # flux entry (t, i, j, c, d) sits at row dof[t,i]+c, column dof[t,j]+d
-        flux_keys = (dof[:, None, :, None, None] + comp) * n \
+        keys = (dof[:, None, :, None, None] + comp) * n_m \
             + (dof[:, :, None, None, None] + comp[:, None])
+        return _FixedCsc(keys.ravel(), n_m, self._pinned_m)
+
+    @cached_property
+    def _jacobian_pattern(self):
+        """Pattern of [[A, -B^T], [B, M_phi/dt]] and its static data.
+
+        Returns the pattern, the slots in it of the entries of
+        :attr:`_momentum_pattern`, and the data of the B blocks and of M_phi.
+        """
+        a = self._momentum_pattern
+        n_m = a.n
+        n = n_m + self.scalar_space.n_dofs
         b = self.div_coupling.tocoo()
         mass = self.mass_phi.tocoo()
         # int64 keys: n * n overflows int32 from N = 124 on
+        a_col = np.repeat(np.arange(n_m, dtype=np.int64), np.diff(a.indptr))
         b_row, b_col = b.row.astype(np.int64), b.col.astype(np.int64)
         m_row, m_col = mass.row.astype(np.int64), mass.col.astype(np.int64)
         pattern = _FixedCsc(
-            np.concatenate([flux_keys.ravel(),
+            np.concatenate([a_col * n + a.indices,
                             (n_m + b_row) * n + b_col,       # -B^T
                             b_col * n + n_m + b_row,         # B
                             (n_m + m_col) * n + n_m + m_row]),
             n, np.concatenate([self._pinned_m, n_m + self._pinned_rho]))
-        flux_slots, b_slots, mass_slots = np.split(
-            pattern.slots, np.cumsum([flux_keys.size, 2 * b.nnz]))
+        a_slots, b_slots, mass_slots = np.split(
+            pattern.slots, np.cumsum([a.nnz, 2 * b.nnz]))
         coupling = pattern.scatter(b_slots, np.concatenate([-b.data, b.data]))
-        return pattern, flux_slots, coupling, pattern.scatter(mass_slots, mass.data)
-
-    @cached_property
-    def _momentum_block(self):
-        """The A block [:n_m, :n_m] of the Jacobian pattern.
-
-        Returns a mask that picks its entries out of the pattern's ``data``
-        (over the first n_m columns) and its own read-only CSC ``indices``
-        and ``indptr``, so every momentum Jacobian of this assembler shares
-        one pair of index arrays.
-        """
-        pattern = self._jacobian_pattern[0]
-        n_m = self.vector_space.n_dofs
-        in_block = pattern.indices[:pattern.indptr[n_m]] < n_m
-        indices = pattern.indices[:len(in_block)][in_block]
-        indptr = np.concatenate([[0], np.cumsum(in_block)])[
-            pattern.indptr[:n_m + 1]].astype(np.int32)
-        indices.flags.writeable = False
-        indptr.flags.writeable = False
-        return in_block, indices, indptr
+        return pattern, a_slots, coupling, pattern.scatter(mass_slots, mass.data)
 
     # -- per-step data -------------------------------------------------------
 
@@ -300,15 +291,17 @@ class Assembler:
 
     # -- nonlinear pieces ------------------------------------------------------
 
-    def _flux_jacobian_elements(self, m_dofs: np.ndarray) -> np.ndarray:
-        """Element flux-Jacobian entries, flattened in (t, i, j, c, d) order.
+    def _flux_jacobian_data(self, m_dofs: np.ndarray) -> np.ndarray:
+        """``data`` of A(m) on :attr:`_momentum_pattern`, rows not yet pinned.
 
-        Entry (t, i, j, c, d) is (dF_c/dm_d(m) phi_j, phi_i) on triangle t,
-        with dF/dm the law's flux Jacobian.
+        Summed from the element entries (dF_c/dm_d(m) phi_j, phi_i) of each
+        triangle t, in (t, i, j, c, d) order, with dF/dm the law's flux
+        Jacobian.
         """
         jq = self.data.law.flux_jacobian(
             self.vector_space.eval_at_quadrature(m_dofs))  # (nt, nq, 2, 2)
-        return self.scalar_space.element_matrices(jq).ravel()
+        a = self._momentum_pattern
+        return a.scatter(a.slots, self.scalar_space.element_matrices(jq).ravel())
 
     # -- public assembly -------------------------------------------------------
 
@@ -335,11 +328,12 @@ class Assembler:
         """Exact derivative of :meth:`residual` w.r.t. (m, rho_bar), in CSC.
 
         The matrix is J = [[A(m), -B^T], [B, M_phi / dt]] on a sparsity
-        pattern built once per assembler; each call scatters the element
-        flux Jacobians into it and adds the static B and M_phi data.  A
-        pinned row (``momentum_bc="exact"``, ``pin_rho_boundary``) is the
-        identity row e_d^T, the derivative of its residual row m_d - g_d or
-        rho_d.
+        pattern built once per assembler.  Each call scatters the element
+        flux Jacobians into the A pattern of :meth:`momentum_jacobian` and
+        places that data in J's pattern, next to the static B and M_phi
+        data (the four blocks share no entry).  A pinned row (``momentum_bc="exact"``, ``pin_rho_boundary``)
+        is the identity row e_d^T, the derivative of its residual row
+        m_d - g_d or rho_d.
 
         J is positive real: its symmetric part is blockdiag(A_sym, M_phi/dt)
         with A the symmetric positive definite flux Jacobian, since the B
@@ -351,10 +345,9 @@ class Assembler:
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        pattern, flux_slots, coupling, mass = self._jacobian_pattern
-        data = pattern.scatter(flux_slots, self._flux_jacobian_elements(state_n.m))
-        data += coupling
-        data += mass / dt
+        pattern, a_slots, coupling, mass = self._jacobian_pattern
+        data = coupling + mass / dt
+        data[a_slots] = self._flux_jacobian_data(state_n.m)
         return pattern.matrix(data)
 
     def momentum_residual(self, m_dofs: np.ndarray, rho_bar: np.ndarray,
@@ -370,18 +363,13 @@ class Assembler:
     def momentum_jacobian(self, m_dofs: np.ndarray) -> sp.csc_matrix:
         """Derivative of :meth:`momentum_residual` w.r.t. m: the A block, in CSC.
 
-        Every call shares the block's index arrays, so a held factor of one
-        call preconditions the next.
+        The leading n_m x n_m block of :meth:`jacobian`, on its own fixed
+        pattern: every call shares that pattern's index arrays, so a held
+        factor of one call preconditions the next.
         """
-        pattern, flux_slots, _, _ = self._jacobian_pattern
-        in_block, indices, indptr = self._momentum_block
-        data = pattern.pin(pattern.scatter(
-            flux_slots, self._flux_jacobian_elements(m_dofs)))
-        return sp.csc_matrix((data[:len(in_block)][in_block], indices, indptr),
-                             shape=(len(indptr) - 1,) * 2)
+        return self._momentum_pattern.matrix(self._flux_jacobian_data(m_dofs))
 
-    def initial_state(self, newton_tol: float = 1e-10,
-                      max_iter: int = 60) -> SystemState:
+    def initial_state(self, newton_tol: float = 1e-10) -> SystemState:
         """Project the initial density; solve the momentum rows by Newton from 0.
 
         The law is singular at m = 0, so the first steps are tiny; undamped
@@ -395,6 +383,6 @@ class Assembler:
         m, _ = solver._newton(lambda m: self.momentum_residual(m, rho_bar0, 0.0),
                               self.momentum_jacobian,
                               np.zeros(self.vector_space.n_dofs), newton_tol,
-                              max_iter, solver.LinearSolver(),
+                              _INIT_MAX_ITER, solver.LinearSolver(),
                               "in the momentum initialization")
         return SystemState(rho_bar0, m, 0.0)

@@ -21,8 +21,15 @@ EXIT_NEWTON_FAILURE = 2
 EXIT_VERIFY_VIOLATIONS = 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ``ValueError`` where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mixedflow",
         description="Mixed P1-P1 solver for pre-Darcy/Darcy/post-Darcy flow")
     sub = parser.add_subparsers(dest="study", required=True)
@@ -75,9 +82,8 @@ def _config_from_args(args: argparse.Namespace) -> StudyConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(_build_parser().parse_args(argv))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -366,8 +366,10 @@ def parse_value(key: str, raw: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat 'key = value' lines; '#' starts a comment, lists use commas."""
+    """Parse flat 'key = value' lines; '#' starts a comment, lists use
+    commas, and a key may be set once."""
     out: dict = {}
+    set_on: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -375,7 +377,11 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
-        out[key.strip()] = parse_value(key.strip(), raw)
+        key = key.strip()
+        if key in set_on:
+            raise ValueError(f"{key}: set on line {set_on[key]} and again on line {lineno}")
+        set_on[key] = lineno
+        out[key] = parse_value(key, raw)
     return out
 
 
@@ -467,5 +473,3 @@ def _emit(cfg: StudyConfig, report: StudyReport) -> None:
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(report.csv)
-    if cfg.verbose:
-        print(report.text)

@@ -91,8 +91,6 @@ class StructuredTriMesh:
         p2 = self.nodes[self.triangles[:, 2]]
         det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) \
             - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])
-        if np.any(det <= 0.0):
-            raise AssertionError("triangles must be positively oriented")
         self.areas = 0.5 * det
         ys = np.stack([p0[:, 1], p1[:, 1], p2[:, 1]], axis=1)
         xs = np.stack([p0[:, 0], p1[:, 0], p2[:, 0]], axis=1)
@@ -156,7 +154,6 @@ class ScalarP1Space(_P1Space):
 
     def __init__(self, mesh: StructuredTriMesh):
         super().__init__(mesh, mesh.triangles)
-        self._mass = None
 
     @property
     def n_dofs(self) -> int:
@@ -197,19 +194,14 @@ class ScalarP1Space(_P1Space):
         return m_el
 
     def mass_matrix(self, weight: Callable[[np.ndarray], np.ndarray] | None = None):
-        """(w phi_i, phi_j); cached for the unweighted case."""
-        if weight is None and self._mass is not None:
-            return self._mass
+        """(w phi_i, phi_j), with w = 1 when ``weight`` is omitted."""
         wq = 1.0 if weight is None else np.asarray(weight(self._qpts), dtype=float)
         m_el = self.element_matrices(np.broadcast_to(wq, self._qpts.shape[:2]))
         tris = self.mesh.triangles
         rows = np.repeat(tris, 3, axis=1).ravel()
         cols = np.tile(tris, (1, 3)).ravel()
-        mat = sp.coo_matrix((m_el.ravel(), (rows, cols)),
-                            shape=(self.n_dofs, self.n_dofs)).tocsr()
-        if weight is None:
-            self._mass = mat
-        return mat
+        return sp.coo_matrix((m_el.ravel(), (rows, cols)),
+                             shape=(self.n_dofs, self.n_dofs)).tocsr()
 
 
 class VectorP1Space(_P1Space):

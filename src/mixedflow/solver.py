@@ -73,6 +73,10 @@ class MarchConfig:
         return round(self.final_time / self.dt)
 
 
+# A linear solution x of Jx = b is accepted when ||Jx - b|| <= _RTOL ||b||.
+_RTOL = 1e-10
+
+
 class LinearSolver:
     """Sparse LU in SuperLU's symmetric mode, held and reused as a GMRES
     preconditioner, checked, with a pivoting fallback.
@@ -87,7 +91,7 @@ class LinearSolver:
     principal minor containing a pinned row d equals the minor without d.
 
     Without pivoting nothing bounds element growth, so every solve is
-    checked against the contract ||Ax - b|| <= rtol ||b||.  On a miss the
+    checked against the contract ||Ax - b|| <= _RTOL ||b||.  On a miss the
     matrix is refactored once with SciPy's default ``splu`` (COLAMD,
     partial pivoting); :class:`LinearSolveFailure` is raised only if that
     solve also misses.
@@ -129,8 +133,7 @@ class LinearSolver:
     made so far.
     """
 
-    def __init__(self, rtol: float = 1e-10):
-        self.rtol = rtol
+    def __init__(self):
         self.factorizations = 0
         self.krylov_iterations = 0
         self._held: _HeldFactor | None = None
@@ -146,7 +149,7 @@ class LinearSolver:
             # direct one
             step, iterations = _preconditioned_gmres(
                 matrix, r0, held.lu.solve, held.cycle,
-                0.1 * self.rtol * np.linalg.norm(rhs))
+                0.1 * _RTOL * np.linalg.norm(rhs))
             self.krylov_iterations += iterations
             sol = None if step is None else x0 + step
             if sol is not None and self._miss(matrix, sol, rhs) is None:
@@ -195,8 +198,8 @@ class LinearSolver:
         if not np.all(np.isfinite(sol)):
             return "linear solve produced non-finite entries"
         resid = np.linalg.norm(matrix @ sol - rhs)
-        if not resid <= self.rtol * np.linalg.norm(rhs):
-            return f"linear solve residual {resid:.3e} exceeds {self.rtol:.1e} * ||b||"
+        if not resid <= _RTOL * np.linalg.norm(rhs):
+            return f"linear solve residual {resid:.3e} exceeds {_RTOL:.1e} * ||b||"
         return None
 
 

@@ -219,6 +219,7 @@ class TestCli:
         (["single", "--levels", "abc"], ""),
         (["single", "--levels", "4,,8"], ""),
         (["single"], "levels = 4,,8"),
+        (["single"], "levels = 4\nlevels = 8"),
     ])
     def test_bad_study_value_one_line_error(self, tmp_path, capsys, argv, line):
         cfgfile = tmp_path / "bad.cfg"
@@ -228,6 +229,28 @@ class TestCli:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["single", "--seed", "abc"],
+                                      ["single", "--psi-t", "midpoint"],
+                                      ["single", "--bogus"], ["nosuch"], []])
+    def test_malformed_flags_one_line_error(self, capsys, argv):
+        assert main(argv) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), captured.err
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["single", "--help"])
+        assert exc.value.code == 0
+        assert "--levels" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("study, header", [("convergence", "err_rho(L2)"),
+                                               ("dependence", "diff_rho(L2)")])
+    def test_verbose_prints_table_once(self, capsys, study, header):
+        assert main([study, "--levels", "4,8", "--verbose"]) == 0
+        assert capsys.readouterr().out.count(header) == 1
 
     def test_bad_levels_error_names_the_key(self, tmp_path, capsys):
         cfgfile = tmp_path / "levels.cfg"

@@ -164,13 +164,17 @@ class TestJacobianParity:
         assert abs(asm.jacobian(state, 1 / 256) - ref).max() <= 1e-13 * abs(ref).max()
 
     def test_momentum_jacobian_matches_reference_block(self, systems):
-        for n, options, asm, state, _ in systems:
+        for n, options, asm, state, dt in systems:
             ref = reference_momentum_block(asm, state.m).tolil()
             if options.momentum_bc == "exact":
                 for d in pinned_momentum_dofs(asm):
                     ref.rows[d], ref.data[d] = [d], [1.0]
             got = asm.momentum_jacobian(state.m)
             assert rel_diff(got.toarray(), ref.toarray()) <= 1e-13, (n, options)
+            # the A block of the coupled Jacobian, entry for entry
+            n_m = asm.vector_space.n_dofs
+            block = asm.jacobian(state, dt)[:n_m, :n_m]
+            assert (block != got).nnz == 0, (n, options)
 
     def test_calls_do_not_share_data(self, systems):
         _, _, asm, state, dt = systems[-1]
