@@ -134,8 +134,9 @@ _INIT_MAX_ITER = 60
 class _FixedCsc:
     """CSC pattern of an n x n matrix summed from triplets, built once.
 
-    A triplet is given by its key ``col * n + row``; triplet k adds into
-    ``data[slots[k]]``, so ``np.bincount`` over ``slots`` assembles the
+    A triplet is given by its key ``col * n + row``.  :meth:`build` returns
+    the pattern of a key array and the slots of its triplets: triplet k adds
+    into ``data[slots[k]]``, so ``np.bincount`` over ``slots`` assembles the
     ``data`` array of the pattern.  Every matrix of one pattern shares its
     read-only ``indices`` and ``indptr``, which is how a held factor
     recognises the next matrix as its own.  Rows listed in ``pinned``
@@ -143,8 +144,7 @@ class _FixedCsc:
     in the pattern as explicit zeros.
     """
 
-    def __init__(self, keys: np.ndarray, n: int, pinned: np.ndarray):
-        unique, self.slots = np.unique(keys, return_inverse=True)
+    def __init__(self, unique: np.ndarray, n: int, pinned: np.ndarray):
         self.n = n
         self.nnz = len(unique)
         self.indices = (unique % n).astype(np.int32)
@@ -158,6 +158,12 @@ class _FixedCsc:
         self._pinned = np.flatnonzero(in_pinned_row[self.indices])
         col = np.repeat(np.arange(n), counts)[self._pinned]
         self._pinned_diag = self._pinned[self.indices[self._pinned] == col]
+
+    @classmethod
+    def build(cls, keys: np.ndarray, n: int, pinned: np.ndarray
+              ) -> tuple[_FixedCsc, np.ndarray]:
+        unique, slots = np.unique(keys, return_inverse=True)
+        return cls(unique, n, pinned), slots
 
     def scatter(self, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
         return np.bincount(slots, weights=values, minlength=self.nnz)
@@ -218,16 +224,31 @@ class Assembler:
             shape=(mesh.n_nodes, 2 * mesh.n_nodes)).tocsr()
 
     @cached_property
-    def _momentum_pattern(self) -> _FixedCsc:
-        """Pattern of the A block, exact-BC momentum rows pinned.  Built on
-        first use: assemblers that only evaluate errors never need it."""
+    def _momentum_pattern(self) -> tuple[_FixedCsc, np.ndarray, np.ndarray, np.ndarray]:
+        """Pattern of the A block, exact-BC momentum rows pinned, and how its
+        data is filled.  Built on first use: assemblers that only evaluate
+        errors never need it.
+
+        The element entry (dF_c/dm_d phi_j, phi_i) of triangle t sits at row
+        dof[t,i] + c, column dof[t,j] + d.  The keys run over the blocks
+        (c, d) = xx, xy, yy, each in (t, i, j) order, so their slots take the
+        (3, nt, 9) element data of the flux Jacobian's three distinct entries
+        in one ``bincount``.  A is symmetric, so its yx block is not summed:
+        the keys end with the transposes of the distinct xy keys, and those
+        slots, ``mirror``, copy the xy data from ``source``.
+        """
         n_m = self.vector_space.n_dofs
         dof = 2 * self.mesh.triangles  # (nt, 3): x-dof of local node i
-        comp = np.arange(2)
-        # flux entry (t, i, j, c, d) sits at row dof[t,i]+c, column dof[t,j]+d
-        keys = (dof[:, None, :, None, None] + comp) * n_m \
-            + (dof[:, :, None, None, None] + comp[:, None])
-        return _FixedCsc(keys.ravel(), n_m, self._pinned_m)
+        nt = len(dof)
+
+        def block(c, d):
+            return ((dof[:, None, :] + d) * n_m + dof[:, :, None] + c).ravel()
+
+        xy, first = np.unique(block(0, 1), return_index=True)
+        a, slots = _FixedCsc.build(
+            np.concatenate([block(0, 0), block(0, 1), block(1, 1),
+                            xy % n_m * n_m + xy // n_m]), n_m, self._pinned_m)
+        return a, slots[:27 * nt], slots[27 * nt:], slots[9 * nt + first]
 
     @cached_property
     def _jacobian_pattern(self):
@@ -236,7 +257,7 @@ class Assembler:
         Returns the pattern, the slots in it of the entries of
         :attr:`_momentum_pattern`, and the data of the B blocks and of M_phi.
         """
-        a = self._momentum_pattern
+        a = self._momentum_pattern[0]
         n_m = a.n
         n = n_m + self.scalar_space.n_dofs
         b = self.div_coupling.tocoo()
@@ -245,16 +266,18 @@ class Assembler:
         a_col = np.repeat(np.arange(n_m, dtype=np.int64), np.diff(a.indptr))
         b_row, b_col = b.row.astype(np.int64), b.col.astype(np.int64)
         m_row, m_col = mass.row.astype(np.int64), mass.col.astype(np.int64)
-        pattern = _FixedCsc(
+        pattern, slots = _FixedCsc.build(
             np.concatenate([a_col * n + a.indices,
                             (n_m + b_row) * n + b_col,       # -B^T
                             b_col * n + n_m + b_row,         # B
                             (n_m + m_col) * n + n_m + m_row]),
             n, np.concatenate([self._pinned_m, n_m + self._pinned_rho]))
         a_slots, b_slots, mass_slots = np.split(
-            pattern.slots, np.cumsum([a.nnz, 2 * b.nnz]))
+            slots, np.cumsum([a.nnz, 2 * b.nnz]))
         coupling = pattern.scatter(b_slots, np.concatenate([-b.data, b.data]))
-        return pattern, a_slots, coupling, pattern.scatter(mass_slots, mass.data)
+        # a copy, so the slots of the static blocks are not kept
+        return (pattern, a_slots.copy(), coupling,
+                pattern.scatter(mass_slots, mass.data))
 
     # -- per-step data -------------------------------------------------------
 
@@ -280,8 +303,9 @@ class Assembler:
 
     def _grad_psi_load(self, t_n: float) -> np.ndarray:
         """(grad Psi(t_n), v) for all vector test functions v."""
-        return self._level_load("grad_psi", t_n, lambda: self.vector_space.load_vector(
-            self.data.grad_psi(self._qpts, t_n)))
+        vs = self.vector_space
+        return self._level_load("grad_psi", t_n, lambda: vs.load_vector(
+            vs.component_major(self.data.grad_psi(self._qpts, t_n))))
 
     def _momentum_bc_values(self, t_n: float) -> np.ndarray:
         """Exact momentum at the pinned dofs, in ``_pinned_m`` order."""
@@ -291,49 +315,75 @@ class Assembler:
 
     # -- nonlinear pieces ------------------------------------------------------
 
-    def _flux_jacobian_data(self, m_dofs: np.ndarray) -> np.ndarray:
-        """``data`` of A(m) on :attr:`_momentum_pattern`, rows not yet pinned.
+    def _flux_linearization(self, m_dofs: np.ndarray):
+        """The flux F(|m|) m at the quadrature points, (2, nt, nq), and a
+        thunk that builds A(m) on its fixed pattern, rows pinned, from the
+        same quadrature values."""
+        # the pattern first: its build's temporaries then do not pile up on
+        # the quadrature values the thunk holds
+        a, slots, mirror, source = self._momentum_pattern
+        flux, flux_jacobian = self.data.law.linearize(
+            self.vector_space.eval_at_quadrature(m_dofs))
 
-        Summed from the element entries (dF_c/dm_d(m) phi_j, phi_i) of each
-        triangle t, in (t, i, j, c, d) order, with dF/dm the law's flux
-        Jacobian.
-        """
-        jq = self.data.law.flux_jacobian(
-            self.vector_space.eval_at_quadrature(m_dofs))  # (nt, nq, 2, 2)
-        a = self._momentum_pattern
-        return a.scatter(a.slots, self.scalar_space.element_matrices(jq).ravel())
+        def momentum_jacobian() -> sp.csc_matrix:
+            data = a.scatter(slots, self.scalar_space.element_matrices(
+                flux_jacobian()).ravel())
+            data[mirror] = data[source]
+            return a.matrix(data)
+
+        return flux, momentum_jacobian
 
     # -- public assembly -------------------------------------------------------
 
-    def residual(self, state_n: SystemState, state_prev: SystemState,
-                 dt: float) -> np.ndarray:
-        """Stacked (momentum, density) residual at one time level."""
+    def linearize(self, state_n: SystemState, state_prev: SystemState,
+                  dt: float) -> tuple[np.ndarray, Callable[[], sp.csc_matrix]]:
+        """The stacked (momentum, density) residual at one time level, and a
+        thunk that builds its Jacobian at ``state_n`` (see :meth:`jacobian`).
+
+        m is evaluated at the quadrature points once, and the law's F(|m|)
+        there serves the residual and the Jacobian; F' is evaluated only
+        when the thunk is called, so a converged iterate never pays for it.
+        """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         if abs(state_n.t - state_prev.t - dt) > 1e-10 * max(1.0, abs(state_n.t)):
             raise ValueError("state times inconsistent with dt")
         t_n = state_n.t
-        r_mom = self.momentum_residual(state_n.m, state_n.rho_bar, t_n)
+        self._jacobian_pattern  # on first use built now, as in _flux_linearization
         ss = self.scalar_space
         f_vec = self._level_load("f", t_n, lambda: ss.load_vector(
             self.data.f(self._qpts, t_n)))
         dpsi_vec = self._level_load("dpsi", (t_n, dt), lambda: ss.load_vector(
             self._phi_q * self._dpsi_values(t_n, dt)))
+        r_mom, momentum_jacobian = self.momentum_linearize(
+            state_n.m, state_n.rho_bar, t_n)
         r_den = self.mass_phi @ (state_n.rho_bar - state_prev.rho_bar) / dt \
             + self.div_coupling @ state_n.m - f_vec + dpsi_vec
         r_den[self._pinned_rho] = state_n.rho_bar[self._pinned_rho]
-        return np.concatenate([r_mom, r_den])
+        return (np.concatenate([r_mom, r_den]),
+                lambda: self._coupled_jacobian(momentum_jacobian(), dt))
+
+    def residual(self, state_n: SystemState, state_prev: SystemState,
+                 dt: float) -> np.ndarray:
+        """Stacked (momentum, density) residual at one time level."""
+        return self.linearize(state_n, state_prev, dt)[0]
+
+    def _coupled_jacobian(self, momentum_jacobian: sp.csc_matrix,
+                          dt: float) -> sp.csc_matrix:
+        pattern, a_slots, coupling, mass = self._jacobian_pattern
+        data = coupling + mass / dt
+        data[a_slots] = momentum_jacobian.data
+        return pattern.matrix(data)
 
     def jacobian(self, state_n: SystemState, dt: float) -> sp.csc_matrix:
         """Exact derivative of :meth:`residual` w.r.t. (m, rho_bar), in CSC.
 
         The matrix is J = [[A(m), -B^T], [B, M_phi / dt]] on a sparsity
-        pattern built once per assembler.  Each call scatters the element
-        flux Jacobians into the A pattern of :meth:`momentum_jacobian` and
-        places that data in J's pattern, next to the static B and M_phi
-        data (the four blocks share no entry).  A pinned row (``momentum_bc="exact"``, ``pin_rho_boundary``)
-        is the identity row e_d^T, the derivative of its residual row
-        m_d - g_d or rho_d.
+        pattern built once per assembler.  Each call places the data of
+        :meth:`momentum_jacobian` in J's pattern, next to the static B and
+        M_phi data (the four blocks share no entry).  A pinned row
+        (``momentum_bc="exact"``, ``pin_rho_boundary``) is the identity row
+        e_d^T, the derivative of its residual row m_d - g_d or rho_d.
 
         J is positive real: its symmetric part is blockdiag(A_sym, M_phi/dt)
         with A the symmetric positive definite flux Jacobian, since the B
@@ -345,20 +395,26 @@ class Assembler:
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        pattern, a_slots, coupling, mass = self._jacobian_pattern
-        data = coupling + mass / dt
-        data[a_slots] = self._flux_jacobian_data(state_n.m)
-        return pattern.matrix(data)
+        return self._coupled_jacobian(self.momentum_jacobian(state_n.m), dt)
+
+    def momentum_linearize(self, m_dofs: np.ndarray, rho_bar: np.ndarray,
+                           t: float) -> tuple[np.ndarray, Callable[[], sp.csc_matrix]]:
+        """Momentum rows of :meth:`linearize`, and a thunk that builds their
+        derivative w.r.t. m (see :meth:`momentum_jacobian`); alone, the
+        initialization's linearization."""
+        # the data loads first, while no quadrature values are held
+        grad_psi = self._grad_psi_load(t)
+        flux, momentum_jacobian = self._flux_linearization(m_dofs)
+        r = self.vector_space.load_vector(flux) - self._div_coupling_T @ rho_bar \
+            + grad_psi
+        if len(self._pinned_m):
+            r[self._pinned_m] = m_dofs[self._pinned_m] - self._momentum_bc_values(t)
+        return r, momentum_jacobian
 
     def momentum_residual(self, m_dofs: np.ndarray, rho_bar: np.ndarray,
                           t: float) -> np.ndarray:
         """Momentum rows of :meth:`residual`; alone, the initialization residual."""
-        vs = self.vector_space
-        r = vs.load_vector(self.data.law.flux(vs.eval_at_quadrature(m_dofs))) \
-            - self._div_coupling_T @ rho_bar + self._grad_psi_load(t)
-        if len(self._pinned_m):
-            r[self._pinned_m] = m_dofs[self._pinned_m] - self._momentum_bc_values(t)
-        return r
+        return self.momentum_linearize(m_dofs, rho_bar, t)[0]
 
     def momentum_jacobian(self, m_dofs: np.ndarray) -> sp.csc_matrix:
         """Derivative of :meth:`momentum_residual` w.r.t. m: the A block, in CSC.
@@ -367,7 +423,7 @@ class Assembler:
         pattern: every call shares that pattern's index arrays, so a held
         factor of one call preconditions the next.
         """
-        return self._momentum_pattern.matrix(self._flux_jacobian_data(m_dofs))
+        return self._flux_linearization(m_dofs)[1]()
 
     def initial_state(self, newton_tol: float = 1e-10) -> SystemState:
         """Project the initial density; solve the momentum rows by Newton from 0.
@@ -380,8 +436,7 @@ class Assembler:
         rho_bar0 = l2_project(self.scalar_space,
                               lambda pts: np.asarray(data.rho0(pts), dtype=float)
                               - np.asarray(data.psi(pts, 0.0), dtype=float))
-        m, _ = solver._newton(lambda m: self.momentum_residual(m, rho_bar0, 0.0),
-                              self.momentum_jacobian,
+        m, _ = solver._newton(lambda m: self.momentum_linearize(m, rho_bar0, 0.0),
                               np.zeros(self.vector_space.n_dofs), newton_tol,
                               _INIT_MAX_ITER, solver.LinearSolver(),
                               "in the momentum initialization")

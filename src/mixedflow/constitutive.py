@@ -6,9 +6,9 @@ The scalar law is
 
 with one singular negative power -alpha, alpha in (0,1), and positive top
 power alpha_N.  The vector flux is m -> F(|m|) m.  The evaluation entry
-points (``eval_F``, ``eval_F_prime``, ``flux``, ``flux_jacobian``) clamp the
-argument at ``eps_reg``, which keeps Newton linearizations finite and
-positive definite at m = 0.
+points (``eval_F``, ``eval_F_prime``, ``linearize`` and its views ``flux``
+and ``flux_jacobian``) clamp the argument at ``eps_reg``, which keeps Newton
+linearizations finite and positive definite at m = 0.
 """
 
 from __future__ import annotations
@@ -145,26 +145,43 @@ class GeneralizedPolynomial:
                 out += ai * ei * z ** (ei - 1.0)
         return out if out.ndim else float(out)
 
+    def linearize(self, m):
+        """The flux F(|m|) m at component-major vectors ``m`` of shape
+        (2, ...), and a thunk for the flux Jacobian there.
+
+        The thunk returns the three distinct entries xx, xy and yy of the
+        symmetric Jacobian F(|m^|) I + F'(|m^|)/|m^| m (x) m, with |m^| =
+        max(|m|, eps_reg), stacked as a (3, ...) array.  F is evaluated once
+        for both; F' only when the thunk is called.  Overflow gives inf or
+        nan entries without a warning, so callers check what they use.
+        """
+        m = np.asarray(m, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag = np.maximum(np.sqrt(m[0] * m[0] + m[1] * m[1]), self.eps_reg)
+            f = self.eval_F(mag)
+            flux = f * m
+
+        def jacobian():
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = self.eval_F_prime(mag) / mag
+                gx = g * m[0]
+                return np.stack([f + gx * m[0], gx * m[1], f + g * m[1] * m[1]])
+
+        return flux, jacobian
+
     def flux(self, m):
         """F(|m|) m for one 2-vector or an (..., 2) array of vectors."""
-        m = np.asarray(m, dtype=float)
-        mag = np.sqrt(np.sum(m * m, axis=-1))
-        f = self.eval_F(mag)
-        if m.ndim == 1:
-            return float(f) * m
-        return np.asarray(f)[..., None] * m
+        flux, _ = self.linearize(np.moveaxis(np.asarray(m, dtype=float), -1, 0))
+        return np.moveaxis(flux, 0, -1)
 
     def flux_jacobian(self, m):
-        """d(flux)/dm = F(|m^|) I + F'(|m^|)/|m^| m (x) m with |m^| = max(|m|, eps_reg).
+        """d(flux)/dm = F(|m^|) I + F'(|m^|)/|m^| m (x) m with |m^| = max(|m|, eps_reg),
+        shape (..., 2, 2) for one 2-vector or an (..., 2) array of vectors.
 
         Symmetric, eigenvalues >= (1 - alpha) F(|m^|) > 0; this keeps the
         momentum block of the Newton matrix positive definite at any state.
         """
-        m = np.asarray(m, dtype=float)
-        magc = np.maximum(np.sqrt(np.sum(m * m, axis=-1)), self.eps_reg)
-        jac = np.asarray(self.eval_F_prime(magc) / magc)[..., None, None] \
-            * m[..., :, None] * m[..., None, :]
-        f = self.eval_F(magc)
-        jac[..., 0, 0] += f
-        jac[..., 1, 1] += f
-        return jac
+        _, jacobian = self.linearize(np.moveaxis(np.asarray(m, dtype=float), -1, 0))
+        xx, xy, yy = jacobian()
+        return np.stack([np.stack([xx, xy], axis=-1),
+                         np.stack([xy, yy], axis=-1)], axis=-2)

@@ -13,6 +13,11 @@ enough for the bundled refinement studies.  This module is the only one
 that knows the rule: callers sample their integrands at
 ``quadrature_coords()`` and pair them with the basis through a space's
 ``load_vector``, ``integrate`` and ``element_matrices``.
+
+Values at the quadrature points are stored component-major: a scalar
+field as an (nt, nq) array, a field of k components as a (k, nt, nq)
+array, so that the component and triangle axes flatten into the rows of
+one 2-D matmul with the (nq, 3) or (nq, 9) weighted basis table.
 """
 
 from __future__ import annotations
@@ -115,20 +120,31 @@ def build_mesh(n: int) -> StructuredTriMesh:
 class _P1Space:
     """Quadrature sampling and load vectors common to both P1 spaces.
 
-    ``element_dof_map[t]`` lists the dofs of triangle t node by node, the
-    components of a node adjacent; ``_value_shape`` is the shape of one
-    field value.
+    Row c * nt + t of ``element_dofs`` lists the dofs of component c on
+    the nodes of triangle t; ``_value_shape`` is the shape of one field
+    value, component-major.
     """
 
     _value_shape: tuple = ()
 
-    def __init__(self, mesh: StructuredTriMesh, element_dof_map: np.ndarray):
+    def __init__(self, mesh: StructuredTriMesh, element_dofs: np.ndarray):
         self.mesh = mesh
-        self.element_dof_map = element_dof_map
+        self._element_dofs = element_dofs
         self._qpts = mesh._qpts
 
     def quadrature_coords(self) -> np.ndarray:
+        """(nt, nq, 2) coordinates of the quadrature points."""
         return self._qpts
+
+    def _sampled_shape(self) -> tuple:
+        """Shape of a field sampled at the quadrature points."""
+        return self._value_shape + self._qpts.shape[:2]
+
+    def eval_at_quadrature(self, dofs: np.ndarray) -> np.ndarray:
+        """Field values at all quadrature points, component-major:
+        (nt, nq) in the scalar space, (2, nt, nq) in the vector space."""
+        return (np.asarray(dofs, dtype=float)[self._element_dofs]
+                @ QUAD_POINTS.T).reshape(self._sampled_shape())
 
     def integrate(self, values_at_quadrature: np.ndarray) -> float:
         """Integrate a (nt, nq) sampled integrand over the mesh."""
@@ -138,14 +154,15 @@ class _P1Space:
     def load_vector(self, values: np.ndarray) -> np.ndarray:
         """(g, v) for every basis function v of the space, by quadrature.
 
-        ``values`` holds g at :meth:`quadrature_coords`: shape (nt, nq) in
-        the scalar space and (nt, nq, 2) in the vector space, or any shape
-        that broadcasts to it.
+        ``values`` holds g at :meth:`quadrature_coords`, component-major as
+        :meth:`eval_at_quadrature` returns it, or any shape that broadcasts
+        to that.
         """
-        vals = np.broadcast_to(values, self._qpts.shape[:2] + self._value_shape)
-        r_el = _W_I.T @ vals.reshape(*vals.shape[:2], -1)  # (nt, 3, components)
-        r_el *= self.mesh.areas[:, None, None]
-        return np.bincount(self.element_dof_map.ravel(), weights=r_el.ravel(),
+        shape = self._sampled_shape()
+        r_el = (np.broadcast_to(values, shape).reshape(-1, shape[-1]) @ _W_I) \
+            .reshape(-1, shape[-2], 3)
+        r_el *= self.mesh.areas[:, None]
+        return np.bincount(self._element_dofs.ravel(), weights=r_el.ravel(),
                            minlength=self.n_dofs)
 
 
@@ -158,10 +175,6 @@ class ScalarP1Space(_P1Space):
     @property
     def n_dofs(self) -> int:
         return self.mesh.n_nodes
-
-    def eval_at_quadrature(self, dofs: np.ndarray) -> np.ndarray:
-        """Field values at all quadrature points, shape (nt, nq)."""
-        return np.asarray(dofs)[self.mesh.triangles] @ QUAD_POINTS.T
 
     def eval_at_points(self, dofs: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Field values at (npts, 2) points of the unit square.
@@ -184,13 +197,13 @@ class ScalarP1Space(_P1Space):
     def element_matrices(self, values: np.ndarray) -> np.ndarray:
         """(v phi_j, phi_i) on every triangle, for each component of v.
 
-        ``values`` holds v at :meth:`quadrature_coords`, shape (nt, nq, ...).
-        Returns shape (nt, 9, k) with k the number of components of one
-        value: entry (t, 3i+j, c) pairs local basis functions i and j of
-        triangle t under component c.
+        ``values`` holds v at :meth:`quadrature_coords`, shape (..., nt, nq)
+        with any leading component axes.  Returns shape (..., nt, 9): entry
+        (..., t, 3i+j) pairs local basis functions i and j of triangle t.
         """
-        m_el = _W_IJ.T @ values.reshape(*values.shape[:2], -1)
-        m_el *= self.mesh.areas[:, None, None]
+        m_el = (values.reshape(-1, values.shape[-1]) @ _W_IJ) \
+            .reshape(values.shape[:-1] + (9,))
+        m_el *= self.mesh.areas[:, None]
         return m_el
 
     def mass_matrix(self, weight: Callable[[np.ndarray], np.ndarray] | None = None):
@@ -210,21 +223,19 @@ class VectorP1Space(_P1Space):
     _value_shape = (2,)
 
     def __init__(self, mesh: StructuredTriMesh):
-        # (nt, 6): local dof order (node0_x, node0_y, node1_x, ...)
-        super().__init__(mesh, (2 * mesh.triangles[:, :, None]
-                                + np.arange(2)[None, None, :]).reshape(-1, 6))
+        # (2 nt, 3): the x dofs of every triangle, then the y dofs
+        dofs = 2 * mesh.triangles[None] + np.arange(2)[:, None, None]
+        super().__init__(mesh, dofs.reshape(-1, 3))
 
     @property
     def n_dofs(self) -> int:
         return 2 * self.mesh.n_nodes
 
-    def as_nodal(self, dofs: np.ndarray) -> np.ndarray:
-        return np.asarray(dofs, dtype=float).reshape(self.mesh.n_nodes, 2)
-
-    def eval_at_quadrature(self, dofs: np.ndarray) -> np.ndarray:
-        """Vector field at quadrature points, shape (nt, nq, 2)."""
-        nodal = self.as_nodal(dofs)[self.mesh.triangles]  # (nt, 3, 2)
-        return QUAD_POINTS @ nodal
+    @staticmethod
+    def component_major(values: np.ndarray) -> np.ndarray:
+        """A (..., 2) array of vectors, such as a data function returns at
+        :meth:`quadrature_coords`, as the (2, ...) layout of this space."""
+        return np.moveaxis(np.asarray(values, dtype=float), -1, 0)
 
 
 def l2_project(space: ScalarP1Space, g: Callable) -> np.ndarray:
@@ -248,11 +259,11 @@ def norm(space, dofs: np.ndarray, p: float = 2.0,
     ``against`` is omitted."""
     if p <= 0:
         raise ValueError("p must be positive")
-    vals = space.eval_at_quadrature(np.asarray(dofs, dtype=float))
+    vals = space.eval_at_quadrature(dofs)
+    vector = isinstance(space, VectorP1Space)
     if against is not None:
-        vals = vals - np.asarray(against(space.quadrature_coords()), dtype=float)
-    if isinstance(space, VectorP1Space):
-        mag = np.sqrt(np.sum(vals * vals, axis=-1))
-    else:
-        mag = np.abs(vals)
+        exact = against(space.quadrature_coords())
+        vals = vals - (space.component_major(exact) if vector
+                       else np.asarray(exact, dtype=float))
+    mag = np.sqrt(np.sum(vals * vals, axis=0)) if vector else np.abs(vals)
     return space.integrate(mag ** p) ** (1.0 / p)

@@ -321,26 +321,41 @@ def _flat(state: assembly.SystemState) -> np.ndarray:
     return np.concatenate([state.m, state.rho_bar])
 
 
-def _newton(residual, jacobian, x: np.ndarray, tol: float, max_iter: int,
+def _newton(linearize, x: np.ndarray, tol: float, max_iter: int,
             linear_solver: LinearSolver, where: str
             ) -> tuple[np.ndarray, NewtonStats]:
     """Undamped Newton on flat vectors from ``x`` until ||residual(x)|| <= tol.
 
-    Takes at most ``max_iter`` steps.  ``where`` names the solve in the
-    :class:`NonConvergence` raised on a non-finite iterate or when the
-    steps run out; the error carries the residual-norm trace.
+    ``linearize(x)`` returns the residual at x and a thunk that builds the
+    Jacobian there; the thunk is called only for an iterate that has not
+    converged.  Takes at most ``max_iter`` steps.  ``where`` names the solve
+    in the :class:`NonConvergence` raised on a non-finite residual norm,
+    Jacobian or iterate, or when the steps run out; the error carries the
+    residual-norm trace.
     """
-    r = residual(x)
-    trace = [float(np.linalg.norm(r))]
-    while not trace[-1] <= tol:  # a NaN norm is not converged
+    r, jacobian = linearize(x)
+    trace = [_residual_norm(r)]
+    while not trace[-1] <= tol:
+        if not np.isfinite(trace[-1]):
+            raise NonConvergence(f"non-finite residual norm {where}", trace)
         if len(trace) > max_iter:
             raise NonConvergence(f"Newton stalled {where}", trace)
-        x = x + linear_solver.solve(jacobian(x), -r)
+        matrix, jacobian = jacobian(), None  # free its quadrature values first
+        if not np.all(np.isfinite(matrix.data)):
+            raise NonConvergence(f"non-finite Jacobian {where}", trace)
+        x = x + linear_solver.solve(matrix, -r)
+        del matrix  # not held through the next linearization
         if not np.all(np.isfinite(x)):
             raise NonConvergence(f"non-finite Newton iterate {where}", trace)
-        r = residual(x)
-        trace.append(float(np.linalg.norm(r)))
+        r, jacobian = linearize(x)
+        trace.append(_residual_norm(r))
     return x, NewtonStats(len(trace) - 1, trace[-1], trace)
+
+
+def _residual_norm(r: np.ndarray) -> float:
+    """||r||_2, inf without a warning when its square overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(r))
 
 
 def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState,
@@ -363,8 +378,7 @@ def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState
 
     if guess is None:
         guess = _flat(state_prev)
-    x, stats = _newton(lambda x: assembler.residual(state(x), state_prev, dt),
-                       lambda x: assembler.jacobian(state(x), dt),
+    x, stats = _newton(lambda x: assembler.linearize(state(x), state_prev, dt),
                        guess, config.tol, config.max_iter,
                        linear_solver or LinearSolver(), f"at t={t_n:.6g}")
     return state(x), stats

@@ -137,6 +137,14 @@ class TestFluxJacobian:
                             - reference_law.flux(m - dm)) / (2 * h)
             assert np.abs(fd - jac).max() <= 1e-6 * np.abs(jac).max()
 
+    def test_views_of_one_kernel(self, reference_law, rng):
+        ms = rng.standard_normal((7, 2))
+        flux, jacobian = reference_law.linearize(ms.T)
+        np.testing.assert_array_equal(reference_law.flux(ms), flux.T)
+        jac = reference_law.flux_jacobian(ms)
+        np.testing.assert_array_equal(jac[:, [0, 0, 1], [0, 1, 1]], jacobian().T)
+        np.testing.assert_array_equal(jac[:, 1, 0], jac[:, 0, 1])
+
     def test_batched_matches_single(self, reference_law, rng):
         ms = rng.standard_normal((7, 2)) + np.array([1.0, 0.2])
         batch = reference_law.flux_jacobian(ms)

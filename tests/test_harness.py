@@ -320,6 +320,23 @@ class TestCli:
                            "newton_max_iter = 1\n")
         assert main(["single", "--config", str(cfgfile)]) == 2
 
+    @pytest.mark.parametrize("line, cause", [
+        # the residual's squared norm overflows: one failure, no 30 steps on inf
+        ("coefficients_a = 1e200, 1, 1e200", "non-finite residual norm"),
+        # F'(eps)/eps overflows: the Jacobian is rejected before the LU
+        ("eps_reg = 1e-300", "non-finite Jacobian"),
+    ])
+    def test_overflow_ends_in_one_solver_failure_line(self, tmp_path, line, cause):
+        cfgfile = tmp_path / "overflow.cfg"
+        cfgfile.write_text(f"levels = 4\n{line}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixedflow", "dependence", "--config", str(cfgfile)],
+            env=cli_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1, proc.stderr
+        assert err[0].startswith("solver failure: ") and cause in err[0], err[0]
+
     def test_verify_matches_recorded_output(self, capsys):
         expected = (ROOT / "tests" / "data" / "verify_seed3_trials500.txt").read_text()
         assert main(["verify", "--seed", "3", "--trials", "500"]) == 0

@@ -2,7 +2,9 @@
 the reused symmetric-mode LU with the paths they replaced: a ``sp.bmat``
 assembly with LIL row surgery, a residual that assembles its load vectors
 on every call by a four-operand einsum and ``np.add.at``, and SciPy's
-default (COLAMD, partial pivoting) ``splu`` on every solve."""
+default (COLAMD, partial pivoting) ``splu`` on every solve.  The references
+take m at the quadrature points and the element dofs from their own einsum
+and the mesh's triangles, not from the space kernels under test."""
 
 import numpy as np
 import pytest
@@ -20,6 +22,22 @@ OPTIONS = [DiscretizationOptions(momentum_bc=bc, pin_rho_boundary=pin)
            for bc in ("none", "exact") for pin in (False, True)]
 
 
+def element_dofs(space):
+    """The dofs of each triangle node by node, a node's components adjacent:
+    (nt, 3) in the scalar space, (nt, 6) in the vector space."""
+    tris = space.mesh.triangles
+    if space.n_dofs == space.mesh.n_nodes:
+        return tris
+    return (2 * tris[:, :, None] + np.arange(2)).reshape(-1, 6)
+
+
+def reference_momentum_at_quadrature(asm, m_dofs):
+    """m at the quadrature points, (nt, nq, 2), by an einsum over the nodal
+    values."""
+    nodal = np.asarray(m_dofs).reshape(-1, 2)[asm.mesh.triangles]  # (nt, 3, 2)
+    return np.einsum("qk,tkc->tqc", QUAD_POINTS, nodal)
+
+
 def reference_load(space, g):
     """(g, v) for every basis function v of ``space``, from the einsum and an
     ``np.add.at`` scatter; g maps (nt, nq, 2) points to (nt, nq) scalars or
@@ -28,7 +46,7 @@ def reference_load(space, g):
     r_el = np.einsum("q,tq...,qk->tk...", QUAD_WEIGHTS, gq, QUAD_POINTS)
     r_el *= space.mesh.areas.reshape(-1, *(1,) * (r_el.ndim - 1))
     out = np.zeros(space.n_dofs)
-    np.add.at(out, space.element_dof_map.ravel(), r_el.ravel())
+    np.add.at(out, element_dofs(space).ravel(), r_el.ravel())
     return out
 
 
@@ -37,7 +55,7 @@ def reference_momentum_block(asm, m_dofs):
     law = asm.data.law
     vs = asm.vector_space
     basis = QUAD_POINTS
-    mq = vs.eval_at_quadrature(m_dofs)
+    mq = reference_momentum_at_quadrature(asm, m_dofs)
     mag = np.sqrt(np.sum(mq * mq, axis=-1))
     f = law.eval_F(mag)
     magc = np.maximum(mag, law.eps_reg)
@@ -46,7 +64,7 @@ def reference_momentum_block(asm, m_dofs):
         + (fp / magc)[:, :, None, None] * mq[:, :, :, None] * mq[:, :, None, :]
     a_el = np.einsum("q,qi,qj,tqcd->ticjd", QUAD_WEIGHTS, basis, basis, jq) \
         * asm.mesh.areas[:, None, None, None, None]
-    dof = vs.element_dof_map
+    dof = element_dofs(vs)
     rows = np.repeat(dof, 6, axis=1).ravel()
     cols = np.tile(dof, (1, 6)).ravel()
     return sp.coo_matrix((a_el.reshape(-1, 36).ravel(), (rows, cols)),
@@ -81,12 +99,12 @@ def reference_jacobian(asm, state, dt):
 def reference_flux_vector(asm, m_dofs):
     """(F(|m|) m, v) from the four-operand einsum and an ``np.add.at`` scatter."""
     vs = asm.vector_space
-    mq = vs.eval_at_quadrature(m_dofs)
+    mq = reference_momentum_at_quadrature(asm, m_dofs)
     f = asm.data.law.eval_F(np.sqrt(np.sum(mq * mq, axis=-1)))
     r_el = np.einsum("q,tq,tqc,qk->tkc", QUAD_WEIGHTS, f, mq, QUAD_POINTS) \
         * asm.mesh.areas[:, None, None]
     out = np.zeros(vs.n_dofs)
-    np.add.at(out, vs.element_dof_map.ravel(), r_el.reshape(-1, 6).ravel())
+    np.add.at(out, element_dofs(vs).ravel(), r_el.reshape(-1, 6).ravel())
     return out
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 
@@ -159,6 +160,36 @@ class TestMarch:
                                     guess=np.concatenate([tight.m, tight.rho_bar]))
         assert stats.iterations == 0
         assert np.array_equal(again.m, tight.m)
+
+
+class TestOneLawPassPerIterate:
+    def test_march_evaluates_law_once_per_iterate(self, example1, monkeypatch):
+        """F once per residual, shared with the Jacobian; F' once per step."""
+        calls = collections.Counter()
+
+        def counted(name):
+            real = getattr(GeneralizedPolynomial, name)
+
+            def wrapper(self, z):
+                calls[name] += 1
+                return real(self, z)
+            return wrapper
+
+        for name in ("eval_F", "eval_F_prime"):
+            monkeypatch.setattr(GeneralizedPolynomial, name, counted(name))
+        steps = []
+        real_newton = solver_module._newton
+
+        def newton(*args):
+            x, stats = real_newton(*args)
+            steps.append(stats.iterations)
+            return x, stats
+
+        monkeypatch.setattr(solver_module, "_newton", newton)
+        march(example1, build_mesh(4), MarchConfig(dt=0.125))
+        assert len(steps) == 9  # the initialization and 8 levels
+        assert calls["eval_F"] == sum(steps) + len(steps)
+        assert calls["eval_F_prime"] == sum(steps)
 
 
 class TestTightReference:
