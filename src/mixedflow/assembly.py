@@ -19,7 +19,6 @@ Jacobian, B the divergence coupling and M_phi the porosity-weighted mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -127,6 +126,9 @@ class DiscretizationOptions:
             raise ValueError(f"unknown momentum_bc {self.momentum_bc!r}")
 
 
+# A residual and a thunk that builds its Jacobian at the same iterate.
+Linearization = tuple[np.ndarray, Callable[[], sp.csc_matrix]]
+
 # Newton steps the momentum initialization may take before it fails.
 _INIT_MAX_ITER = 60
 
@@ -203,7 +205,8 @@ class Assembler:
             if self.options.momentum_bc == "exact" else np.empty(0, dtype=int)
         self._pinned_rho = bn if self.options.pin_rho_boundary \
             else np.empty(0, dtype=int)
-        self._level_loads: dict = {}
+        self._momentum_pattern = self._build_momentum_pattern()
+        self._jacobian_pattern = self._build_jacobian_pattern()
 
     # -- static operators ----------------------------------------------------
 
@@ -223,11 +226,10 @@ class Assembler:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(mesh.n_nodes, 2 * mesh.n_nodes)).tocsr()
 
-    @cached_property
-    def _momentum_pattern(self) -> tuple[_FixedCsc, np.ndarray, np.ndarray, np.ndarray]:
+    def _build_momentum_pattern(self) -> tuple[_FixedCsc, np.ndarray, np.ndarray,
+                                               np.ndarray]:
         """Pattern of the A block, exact-BC momentum rows pinned, and how its
-        data is filled.  Built on first use: assemblers that only evaluate
-        errors never need it.
+        data is filled.
 
         The element entry (dF_c/dm_d phi_j, phi_i) of triangle t sits at row
         dof[t,i] + c, column dof[t,j] + d.  The keys run over the blocks
@@ -250,8 +252,7 @@ class Assembler:
                             xy % n_m * n_m + xy // n_m]), n_m, self._pinned_m)
         return a, slots[:27 * nt], slots[27 * nt:], slots[9 * nt + first]
 
-    @cached_property
-    def _jacobian_pattern(self):
+    def _build_jacobian_pattern(self):
         """Pattern of [[A, -B^T], [B, M_phi/dt]] and its static data.
 
         Returns the pattern, the slots in it of the entries of
@@ -287,86 +288,79 @@ class Assembler:
         return (np.asarray(self.data.psi(self._qpts, t_n), dtype=float)
                 - np.asarray(self.data.psi(self._qpts, t_n - dt), dtype=float)) / dt
 
-    def _level_load(self, name: str, key, build: Callable[[], np.ndarray]
-                    ) -> np.ndarray:
-        """``build()``, kept until asked for under another ``key``.
-
-        The data load vectors depend on the time level only, not on the
-        Newton iterate, so each is assembled once per level.
-        """
-        held = self._level_loads.get(name)
-        if held is None or held[0] != key:
-            vec = build()
-            vec.flags.writeable = False
-            held = self._level_loads[name] = (key, vec)
-        return held[1]
-
-    def _grad_psi_load(self, t_n: float) -> np.ndarray:
-        """(grad Psi(t_n), v) for all vector test functions v."""
-        vs = self.vector_space
-        return self._level_load("grad_psi", t_n, lambda: vs.load_vector(
-            vs.component_major(self.data.grad_psi(self._qpts, t_n))))
-
     def _momentum_bc_values(self, t_n: float) -> np.ndarray:
         """Exact momentum at the pinned dofs, in ``_pinned_m`` order."""
         bn = self.mesh.boundary_nodes
         return np.asarray(self.data.exact.m(self.mesh.nodes[bn], t_n),
                           dtype=float).reshape(-1)
 
-    # -- nonlinear pieces ------------------------------------------------------
+    # -- the two nonlinear systems ---------------------------------------------
 
-    def _flux_linearization(self, m_dofs: np.ndarray):
-        """The flux F(|m|) m at the quadrature points, (2, nt, nq), and a
-        thunk that builds A(m) on its fixed pattern, rows pinned, from the
-        same quadrature values."""
-        # the pattern first: its build's temporaries then do not pile up on
-        # the quadrature values the thunk holds
+    def momentum(self, t: float) -> Callable[[np.ndarray, np.ndarray], Linearization]:
+        """The momentum rows at time ``t``, as a function of (m, rho_bar).
+
+        The load (grad Psi(t), v) and the exact-BC values are bound once.
+        The function returns the rows and a thunk that builds their
+        derivative w.r.t. m, the A block, on its own fixed pattern with the
+        pinned rows set to identity rows: every A shares that pattern's
+        index arrays, so a held factor of one preconditions the next.  m is
+        evaluated at the quadrature points once, and the law's F(|m|) there
+        serves the rows and the thunk; F' is evaluated only when the thunk
+        is called, so a converged iterate never pays for it.  Alone, the
+        momentum rows are the initialization's system.
+        """
+        vs = self.vector_space
+        grad_psi = vs.load_vector(vs.component_major(self.data.grad_psi(self._qpts, t)))
+        pinned = self._pinned_m
+        bc = self._momentum_bc_values(t) if len(pinned) else np.empty(0)
         a, slots, mirror, source = self._momentum_pattern
-        flux, flux_jacobian = self.data.law.linearize(
-            self.vector_space.eval_at_quadrature(m_dofs))
 
-        def momentum_jacobian() -> sp.csc_matrix:
-            data = a.scatter(slots, self.scalar_space.element_matrices(
-                flux_jacobian()).ravel())
-            data[mirror] = data[source]
-            return a.matrix(data)
+        def linearize(m_dofs: np.ndarray, rho_bar: np.ndarray):
+            flux, flux_jacobian = self.data.law.linearize(vs.eval_at_quadrature(m_dofs))
+            r = vs.load_vector(flux) - self._div_coupling_T @ rho_bar + grad_psi
+            r[pinned] = m_dofs[pinned] - bc
 
-        return flux, momentum_jacobian
+            def momentum_jacobian() -> sp.csc_matrix:
+                data = a.scatter(slots, self.scalar_space.element_matrices(
+                    flux_jacobian()).ravel())
+                data[mirror] = data[source]
+                return a.matrix(data)
 
-    # -- public assembly -------------------------------------------------------
+            return r, momentum_jacobian
 
-    def linearize(self, state_n: SystemState, state_prev: SystemState,
-                  dt: float) -> tuple[np.ndarray, Callable[[], sp.csc_matrix]]:
-        """The stacked (momentum, density) residual at one time level, and a
-        thunk that builds its Jacobian at ``state_n`` (see :meth:`jacobian`).
+        return linearize
 
-        m is evaluated at the quadrature points once, and the law's F(|m|)
-        there serves the residual and the Jacobian; F' is evaluated only
-        when the thunk is called, so a converged iterate never pays for it.
+    def level(self, state_prev: SystemState, t_n: float,
+              dt: float) -> Callable[[np.ndarray], Linearization]:
+        """The backward-Euler level t_n = ``state_prev.t`` + dt, as a function
+        of the flat ``[m, rho_bar]`` Newton vector x.
+
+        The loads of f, dPsi and grad Psi and the exact-BC values are bound
+        once.  ``linearize(x)`` returns the stacked (momentum, density)
+        residual at x and a thunk that builds its Jacobian there (see
+        :meth:`jacobian`) from the momentum rows' quadrature values.
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        if abs(state_n.t - state_prev.t - dt) > 1e-10 * max(1.0, abs(state_n.t)):
+        if abs(t_n - state_prev.t - dt) > 1e-10 * max(1.0, abs(t_n)):
             raise ValueError("state times inconsistent with dt")
-        t_n = state_n.t
-        self._jacobian_pattern  # on first use built now, as in _flux_linearization
         ss = self.scalar_space
-        f_vec = self._level_load("f", t_n, lambda: ss.load_vector(
-            self.data.f(self._qpts, t_n)))
-        dpsi_vec = self._level_load("dpsi", (t_n, dt), lambda: ss.load_vector(
-            self._phi_q * self._dpsi_values(t_n, dt)))
-        r_mom, momentum_jacobian = self.momentum_linearize(
-            state_n.m, state_n.rho_bar, t_n)
-        r_den = self.mass_phi @ (state_n.rho_bar - state_prev.rho_bar) / dt \
-            + self.div_coupling @ state_n.m - f_vec + dpsi_vec
-        r_den[self._pinned_rho] = state_n.rho_bar[self._pinned_rho]
-        return (np.concatenate([r_mom, r_den]),
-                lambda: self._coupled_jacobian(momentum_jacobian(), dt))
+        f_vec = ss.load_vector(self.data.f(self._qpts, t_n))
+        dpsi_vec = ss.load_vector(self._phi_q * self._dpsi_values(t_n, dt))
+        momentum = self.momentum(t_n)
+        n_m = self.vector_space.n_dofs
+        rho_prev = state_prev.rho_bar
 
-    def residual(self, state_n: SystemState, state_prev: SystemState,
-                 dt: float) -> np.ndarray:
-        """Stacked (momentum, density) residual at one time level."""
-        return self.linearize(state_n, state_prev, dt)[0]
+        def linearize(x: np.ndarray):
+            m, rho_bar = x[:n_m], x[n_m:]
+            r_mom, momentum_jacobian = momentum(m, rho_bar)
+            r_den = self.mass_phi @ (rho_bar - rho_prev) / dt \
+                + self.div_coupling @ m - f_vec + dpsi_vec
+            r_den[self._pinned_rho] = rho_bar[self._pinned_rho]
+            return (np.concatenate([r_mom, r_den]),
+                    lambda: self._coupled_jacobian(momentum_jacobian(), dt))
+
+        return linearize
 
     def _coupled_jacobian(self, momentum_jacobian: sp.csc_matrix,
                           dt: float) -> sp.csc_matrix:
@@ -375,13 +369,21 @@ class Assembler:
         data[a_slots] = momentum_jacobian.data
         return pattern.matrix(data)
 
+    # -- views at one state ------------------------------------------------------
+
+    def residual(self, state_n: SystemState, state_prev: SystemState,
+                 dt: float) -> np.ndarray:
+        """Stacked (momentum, density) residual at one time level."""
+        return self.level(state_prev, state_n.t, dt)(
+            np.concatenate([state_n.m, state_n.rho_bar]))[0]
+
     def jacobian(self, state_n: SystemState, dt: float) -> sp.csc_matrix:
         """Exact derivative of :meth:`residual` w.r.t. (m, rho_bar), in CSC.
 
         The matrix is J = [[A(m), -B^T], [B, M_phi / dt]] on a sparsity
-        pattern built once per assembler.  Each call places the data of
-        :meth:`momentum_jacobian` in J's pattern, next to the static B and
-        M_phi data (the four blocks share no entry).  A pinned row
+        pattern built once per assembler.  Each call places the data of the
+        A block (see :meth:`momentum`) in J's pattern, next to the static B
+        and M_phi data (the four blocks share no entry).  A pinned row
         (``momentum_bc="exact"``, ``pin_rho_boundary``) is the identity row
         e_d^T, the derivative of its residual row m_d - g_d or rho_d.
 
@@ -395,35 +397,8 @@ class Assembler:
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        return self._coupled_jacobian(self.momentum_jacobian(state_n.m), dt)
-
-    def momentum_linearize(self, m_dofs: np.ndarray, rho_bar: np.ndarray,
-                           t: float) -> tuple[np.ndarray, Callable[[], sp.csc_matrix]]:
-        """Momentum rows of :meth:`linearize`, and a thunk that builds their
-        derivative w.r.t. m (see :meth:`momentum_jacobian`); alone, the
-        initialization's linearization."""
-        # the data loads first, while no quadrature values are held
-        grad_psi = self._grad_psi_load(t)
-        flux, momentum_jacobian = self._flux_linearization(m_dofs)
-        r = self.vector_space.load_vector(flux) - self._div_coupling_T @ rho_bar \
-            + grad_psi
-        if len(self._pinned_m):
-            r[self._pinned_m] = m_dofs[self._pinned_m] - self._momentum_bc_values(t)
-        return r, momentum_jacobian
-
-    def momentum_residual(self, m_dofs: np.ndarray, rho_bar: np.ndarray,
-                          t: float) -> np.ndarray:
-        """Momentum rows of :meth:`residual`; alone, the initialization residual."""
-        return self.momentum_linearize(m_dofs, rho_bar, t)[0]
-
-    def momentum_jacobian(self, m_dofs: np.ndarray) -> sp.csc_matrix:
-        """Derivative of :meth:`momentum_residual` w.r.t. m: the A block, in CSC.
-
-        The leading n_m x n_m block of :meth:`jacobian`, on its own fixed
-        pattern: every call shares that pattern's index arrays, so a held
-        factor of one call preconditions the next.
-        """
-        return self._flux_linearization(m_dofs)[1]()
+        _, momentum_jacobian = self.momentum(state_n.t)(state_n.m, state_n.rho_bar)
+        return self._coupled_jacobian(momentum_jacobian(), dt)
 
     def initial_state(self, newton_tol: float = 1e-10) -> SystemState:
         """Project the initial density; solve the momentum rows by Newton from 0.
@@ -436,7 +411,8 @@ class Assembler:
         rho_bar0 = l2_project(self.scalar_space,
                               lambda pts: np.asarray(data.rho0(pts), dtype=float)
                               - np.asarray(data.psi(pts, 0.0), dtype=float))
-        m, _ = solver._newton(lambda m: self.momentum_linearize(m, rho_bar0, 0.0),
+        momentum = self.momentum(0.0)
+        m, _ = solver._newton(lambda m: momentum(m, rho_bar0),
                               np.zeros(self.vector_space.n_dofs), newton_tol,
                               _INIT_MAX_ITER, solver.LinearSolver(),
                               "in the momentum initialization")

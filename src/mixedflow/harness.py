@@ -267,8 +267,15 @@ class StudyConfig:
         # mid-study
         self.discretization()
         self.newton()
-        self.law_a()
-        self.law_b()
+        for name, law in (("a", self.law_a()), ("b", self.law_b())):
+            # the Jacobian takes F(z) and F'(z)/z at z >= eps_reg, and their
+            # z^-alpha terms peak at the clamp
+            with np.errstate(over="ignore", invalid="ignore"):
+                at_clamp = (law.eval_F(self.eps_reg),
+                            np.divide(law.eval_F_prime(self.eps_reg), self.eps_reg))
+            if not np.all(np.isfinite(at_clamp)):
+                raise ValueError(f"eps_reg: F(eps_reg) or F'(eps_reg)/eps_reg of law "
+                                 f"{name} is not finite at eps_reg = {self.eps_reg!r}")
         if self.study == "verify" and self._box()[0] <= 0.0:
             raise ValueError("verify needs the anchor coefficients a_-1, a_0, a_N "
                              f"of both laws > 0, got a_star = {self._box()[0]}")

@@ -331,31 +331,27 @@ def _newton(linearize, x: np.ndarray, tol: float, max_iter: int,
     converged.  Takes at most ``max_iter`` steps.  ``where`` names the solve
     in the :class:`NonConvergence` raised on a non-finite residual norm,
     Jacobian or iterate, or when the steps run out; the error carries the
-    residual-norm trace.
+    residual-norm trace.  Overflow on the way gives inf or nan without a
+    warning: those checks see it and name it.
     """
-    r, jacobian = linearize(x)
-    trace = [_residual_norm(r)]
-    while not trace[-1] <= tol:
-        if not np.isfinite(trace[-1]):
-            raise NonConvergence(f"non-finite residual norm {where}", trace)
-        if len(trace) > max_iter:
-            raise NonConvergence(f"Newton stalled {where}", trace)
-        matrix, jacobian = jacobian(), None  # free its quadrature values first
-        if not np.all(np.isfinite(matrix.data)):
-            raise NonConvergence(f"non-finite Jacobian {where}", trace)
-        x = x + linear_solver.solve(matrix, -r)
-        del matrix  # not held through the next linearization
-        if not np.all(np.isfinite(x)):
-            raise NonConvergence(f"non-finite Newton iterate {where}", trace)
+    with np.errstate(over="ignore", invalid="ignore"):
         r, jacobian = linearize(x)
-        trace.append(_residual_norm(r))
+        trace = [float(np.linalg.norm(r))]
+        while not trace[-1] <= tol:
+            if not np.isfinite(trace[-1]):
+                raise NonConvergence(f"non-finite residual norm {where}", trace)
+            if len(trace) > max_iter:
+                raise NonConvergence(f"Newton stalled {where}", trace)
+            matrix, jacobian = jacobian(), None  # free its quadrature values first
+            if not np.all(np.isfinite(matrix.data)):
+                raise NonConvergence(f"non-finite Jacobian {where}", trace)
+            x = x + linear_solver.solve(matrix, -r)
+            del matrix  # not held through the next linearization
+            if not np.all(np.isfinite(x)):
+                raise NonConvergence(f"non-finite Newton iterate {where}", trace)
+            r, jacobian = linearize(x)
+            trace.append(float(np.linalg.norm(r)))
     return x, NewtonStats(len(trace) - 1, trace[-1], trace)
-
-
-def _residual_norm(r: np.ndarray) -> float:
-    """||r||_2, inf without a warning when its square overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(r))
 
 
 def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState,
@@ -371,17 +367,13 @@ def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState
     ||residual|| <= ``config.tol`` from any start.
     """
     config = config or NewtonConfig()
-    n_m = assembler.vector_space.n_dofs
-
-    def state(x):
-        return assembly.SystemState(x[n_m:], x[:n_m], t_n)
-
     if guess is None:
         guess = _flat(state_prev)
-    x, stats = _newton(lambda x: assembler.linearize(state(x), state_prev, dt),
-                       guess, config.tol, config.max_iter,
-                       linear_solver or LinearSolver(), f"at t={t_n:.6g}")
-    return state(x), stats
+    x, stats = _newton(assembler.level(state_prev, t_n, dt), guess, config.tol,
+                       config.max_iter, linear_solver or LinearSolver(),
+                       f"at t={t_n:.6g}")
+    n_m = assembler.vector_space.n_dofs
+    return assembly.SystemState(x[n_m:], x[:n_m], t_n), stats
 
 
 def march(data: assembly.ProblemData, mesh: StructuredTriMesh,

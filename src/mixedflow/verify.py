@@ -347,14 +347,9 @@ def jacobian_fd_error(assembler: Assembler, state: SystemState,
                       state_prev: SystemState, dt: float,
                       step_scale: float = 1e-6) -> float:
     """Max entrywise relative deviation of the Jacobian from central differences."""
+    linearize = assembler.level(state_prev, state.t, dt)
     x0 = np.concatenate([state.m, state.rho_bar])
-    n_m = assembler.vector_space.n_dofs
-
-    def residual_at(x):
-        st = SystemState(x[n_m:], x[:n_m], state.t)
-        return assembler.residual(st, state_prev, dt)
-
-    jac = assembler.jacobian(state, dt).toarray()
+    jac = linearize(x0)[1]().toarray()
     fd = np.empty_like(jac)
     for j in range(len(x0)):
         h = step_scale * (1.0 + abs(x0[j]))
@@ -362,7 +357,7 @@ def jacobian_fd_error(assembler: Assembler, state: SystemState,
         xp[j] += h
         xm = x0.copy()
         xm[j] -= h
-        fd[:, j] = (residual_at(xp) - residual_at(xm)) / (2.0 * h)
+        fd[:, j] = (linearize(xp)[0] - linearize(xm)[0]) / (2.0 * h)
     scale = np.abs(jac).max()
     denom = np.maximum(np.abs(jac), 1e-6 * scale)
     return float(np.max(np.abs(fd - jac) / denom))

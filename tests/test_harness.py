@@ -1,10 +1,15 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixedflow.analysis import report_from_csv
 from mixedflow.cli import (EXIT_CONFIG_ERROR, _build_parser,
@@ -220,6 +225,8 @@ class TestCli:
         (["single", "--levels", "4,,8"], ""),
         (["single"], "levels = 4,,8"),
         (["single"], "levels = 4\nlevels = 8"),
+        # F'(eps)/eps of the law overflows
+        (["dependence", "--levels", "4"], "eps_reg = 1e-300"),
     ])
     def test_bad_study_value_one_line_error(self, tmp_path, capsys, argv, line):
         cfgfile = tmp_path / "bad.cfg"
@@ -323,8 +330,6 @@ class TestCli:
     @pytest.mark.parametrize("line, cause", [
         # the residual's squared norm overflows: one failure, no 30 steps on inf
         ("coefficients_a = 1e200, 1, 1e200", "non-finite residual norm"),
-        # F'(eps)/eps overflows: the Jacobian is rejected before the LU
-        ("eps_reg = 1e-300", "non-finite Jacobian"),
     ])
     def test_overflow_ends_in_one_solver_failure_line(self, tmp_path, line, cause):
         cfgfile = tmp_path / "overflow.cfg"
@@ -365,6 +370,62 @@ class TestCli:
                            "trials = 1000\ngronwall_trials = 20\n")
         assert main(["verify", "--config", str(cfgfile)]) == 3
         assert "FAILED" in capsys.readouterr().out
+
+
+@st.composite
+def study_values(draw):
+    """A study and ``StudyConfig`` law, tolerance and time values drawn from
+    moderate and from wide ranges: coefficients up to 1e300, tolerances and
+    eps_reg down to 1e-300."""
+    exponents = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=2,
+                              unique=True).map(sorted))
+    coefficients = st.lists(st.floats(0.0, 10.0) | st.floats(0.0, 1e300),
+                            min_size=len(exponents) + 2,
+                            max_size=len(exponents) + 2).map(tuple)
+    return {
+        "study": draw(st.sampled_from(["single", "convergence", "dependence"])),
+        "alpha": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        "exponents": tuple(exponents),
+        "coefficients_a": draw(coefficients),
+        "coefficients_b": draw(coefficients),
+        "eps_reg": draw(st.floats(1e-12, 1e-6) | st.floats(1e-300, 1.0)),
+        "newton_tol": draw(st.floats(1e-10, 1e-2) | st.floats(1e-300, 1.0)),
+        # multiples of the N = 4 march's dt = 1/8
+        "final_time": draw(st.integers(1, 16)) / 8,
+    }
+
+
+class TestCliContract:
+    # the three inputs that once escaped the one-line contract
+    @example(values={"study": "dependence", "coefficients_a": (1e200, 1.0, 1e200)})
+    @example(values={"study": "dependence", "eps_reg": 1e-300})
+    @example(values={"study": "dependence", "newton_tol": 1e-300})
+    # F(z) = z^7 makes the first Newton step 1e46: m^7 overflows in the flux,
+    # whose load then warned of an invalid value before Newton saw the inf
+    @example(values={"study": "dependence", "exponents": (7.0,),
+                     "coefficients_b": (0.0, 0.0, 1.0), "eps_reg": 2e-7,
+                     "final_time": 0.125})
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(values=study_values())
+    def test_any_config_exits_0_1_or_2_with_at_most_one_line(
+            self, tmp_path_factory, values):
+        """Exit 0 with nothing on stderr, or exit 1 or 2 with one stderr line;
+        a Python warning counts as a stderr line."""
+        values = dict(values)
+        study = values.pop("study")
+        cfgfile = tmp_path_factory.mktemp("contract") / "study.cfg"
+        cfgfile.write_text("levels = 4\n" + "".join(
+            f"{key} = {', '.join(map(repr, v)) if isinstance(v, tuple) else repr(v)}\n"
+            for key, v in values.items()))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([study, "--config", str(cfgfile)])
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert code in (0, 1, 2)
+        assert len(lines) == (0 if code == 0 else 1), (code, lines)
 
 
 class TestLinearFieldCheck:

@@ -191,6 +191,30 @@ class TestOneLawPassPerIterate:
         assert calls["eval_F"] == sum(steps) + len(steps)
         assert calls["eval_F_prime"] == sum(steps)
 
+    @pytest.mark.parametrize("momentum_bc", ["none", "exact"])
+    def test_march_evaluates_data_once_per_level(self, example1, momentum_bc):
+        """f once per level; grad Psi and the exact boundary momentum once per
+        level and once for the initialization, not once per Newton iterate."""
+        calls = collections.Counter()
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        data = dataclasses.replace(
+            example1, f=counted("f", example1.f),
+            grad_psi=counted("grad_psi", example1.grad_psi),
+            exact=dataclasses.replace(example1.exact,
+                                      m=counted("exact.m", example1.exact.m)))
+        _, diags = march(data, build_mesh(4), MarchConfig(dt=0.125),
+                         options=DiscretizationOptions(momentum_bc=momentum_bc))
+        assert len(diags) == 8 and sum(d.newton_iterations for d in diags) > 8
+        assert calls["f"] == 8
+        assert calls["grad_psi"] == 8 + 1
+        assert calls["exact.m"] == (8 + 1 if momentum_bc == "exact" else 0)
+
 
 class TestTightReference:
     """The march at the default tolerance stays near a tol=1e-12 march.
