@@ -73,8 +73,14 @@ class MarchConfig:
         return round(self.final_time / self.dt)
 
 
-# A linear solution x of Jx = b is accepted when ||Jx - b|| <= _RTOL ||b||.
+# A linear solution x of Jx = b is accepted when ||Jx - b|| <= max(_RTOL ||b||,
+# atol), with atol the caller's absolute aim (0 by default).
 _RTOL = 1e-10
+
+# Newton's linear aim as a fraction of its tolerance (inexact Newton: Dembo,
+# Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982; Eisenstat & Walker, SIAM J.
+# Sci. Comput. 1996); :class:`LinearSolver` says why it is safe.
+_FORCING = 0.01
 
 
 class LinearSolver:
@@ -90,11 +96,24 @@ class LinearSolver:
     identity rows by boundary conditions keep the property, since a
     principal minor containing a pinned row d equals the minor without d.
 
-    Without pivoting nothing bounds element growth, so every solve is
-    checked against the contract ||Ax - b|| <= _RTOL ||b||.  On a miss the
-    matrix is refactored once with SciPy's default ``splu`` (COLAMD,
-    partial pivoting); :class:`LinearSolveFailure` is raised only if that
-    solve also misses.
+    A solution x of Jx = b is accepted when
+
+        ||Jx - b|| <= max(_RTOL ||b||, atol),    _RTOL = 1e-10,
+
+    with ``atol`` the caller's absolute aim.  With atol = 0 this is the
+    relative contract alone.  Newton passes atol = _FORCING * tol with
+    _FORCING = 0.01: the next residual F(x + s) = (Js + F) + O(||s||^2) then
+    moves by at most 1% of the tolerance it is checked against, and Newton
+    checks that true residual by the unchanged rule, so a looser linear
+    solve can cost Newton iterations but never accepts a level the rule
+    would reject.  Since ||b|| = ||F|| > tol whenever Newton takes a step,
+    the implied relative aim is always tighter than 0.01.
+
+    Without pivoting nothing bounds element growth, so every solution is
+    checked against that bound.  On a miss the matrix is refactored once
+    with SciPy's default ``splu`` (COLAMD, partial pivoting);
+    :class:`LinearSolveFailure` is raised only if that solve also misses.
+    ``residual`` is ||Jx - b|| of the last accepted solution.
 
     Between Newton iterations and time levels only the flux block A(m)
     changes, and slowly, so the last symmetric-mode factor is held.  A
@@ -102,15 +121,16 @@ class LinearSolver:
     of the factored matrix, as every Jacobian of one ``Assembler`` does) is
     first solved by one cycle of right-preconditioned GMRES, with the held
     factor as the preconditioner and no restart, aiming at a residual a
-    decade below the contract.  GMRES starts from the x0 of least residual
-    ||b - J x0|| in the span S of the last 8 solutions accepted on the
-    pattern, the factor's own direct solution among them: x0 = S c with c
-    from a least-squares fit of J S c to b, one sparse-dense product and a
+    decade below the acceptance bound.  GMRES starts from the x0 of least
+    residual ||b - J x0|| in the span S of the last 8 solutions accepted on
+    the pattern, the factor's own direct solution among them: x0 = S c with
+    c from a least-squares fit of J S c to b, one sparse-dense product and a
     dense fit on 8 columns.  The systems change slowly, so x0 carries what
     earlier solves found; GMRES then runs on b - J x0 towards the same
-    absolute aim.  The kept solutions go with the factor, so they cost 2 * 8
-    * n floats (S and J S) and never reach another pattern.  The cycle
-    length is a work budget read from the fill counts alone:
+    absolute aim, and takes no iteration when x0 already meets it.  The
+    kept solutions go with the factor, so they cost 2 * 8 * n floats (S and
+    J S) and never reach another pattern.  The cycle length is a work
+    budget read from the fill counts alone:
 
         m = floor(nnz(LU)^2 / (4 n (nnz(LU) + nnz(J)))).
 
@@ -119,7 +139,7 @@ class LinearSolver:
     sum_k c_k^2 over the column counts c_k of L, and by Cauchy-Schwarz that
     is at least nnz(L)^2 / n, about nnz(LU)^2 / (4 n).  So m iterations do
     no more work than one factorization.  When the cycle misses the
-    contract, the held factor is dropped before J is factored afresh, so one
+    bound, the held factor is dropped before J is factored afresh, so one
     factor is alive at a time.  A fresh factor whose first reuse misses
     ends reuse for this solver: its budget is too short to pay (m is 3 on
     the N=4 Jacobian); with m < 1 no factor is held at all.
@@ -136,23 +156,24 @@ class LinearSolver:
     def __init__(self):
         self.factorizations = 0
         self.krylov_iterations = 0
+        self.residual = 0.0
         self._held: _HeldFactor | None = None
         self._reuse = True
 
-    def solve(self, matrix, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, matrix, rhs: np.ndarray, atol: float = 0.0) -> np.ndarray:
+        """x with ||matrix x - rhs|| <= max(_RTOL ||rhs||, atol)."""
         matrix = matrix.tocsc()
+        bound = max(_RTOL * np.linalg.norm(rhs), atol)
         held = self._held
         if held is not None and held.fits(matrix):
             x0, r0 = held.start(matrix, rhs)
-            # a decade below the contract on the original b: the accepted
-            # solution stays clear of the check's boundary and close to the
-            # direct one
+            # a decade below the bound: the accepted solution stays clear of
+            # the check's boundary
             step, iterations = _preconditioned_gmres(
-                matrix, r0, held.lu.solve, held.cycle,
-                0.1 * _RTOL * np.linalg.norm(rhs))
+                matrix, r0, held.lu.solve, held.cycle, 0.1 * bound)
             self.krylov_iterations += iterations
             sol = None if step is None else x0 + step
-            if sol is not None and self._miss(matrix, sol, rhs) is None:
+            if sol is not None and self._miss(matrix, sol, rhs, bound) is None:
                 held.reused = True
                 held.keep(sol)
                 return sol
@@ -161,7 +182,7 @@ class LinearSolver:
         lu = self._factor(matrix, permc_spec="MMD_AT_PLUS_A",
                           diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         sol = None if lu is None else lu.solve(rhs)
-        if sol is not None and self._miss(matrix, sol, rhs) is None:
+        if sol is not None and self._miss(matrix, sol, rhs, bound) is None:
             if self._reuse:
                 self._hold(lu, matrix, sol)
             return sol
@@ -170,7 +191,7 @@ class LinearSolver:
         if lu is None:
             raise LinearSolveFailure("sparse LU: matrix is exactly singular")
         sol = lu.solve(rhs)
-        miss = self._miss(matrix, sol, rhs)
+        miss = self._miss(matrix, sol, rhs, bound)
         if miss is not None:
             raise LinearSolveFailure(miss)
         return sol
@@ -193,13 +214,16 @@ class LinearSolver:
                                      np.empty((_RECYCLED, len(sol))))
             self._held.keep(sol)
 
-    def _miss(self, matrix, sol: np.ndarray, rhs: np.ndarray) -> str | None:
-        """Why ``sol`` breaks the residual contract, or None if it keeps it."""
+    def _miss(self, matrix, sol: np.ndarray, rhs: np.ndarray,
+              bound: float) -> str | None:
+        """Why ``sol`` breaks ||matrix sol - rhs|| <= bound, or None if it
+        keeps it; a kept solution's residual norm goes to ``residual``."""
         if not np.all(np.isfinite(sol)):
             return "linear solve produced non-finite entries"
-        resid = np.linalg.norm(matrix @ sol - rhs)
-        if not resid <= _RTOL * np.linalg.norm(rhs):
-            return f"linear solve residual {resid:.3e} exceeds {_RTOL:.1e} * ||b||"
+        resid = float(np.linalg.norm(matrix @ sol - rhs))
+        if not resid <= bound:
+            return f"linear solve residual {resid:.3e} exceeds {bound:.3e}"
+        self.residual = resid
         return None
 
 
@@ -257,12 +281,13 @@ def _preconditioned_gmres(matrix, rhs: np.ndarray, precondition, max_iter: int,
     ``precondition`` applies M^-1.  The Arnoldi basis is orthogonalized by
     classical Gram-Schmidt applied twice, and Givens rotations keep the
     Hessenberg matrix triangular, so the least-squares residual norm is at
-    hand after every iteration.  Returns x and the iteration count; x is
-    None when that residual is still above ``atol`` after ``max_iter``
-    iterations, or the iteration broke down.
+    hand after every iteration.  Returns x and the iteration count: x = 0
+    after no iteration when ||rhs|| <= ``atol`` already, and None when the
+    residual is still above ``atol`` after ``max_iter`` iterations, or the
+    iteration broke down.
     """
     beta = np.linalg.norm(rhs)
-    if beta == 0.0:
+    if beta <= atol:
         return np.zeros_like(rhs), 0
     basis = np.empty((max_iter + 1, len(rhs)))
     search = np.empty((max_iter, len(rhs)))  # M^-1 of each basis vector
@@ -302,6 +327,7 @@ class NewtonStats:
     iterations: int
     residual_norm: float
     trace: list
+    linear_residual: float           # largest accepted ||Js - b|| of the steps
 
 
 @dataclass
@@ -314,6 +340,7 @@ class StepDiagnostics:
     energy_m_accum: float            # sum_i dt ||m_i||_Ls^s up to this step
     factorizations: int              # LU factorizations of this step's solves
     krylov_iterations: int           # GMRES iterations of this step's solves
+    linear_residual: float           # largest accepted ||Jx - b|| of them
 
 
 def _flat(state: assembly.SystemState) -> np.ndarray:
@@ -328,7 +355,9 @@ def _newton(linearize, x: np.ndarray, tol: float, max_iter: int,
 
     ``linearize(x)`` returns the residual at x and a thunk that builds the
     Jacobian there; the thunk is called only for an iterate that has not
-    converged.  Takes at most ``max_iter`` steps.  ``where`` names the solve
+    converged.  Each step s solves J s = -residual(x) only to
+    ||Js + residual(x)|| <= ``_FORCING`` * tol (see :class:`LinearSolver`).
+    Takes at most ``max_iter`` steps.  ``where`` names the solve
     in the :class:`NonConvergence` raised on a non-finite residual norm,
     Jacobian or iterate, or when the steps run out; the error carries the
     residual-norm trace.  Overflow on the way gives inf or nan without a
@@ -337,6 +366,7 @@ def _newton(linearize, x: np.ndarray, tol: float, max_iter: int,
     with np.errstate(over="ignore", invalid="ignore"):
         r, jacobian = linearize(x)
         trace = [float(np.linalg.norm(r))]
+        linear_residual = 0.0
         while not trace[-1] <= tol:
             if not np.isfinite(trace[-1]):
                 raise NonConvergence(f"non-finite residual norm {where}", trace)
@@ -345,13 +375,14 @@ def _newton(linearize, x: np.ndarray, tol: float, max_iter: int,
             matrix, jacobian = jacobian(), None  # free its quadrature values first
             if not np.all(np.isfinite(matrix.data)):
                 raise NonConvergence(f"non-finite Jacobian {where}", trace)
-            x = x + linear_solver.solve(matrix, -r)
+            x = x + linear_solver.solve(matrix, -r, _FORCING * tol)
             del matrix  # not held through the next linearization
             if not np.all(np.isfinite(x)):
                 raise NonConvergence(f"non-finite Newton iterate {where}", trace)
+            linear_residual = max(linear_residual, linear_solver.residual)
             r, jacobian = linearize(x)
             trace.append(float(np.linalg.norm(r)))
-    return x, NewtonStats(len(trace) - 1, trace[-1], trace)
+    return x, NewtonStats(len(trace) - 1, trace[-1], trace, linear_residual)
 
 
 def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState,
@@ -425,7 +456,8 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
             energy_rho=norm(assembler.scalar_space, state.rho_bar, 2.0) ** 2,
             energy_m_accum=energy_m_accum,
             factorizations=linear_solver.factorizations - factorizations,
-            krylov_iterations=linear_solver.krylov_iterations - krylov_iterations)
+            krylov_iterations=linear_solver.krylov_iterations - krylov_iterations,
+            linear_residual=stats.linear_residual)
         if march_config.verbose:
             print(f"{n} {t_n:.6g} {stats.iterations} {stats.residual_norm:.3e} "
                   f"{diag.energy_rho + energy_m_accum:.6e}")

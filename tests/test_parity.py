@@ -246,13 +246,25 @@ class TestSymmetricModeParity:
 
 
 class DefaultLU(LinearSolver):
-    """The replaced inner solver: SciPy's default ``splu``, no checks."""
+    """The replaced inner solver: SciPy's default ``splu``, no checks, and
+    exact up to roundoff whatever the caller's aim."""
 
-    def solve(self, matrix, rhs):
+    def solve(self, matrix, rhs, atol=0.0):
         return spla.splu(matrix.tocsc()).solve(rhs)
 
 
 class TestMarchParity:
+    """The march's inexact Newton steps against exact ones.
+
+    Newton asks each linear solve only for ||Js + F|| <= 0.01 * tol, so the
+    fields leave exact LU's by more than roundoff: the flat ``[m, rho_bar]``
+    vector by 1.9e-8 (example1 N=16) and 6.7e-9 (example2_F2 N=8) relative
+    in the 2-norm.  The bound is 1e-7, a margin of five over the larger.
+    rho_bar alone is no measure: example1's exact rho_bar is 0, so its
+    largest entry is tiny and moves by 2.3e-7 of itself.  Newton counts must
+    be equal step by step.
+    """
+
     # Newton totals of these marches from the extrapolated predictor, equal
     # for both linear solvers
     @pytest.mark.parametrize("problem, n, options, newton_total", [
@@ -266,10 +278,12 @@ class TestMarchParity:
         final, diags = march(data, build_mesh(n), config, options=options)
         ref, ref_diags = march(data, build_mesh(n), config, options=options,
                                linear_solver=DefaultLU())
-        assert sum(d.newton_iterations for d in diags) == newton_total
-        assert sum(d.newton_iterations for d in ref_diags) == newton_total
-        assert rel_diff(final.rho_bar, ref.rho_bar) <= 1e-8
-        assert rel_diff(final.m, ref.m) <= 1e-8
+        newton = [d.newton_iterations for d in diags]
+        assert newton == [d.newton_iterations for d in ref_diags]
+        assert sum(newton) == newton_total
+        x = np.concatenate([final.m, final.rho_bar])
+        x_ref = np.concatenate([ref.m, ref.rho_bar])
+        assert np.linalg.norm(x - x_ref) <= 1e-7 * np.linalg.norm(x_ref)
 
 
 class _RecordingSpla:
@@ -351,9 +365,10 @@ class TestFactorReuse:
         assert sum(d.krylov_iterations for d in diags) > 0
 
     def test_exact_bc_march_recycles_solutions(self, recorder):
-        """Started from the span of the kept solutions, GMRES needs about 2
-        iterations per level from level 15 on; started from zero it needs
-        5 rising to 10, 527 over the march."""
+        """Started from the span of the kept solutions and aiming at 0.01 *
+        newton_tol, GMRES makes 70 iterations over the 64 levels' 65 solves;
+        started from zero and aiming at 1e-11 ||b|| it made 5 rising to 10
+        per level, 527 over the march."""
         mesh = build_mesh(32)
         _, diags = march(builtin_problem("example2_F2"), mesh,
                          MarchConfig(dt=1 / 64), None,
@@ -362,7 +377,7 @@ class TestFactorReuse:
         assert sum(d.newton_iterations for d in diags) == 65
         assert self.coupled_factorizations(recorder, mesh) == 1
         assert sum(d.factorizations for d in diags) == 1
-        assert sum(d.krylov_iterations for d in diags) <= 200
+        assert sum(d.krylov_iterations for d in diags) <= 100
 
     def test_exact_bc_march_repeats_bit_for_bit(self):
         def run():

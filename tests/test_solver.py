@@ -102,6 +102,19 @@ class TestLinearSolver:
         with pytest.raises(LinearSolveFailure):
             solver.solve(singular, np.array([1.0, 0.0]))
 
+    def test_gmres_start_meeting_aim_takes_no_iteration(self):
+        """A start residual already within the aim costs no triangular solve."""
+        import scipy.sparse as sp
+
+        def precondition(v):
+            raise AssertionError("preconditioner applied")
+
+        rhs = np.full(3, 1e-9)
+        step, iterations = solver_module._preconditioned_gmres(
+            sp.identity(3, format="csc"), rhs, precondition, 5, atol=1e-8)
+        assert iterations == 0
+        assert np.array_equal(step, np.zeros(3))
+
 
 class TestMarch:
     def test_zero_problem_stays_zero(self):
@@ -123,6 +136,12 @@ class TestMarch:
         # accumulated momentum energy is nondecreasing
         acc = [d.energy_m_accum for d in diags]
         assert all(b >= a for a, b in zip(acc, acc[1:]))
+
+    def test_linear_residual_within_newton_aim(self, example1):
+        tol = NewtonConfig().tol
+        _, diags = march(example1, build_mesh(16), MarchConfig(dt=1 / 32))
+        assert all(d.newton_iterations > 0 for d in diags)
+        assert all(0.0 < d.linear_residual <= 0.01 * tol for d in diags)
 
     def test_determinism_bitwise(self, example1):
         f1, _ = march(example1, build_mesh(4), MarchConfig(dt=0.125))
@@ -222,8 +241,12 @@ class TestTightReference:
     Newton stops on an absolute residual of 1e-6, so each level keeps a
     residual error; the start of the iteration decides how large it is.
     Starting each level from the previous state leaves example1 at N=32
-    7.4e-5 from the reference; the extrapolated start leaves 7.9e-8.
+    7.4e-5 from the reference; the extrapolated start leaves 7.9e-8 with
+    exact linear solves and 8.5e-8 with Newton's linear aim of 0.01 * tol.
+    An aim of 1 * tol would leave 1.2e-6, so that case's bound is 2e-7.
     """
+
+    BOUNDS = {("example1", 32): 2e-7}  # the rest: 1e-5
 
     @pytest.mark.parametrize("problem, n, final_time, options", [
         ("example1", 8, 1.0, DiscretizationOptions()),
@@ -238,13 +261,14 @@ class TestTightReference:
         ref, _ = march(data, mesh, config, NewtonConfig(tol=1e-12), options)
         x = np.concatenate([final.m, final.rho_bar])
         x_ref = np.concatenate([ref.m, ref.rho_bar])
-        assert np.linalg.norm(x - x_ref) <= 1e-5 * np.linalg.norm(x_ref)
+        bound = self.BOUNDS.get((problem, n), 1e-5)
+        assert np.linalg.norm(x - x_ref) <= bound * np.linalg.norm(x_ref)
 
 
 class NanSteps(LinearSolver):
     """A linear solver whose every solution is NaN."""
 
-    def solve(self, matrix, rhs):
+    def solve(self, matrix, rhs, atol=0.0):
         return np.full(rhs.shape, np.nan)
 
 
