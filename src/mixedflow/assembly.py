@@ -134,38 +134,39 @@ _INIT_MAX_ITER = 60
 
 
 class _FixedCsc:
-    """CSC pattern of an n x n matrix summed from triplets, built once.
+    """CSC pattern of an n x n matrix with fixed ``indices`` and ``indptr``.
 
-    A triplet is given by its key ``col * n + row``.  :meth:`build` returns
-    the pattern of a key array and the slots of its triplets: triplet k adds
-    into ``data[slots[k]]``, so ``np.bincount`` over ``slots`` assembles the
-    ``data`` array of the pattern.  Every matrix of one pattern shares its
-    read-only ``indices`` and ``indptr``, which is how a held factor
-    recognises the next matrix as its own.  Rows listed in ``pinned``
-    become identity rows in :meth:`matrix`; their off-diagonal entries stay
-    in the pattern as explicit zeros.
+    A triplet k that adds into ``data[slots[k]]`` is assembled by one
+    ``np.bincount`` over ``slots`` (:meth:`scatter`).  Every matrix of one
+    pattern shares its read-only ``indices`` and ``indptr``, which is how a
+    held factor recognises the next matrix as its own.  Rows listed in
+    ``pinned`` become identity rows in :meth:`matrix`; their off-diagonal
+    entries stay in the pattern as explicit zeros.
     """
 
-    def __init__(self, unique: np.ndarray, n: int, pinned: np.ndarray):
-        self.n = n
-        self.nnz = len(unique)
-        self.indices = (unique % n).astype(np.int32)
-        counts = np.bincount(unique // n, minlength=n)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    def __init__(self, indices: np.ndarray, indptr: np.ndarray,
+                 pinned: np.ndarray):
+        self.n = len(indptr) - 1
+        self.nnz = len(indices)
+        self.indices = np.asarray(indices, dtype=np.int32)
+        self.indptr = np.asarray(indptr, dtype=np.int32)
         # every matrix shares these; read-only so none can corrupt the rest
         self.indices.flags.writeable = False
         self.indptr.flags.writeable = False
-        in_pinned_row = np.zeros(n, dtype=bool)
+        in_pinned_row = np.zeros(self.n, dtype=bool)
         in_pinned_row[pinned] = True
         self._pinned = np.flatnonzero(in_pinned_row[self.indices])
-        col = np.repeat(np.arange(n), counts)[self._pinned]
+        col = np.repeat(np.arange(self.n), np.diff(self.indptr))[self._pinned]
         self._pinned_diag = self._pinned[self.indices[self._pinned] == col]
 
     @classmethod
-    def build(cls, keys: np.ndarray, n: int, pinned: np.ndarray
-              ) -> tuple[_FixedCsc, np.ndarray]:
+    def build(cls, keys: np.ndarray, n: int) -> tuple[_FixedCsc, np.ndarray]:
+        """The pattern of triplets given by their keys ``col * n + row``, and
+        their slots."""
         unique, slots = np.unique(keys, return_inverse=True)
-        return cls(unique, n, pinned), slots
+        counts = np.bincount(unique // n, minlength=n)
+        return cls(unique % n, np.concatenate([[0], np.cumsum(counts)]),
+                   np.empty(0, dtype=int)), slots
 
     def scatter(self, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
         return np.bincount(slots, weights=values, minlength=self.nnz)
@@ -177,6 +178,42 @@ class _FixedCsc:
         data[self._pinned_diag] = 1.0
         return sp.csc_matrix((data, self.indices, self.indptr),
                              shape=(self.n, self.n))
+
+
+@dataclass(frozen=True)
+class _NodeGraph:
+    """The P1 node graph G, the pattern every block of the system lifts.
+
+    Nodes i and j are adjacent when they share a triangle (i = j included);
+    node j has ``node_deg[j]`` neighbours.  Entry s of G's CSC pattern is row node ``row[s]`` of a column node j,
+    at ``local[s]`` within j's ``deg[s]`` entries, which start at
+    ``start[s]``; ``transpose[s]`` is the entry (j, row[s]).
+    ``element[t, i, j]`` is the entry of local nodes i (row) and j (column)
+    of triangle t.
+    """
+
+    nnz: int
+    node_deg: np.ndarray
+    row: np.ndarray
+    start: np.ndarray
+    deg: np.ndarray
+    local: np.ndarray
+    transpose: np.ndarray
+    element: np.ndarray
+
+    @classmethod
+    def build(cls, triangles: np.ndarray, n_nodes: int) -> _NodeGraph:
+        graph, slots = _FixedCsc.build(
+            (triangles[:, None, :] * n_nodes + triangles[:, :, None]).ravel(),
+            n_nodes)
+        element = slots.reshape(-1, 3, 3)
+        transpose = np.empty(graph.nnz, dtype=np.int64)
+        transpose[element] = element.transpose(0, 2, 1)
+        node_deg = np.diff(graph.indptr).astype(np.int64)
+        col = np.repeat(np.arange(n_nodes), node_deg)
+        start = graph.indptr[:-1].astype(np.int64)[col]
+        return cls(graph.nnz, node_deg, graph.indices.astype(np.int64), start,
+                   node_deg[col], np.arange(graph.nnz) - start, transpose, element)
 
 
 class Assembler:
@@ -205,8 +242,9 @@ class Assembler:
             if self.options.momentum_bc == "exact" else np.empty(0, dtype=int)
         self._pinned_rho = bn if self.options.pin_rho_boundary \
             else np.empty(0, dtype=int)
-        self._momentum_pattern = self._build_momentum_pattern()
-        self._jacobian_pattern = self._build_jacobian_pattern()
+        graph = _NodeGraph.build(mesh.triangles, mesh.n_nodes)
+        self._momentum_pattern = self._build_momentum_pattern(graph)
+        self._jacobian_pattern = self._build_jacobian_pattern(graph)
 
     # -- static operators ----------------------------------------------------
 
@@ -226,59 +264,72 @@ class Assembler:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(mesh.n_nodes, 2 * mesh.n_nodes)).tocsr()
 
-    def _build_momentum_pattern(self) -> tuple[_FixedCsc, np.ndarray, np.ndarray,
-                                               np.ndarray]:
+    def _build_momentum_pattern(self, graph: _NodeGraph
+                                ) -> tuple[_FixedCsc, np.ndarray, np.ndarray,
+                                           np.ndarray]:
         """Pattern of the A block, exact-BC momentum rows pinned, and how its
-        data is filled.
+        data is filled, lifted from the node graph G.
 
-        The element entry (dF_c/dm_d phi_j, phi_i) of triangle t sits at row
-        dof[t,i] + c, column dof[t,j] + d.  The keys run over the blocks
-        (c, d) = xx, xy, yy, each in (t, i, j) order, so their slots take the
-        (3, nt, 9) element data of the flux Jacobian's three distinct entries
-        in one ``bincount``.  A is symmetric, so its yx block is not summed:
-        the keys end with the transposes of the distinct xy keys, and those
-        slots, ``mirror``, copy the xy data from ``source``.
+        Columns 2j and 2j + 1 of A each hold rows 2i and 2i + 1 for every
+        neighbour i of node j in order, so entry (2i + c, 2j + d) sits at
+        4 start + 2 d deg + 2 local + c of G's entry (i, j).  The element
+        entry (dF_c/dm_d phi_j, phi_i) of triangle t sits at row
+        dof[t,i] + c, column dof[t,j] + d; the slots run over the blocks
+        (c, d) = xx, xy, yy, each in (t, i, j) order, so they take the
+        (3, nt, 9) element data of the flux Jacobian's three distinct
+        entries in one ``bincount``.  A is symmetric, so its yx block is not
+        summed: the yx slots ``mirror`` copy the xy data of the transposed
+        entries, ``source``.
         """
+        g = graph
+
+        def slot(c, d):  # the A data index of block (c, d) at every entry of G
+            return 4 * g.start + 2 * d * g.deg + 2 * g.local + c
+
+        indices = np.empty(4 * g.nnz, dtype=np.int64)
+        for c in range(2):
+            for d in range(2):
+                indices[slot(c, d)] = 2 * g.row + c
+        indptr = np.concatenate([[0], np.cumsum(np.repeat(2 * g.node_deg, 2))])
+        slots = np.concatenate([slot(c, d)[g.element]
+                                for c, d in ((0, 0), (0, 1), (1, 1))])
+        return (_FixedCsc(indices, indptr, self._pinned_m), slots.ravel(),
+                slot(1, 0)[g.transpose], slot(0, 1))
+
+    def _build_jacobian_pattern(self, graph: _NodeGraph):
+        """Pattern of [[A, -B^T], [B, M_phi/dt]] and its static data, lifted
+        from the node graph G.
+
+        Columns 2j, 2j + 1 and n_m + j of J hold the same rows: 2i and
+        2i + 1 for every neighbour i of node j in order, then n_m + i for
+        each.  A's entries are J's momentum rows of its momentum columns, in
+        A's order.  The B blocks and M_phi are canonical compressed matrices
+        on G, so each fills its part of J in that part's order: -B^T from
+        B's rows, B from B^T's rows, M_phi from its columns.  Returns the
+        pattern, the slots in it of A's entries, and the data of the B
+        blocks and of M_phi.
+        """
+        g = graph
         n_m = self.vector_space.n_dofs
-        dof = 2 * self.mesh.triangles  # (nt, 3): x-dof of local node i
-        nt = len(dof)
-
-        def block(c, d):
-            return ((dof[:, None, :] + d) * n_m + dof[:, :, None] + c).ravel()
-
-        xy, first = np.unique(block(0, 1), return_index=True)
-        a, slots = _FixedCsc.build(
-            np.concatenate([block(0, 0), block(0, 1), block(1, 1),
-                            xy % n_m * n_m + xy // n_m]), n_m, self._pinned_m)
-        return a, slots[:27 * nt], slots[27 * nt:], slots[9 * nt + first]
-
-    def _build_jacobian_pattern(self):
-        """Pattern of [[A, -B^T], [B, M_phi/dt]] and its static data.
-
-        Returns the pattern, the slots in it of the entries of
-        :attr:`_momentum_pattern`, and the data of the B blocks and of M_phi.
-        """
-        a = self._momentum_pattern[0]
-        n_m = a.n
-        n = n_m + self.scalar_space.n_dofs
-        b = self.div_coupling.tocoo()
-        mass = self.mass_phi.tocoo()
-        # int64 keys: n * n overflows int32 from N = 124 on
-        a_col = np.repeat(np.arange(n_m, dtype=np.int64), np.diff(a.indptr))
-        b_row, b_col = b.row.astype(np.int64), b.col.astype(np.int64)
-        m_row, m_col = mass.row.astype(np.int64), mass.col.astype(np.int64)
-        pattern, slots = _FixedCsc.build(
-            np.concatenate([a_col * n + a.indices,
-                            (n_m + b_row) * n + b_col,       # -B^T
-                            b_col * n + n_m + b_row,         # B
-                            (n_m + m_col) * n + n_m + m_row]),
-            n, np.concatenate([self._pinned_m, n_m + self._pinned_rho]))
-        a_slots, b_slots, mass_slots = np.split(
-            slots, np.cumsum([a.nnz, 2 * b.nnz]))
-        coupling = pattern.scatter(b_slots, np.concatenate([-b.data, b.data]))
-        # a copy, so the slots of the static blocks are not kept
-        return (pattern, a_slots.copy(), coupling,
-                pattern.scatter(mass_slots, mass.data))
+        deg = g.node_deg
+        indices = np.empty(9 * g.nnz, dtype=np.int64)
+        for first in (6 * g.start, 6 * g.start + 3 * g.deg,
+                      6 * g.nnz + 3 * g.start):  # columns 2j, 2j + 1, n_m + j
+            for c in range(2):
+                indices[first + 2 * g.local + c] = 2 * g.row + c
+            indices[first + 2 * g.deg + g.local] = n_m + g.row
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.concatenate([np.repeat(3 * deg, 2), 3 * deg]))])
+        pattern = _FixedCsc(indices, indptr,
+                            np.concatenate([self._pinned_m, n_m + self._pinned_rho]))
+        momentum_col = np.arange(9 * g.nnz) < 6 * g.nnz
+        momentum_row = indices < n_m
+        coupling, mass = np.zeros(9 * g.nnz), np.zeros(9 * g.nnz)
+        coupling[~momentum_col & momentum_row] = -self.div_coupling.data
+        coupling[momentum_col & ~momentum_row] = self._div_coupling_T.data
+        mass[~momentum_col & ~momentum_row] = self.mass_phi.tocsc().data
+        return (pattern, np.flatnonzero(momentum_col & momentum_row),
+                coupling, mass)
 
     # -- per-step data -------------------------------------------------------
 
@@ -288,11 +339,16 @@ class Assembler:
         return (np.asarray(self.data.psi(self._qpts, t_n), dtype=float)
                 - np.asarray(self.data.psi(self._qpts, t_n - dt), dtype=float)) / dt
 
-    def _momentum_bc_values(self, t_n: float) -> np.ndarray:
-        """Exact momentum at the pinned dofs, in ``_pinned_m`` order."""
+    def _momentum_loads(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The load (grad Psi(t), v) and the exact momentum at the pinned
+        dofs, in ``_pinned_m`` order."""
+        vs = self.vector_space
+        grad_psi = vs.load_vector(vs.component_major(self.data.grad_psi(self._qpts, t)))
+        if not len(self._pinned_m):
+            return grad_psi, np.empty(0)
         bn = self.mesh.boundary_nodes
-        return np.asarray(self.data.exact.m(self.mesh.nodes[bn], t_n),
-                          dtype=float).reshape(-1)
+        return grad_psi, np.asarray(self.data.exact.m(self.mesh.nodes[bn], t),
+                                    dtype=float).reshape(-1)
 
     # -- the two nonlinear systems ---------------------------------------------
 
@@ -309,10 +365,13 @@ class Assembler:
         is called, so a converged iterate never pays for it.  Alone, the
         momentum rows are the initialization's system.
         """
+        return self._momentum_rows(*self._momentum_loads(t))
+
+    def _momentum_rows(self, grad_psi: np.ndarray, bc: np.ndarray
+                       ) -> Callable[[np.ndarray, np.ndarray], Linearization]:
+        """:meth:`momentum` over the loads bound by :meth:`_momentum_loads`."""
         vs = self.vector_space
-        grad_psi = vs.load_vector(vs.component_major(self.data.grad_psi(self._qpts, t)))
         pinned = self._pinned_m
-        bc = self._momentum_bc_values(t) if len(pinned) else np.empty(0)
         a, slots, mirror, source = self._momentum_pattern
 
         def linearize(m_dofs: np.ndarray, rho_bar: np.ndarray):
@@ -401,19 +460,39 @@ class Assembler:
         return self._coupled_jacobian(momentum_jacobian(), dt)
 
     def initial_state(self, newton_tol: float = 1e-10) -> SystemState:
-        """Project the initial density; solve the momentum rows by Newton from 0.
+        """Project the initial density; solve the momentum rows by Newton from
+        the law inverted at the nodes.
 
-        The law is singular at m = 0, so the first steps are tiny; undamped
-        Newton walks out of the clamp region reliably.  A failure raises
-        :class:`~mixedflow.solver.NonConvergence` with the residual trace.
+        The momentum rows hold no derivative of m.  With the mass lumped
+        they read F(|m_i|) m_i = g_i at each node i, with the nodal target
+        g_i = ((B^T rho_bar_0)_i - (grad Psi, v)_i) / (integral of phi_i),
+        and :meth:`~mixedflow.constitutive.GeneralizedPolynomial.invert`
+        solves them node by node: m_i = g_i z_i / |g_i| with
+        z_i F(z_i) = |g_i|.  The pinned dofs take their exact values.  This
+        start solves the rows to roundoff when the momentum is constant, as
+        on the built-in problems (the lumped-mass method; Thomee, Galerkin
+        Finite Element Methods for Parabolic Problems, 2006, ch. 15);
+        otherwise it is only a start, and Newton corrects it.  Newton
+        accepts an iterate by the same rule ||residual|| <= ``newton_tol``
+        from any start, and checks the start like every iterate: a
+        non-finite one raises :class:`~mixedflow.solver.NonConvergence`
+        with the residual trace, as does a failure on the way.
         """
         data = self.data
         rho_bar0 = l2_project(self.scalar_space,
                               lambda pts: np.asarray(data.rho0(pts), dtype=float)
                               - np.asarray(data.psi(pts, 0.0), dtype=float))
-        momentum = self.momentum(0.0)
-        m, _ = solver._newton(lambda m: momentum(m, rho_bar0),
-                              np.zeros(self.vector_space.n_dofs), newton_tol,
+        grad_psi, bc = self._momentum_loads(0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            target = (self._div_coupling_T @ rho_bar0 - grad_psi).reshape(-1, 2) \
+                / self.scalar_space.load_vector(1.0)[:, None]
+            size = np.hypot(target[:, 0], target[:, 1])
+            scale = np.divide(data.law.invert(size), size,
+                              out=np.zeros_like(size), where=size > 0.0)
+            m0 = (target * scale[:, None]).reshape(-1)
+        m0[self._pinned_m] = bc
+        momentum = self._momentum_rows(grad_psi, bc)
+        m, _ = solver._newton(lambda m: momentum(m, rho_bar0), m0, newton_tol,
                               _INIT_MAX_ITER, solver.LinearSolver(),
                               "in the momentum initialization")
         return SystemState(rho_bar0, m, 0.0)

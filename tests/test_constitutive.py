@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedflow.constitutive import (CoefficientVector, GeneralizedPolynomial,
@@ -79,6 +81,60 @@ class TestEvaluation:
         f = reference_law.eval_F(w)
         wfp = w * reference_law.eval_F_prime(w)
         assert -0.5 * f - 1e-12 * f <= wfp <= 1.0 * f + 1e-12 * f
+
+
+@st.composite
+def laws(draw):
+    """Admissible laws, zero coefficients included, with a_0 or a positive
+    power present: with the singular term alone z^(1 - alpha) grows slower
+    than z, and gamma = 1e300 can need a z beyond the floats.  Coefficients
+    and eps_reg stay where z^e in ``eval_F`` neither over- nor underflows
+    while z F(z) is finite."""
+    exponents = draw(st.lists(st.floats(0.1, 8.0), min_size=1, max_size=3,
+                              unique=True).map(sorted))
+    values = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1e3),
+                           min_size=len(exponents) + 2,
+                           max_size=len(exponents) + 2).filter(lambda v: any(v[1:])))
+    return GeneralizedPolynomial(
+        PowerSpec(draw(st.floats(0.05, 0.95)), exponents),
+        CoefficientVector(values), eps_reg=draw(st.floats(1e-12, 1e-2)))
+
+
+DARCY = GeneralizedPolynomial(PowerSpec(0.5, [1.0]), CoefficientVector([0.0, 1.0, 0.0]))
+
+
+class TestInvert:
+    @example(law=DARCY, gammas=[0.0, 1e-300, 1.0, 1e300])
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(law=laws(), gammas=st.lists(st.just(0.0) | st.floats(1e-300, 1e300),
+                                       min_size=1, max_size=5))
+    def test_solves_z_times_F(self, law, gammas):
+        """z >= 0 finite, z F(z) = gamma to 1e-12 relative where z is a
+        normal float and z F(z) finite, and no numpy warning."""
+        gamma = np.array(gammas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = law.invert(gamma)
+        assert z.shape == gamma.shape
+        assert np.all(np.isfinite(z)) and np.all(z >= 0.0)
+        assert np.all(z[gamma == 0.0] == 0.0)
+        with np.errstate(over="ignore"):
+            product = z * law.eval_F(z)
+        checked = np.isfinite(product) & (z >= np.finfo(float).tiny)
+        assert np.all(np.abs(product - gamma)[checked] <= 1e-12 * gamma[checked])
+
+    def test_scalar_and_clamp(self, reference_law):
+        eps = reference_law.eps_reg
+        assert reference_law.invert(3.0) == pytest.approx(1.0, rel=1e-14)
+        assert reference_law.invert(0.0) == 0.0
+        # below the clamp the law is linear: z F(eps_reg) = gamma
+        gamma = 0.5 * eps * reference_law.eval_F(eps)
+        assert reference_law.invert(gamma) == pytest.approx(0.5 * eps, rel=1e-14)
+
+    def test_zero_law_reaches_nothing(self):
+        law = GeneralizedPolynomial(PowerSpec(0.5, [1.0]),
+                                    CoefficientVector([0.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(law.invert(np.array([0.0, 1.0])), [0.0, np.inf])
 
 
 class TestFlux:

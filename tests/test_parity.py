@@ -12,7 +12,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mixedflow import solver as solver_module
-from mixedflow.assembly import Assembler, DiscretizationOptions, SystemState
+from mixedflow.assembly import (Assembler, DiscretizationOptions, SystemState,
+                                _FixedCsc)
 from mixedflow.harness import builtin_problem
 from mixedflow.mesh_fem import QUAD_POINTS, QUAD_WEIGHTS, build_mesh
 from mixedflow.solver import (LinearSolveFailure, LinearSolver, MarchConfig,
@@ -200,6 +201,81 @@ class TestJacobianParity:
         before = first.toarray()
         asm.jacobian(SystemState(state.rho_bar, 2.0 * state.m, state.t), 2.0 * dt)
         np.testing.assert_array_equal(first.toarray(), before)
+
+
+def key_sort(keys, n):
+    """CSC indices, indptr and slots of triplets keyed ``col * n + row``,
+    by one sort: how the fixed patterns were built before they were lifted
+    from the node graph."""
+    unique, slots = np.unique(keys, return_inverse=True)
+    counts = np.bincount(unique // n, minlength=n)
+    return unique % n, np.concatenate([[0], np.cumsum(counts)]), slots
+
+
+def key_sort_patterns(asm):
+    """The A block's and the Jacobian's patterns and data arrays, in the
+    layout of ``Assembler._momentum_pattern`` and ``_jacobian_pattern``."""
+    n_m = asm.vector_space.n_dofs
+    n, nt = n_m + asm.mesh.n_nodes, len(asm.mesh.triangles)
+    dof = 2 * asm.mesh.triangles
+
+    def block(c, d):
+        return ((dof[:, None, :] + d) * n_m + dof[:, :, None] + c).ravel()
+
+    xy, first = np.unique(block(0, 1), return_index=True)
+    a_indices, a_indptr, slots = key_sort(np.concatenate(
+        [block(0, 0), block(0, 1), block(1, 1), xy % n_m * n_m + xy // n_m]), n_m)
+    a_col = np.repeat(np.arange(n_m), np.diff(a_indptr))
+    b, mass = asm.div_coupling.tocoo(), asm.mass_phi.tocoo()
+    b_row, b_col = b.row.astype(np.int64), b.col.astype(np.int64)
+    j_indices, j_indptr, j_slots = key_sort(np.concatenate(
+        [a_col * n + a_indices, (n_m + b_row) * n + b_col, b_col * n + n_m + b_row,
+         (n_m + mass.col.astype(np.int64)) * n + n_m + mass.row]), n)
+    a_slots, b_slots, mass_slots = np.split(j_slots, np.cumsum([len(a_col), 2 * b.nnz]))
+    size = len(j_indices)
+    return ((a_indices, a_indptr, slots[:27 * nt], slots[27 * nt:], slots[9 * nt + first]),
+            (j_indices, j_indptr, a_slots,
+             np.bincount(b_slots, np.concatenate([-b.data, b.data]), size),
+             np.bincount(mass_slots, mass.data, size)))
+
+
+class TestLiftedPatterns:
+    """The patterns lifted from the node graph against the key sorts they
+    replace: the same arrays, and Jacobians equal bit for bit."""
+
+    @pytest.fixture(params=[(n, options) for n in (2, 5, 16) for options in OPTIONS],
+                    ids=lambda p: f"N{p[0]}-{p[1].momentum_bc}-pin{p[1].pin_rho_boundary}")
+    def pair(self, request):
+        n, options = request.param
+        mesh, data = build_mesh(n), builtin_problem("example1")
+        return Assembler(mesh, data, options), Assembler(mesh, data, options)
+
+    def test_same_arrays(self, pair):
+        asm, _ = pair
+        (a, *a_arrays), (j, *j_arrays) = asm._momentum_pattern, asm._jacobian_pattern
+        ref_a, ref_j = key_sort_patterns(asm)
+        for got, ref in zip([a.indices, a.indptr, *a_arrays, j.indices, j.indptr,
+                             *j_arrays], ref_a + ref_j):
+            assert got.dtype.kind == ref.dtype.kind and np.array_equal(got, ref)
+        for pattern, pinned in [(a, asm._pinned_m),
+                                (j, np.concatenate([asm._pinned_m, a.n + asm._pinned_rho]))]:
+            in_pinned_row = np.flatnonzero(np.isin(pattern.indices, pinned))
+            col = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
+            assert np.array_equal(pattern._pinned, in_pinned_row)
+            assert np.array_equal(pattern._pinned_diag, in_pinned_row[
+                pattern.indices[in_pinned_row] == col[in_pinned_row]])
+
+    def test_jacobian_bitwise_equal(self, pair):
+        asm, ref = pair
+        (a_indices, a_indptr, *a_arrays), (j_indices, j_indptr, *j_arrays) = \
+            key_sort_patterns(ref)
+        ref._momentum_pattern = (_FixedCsc(a_indices, a_indptr, ref._pinned_m),
+                                 *a_arrays)
+        ref._jacobian_pattern = (_FixedCsc(j_indices, j_indptr, np.concatenate(
+            [ref._pinned_m, ref.vector_space.n_dofs + ref._pinned_rho])), *j_arrays)
+        state = random_state(asm, np.random.default_rng(asm.mesh.n_nodes))
+        got, want = asm.jacobian(state, 0.1).data, ref.jacobian(state, 0.1).data
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestResidualParity:
@@ -392,11 +468,16 @@ class TestFactorReuse:
         assert sum(krylov) > 0
         assert krylov == [d.krylov_iterations for d in diags_again]
 
-    def test_initial_state_factors_momentum_block_once(self, recorder):
-        mesh = build_mesh(16)
-        Assembler(mesh, builtin_problem("example1")).initial_state()
-        assert recorder.sizes.count(2 * mesh.n_nodes) == 1
-        assert len(recorder.sizes) == 1
+    def test_initial_state_of_constant_momentum_factors_nothing(
+            self, recorder, newton_runs):
+        """The built-in momentum is constant in space, so the nodal start
+        solves the momentum rows to roundoff, pinned or not."""
+        Assembler(build_mesh(16), builtin_problem("example1")).initial_state()
+        Assembler(build_mesh(32), builtin_problem("example2_F2"),
+                  DiscretizationOptions(momentum_bc="exact",
+                                        pin_rho_boundary=True)).initial_state()
+        assert newton_runs == [(0, 0), (0, 0)]
+        assert recorder.sizes == []
 
     def test_n4_march_factors_every_jacobian(self, recorder):
         mesh = build_mesh(4)

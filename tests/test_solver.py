@@ -280,10 +280,11 @@ class TestNonFiniteIterate:
             newton_solve(asm, state0, 0.25, 0.25, linear_solver=NanSteps())
         assert len(err.value.trace) == 1 and np.isfinite(err.value.trace[0])
 
-    def test_initial_state_names_momentum_initialization(self, example1,
-                                                         monkeypatch):
+    def test_initial_state_names_momentum_initialization(
+            self, nonconstant_momentum, monkeypatch):
+        # the nodal start solves constant momentum outright; this one takes a step
         monkeypatch.setattr(LinearSolver, "solve", NanSteps.solve)
-        asm = Assembler(build_mesh(2), example1)
+        asm = Assembler(build_mesh(2), nonconstant_momentum("example1"))
         with pytest.raises(NonConvergence, match="non-finite Newton iterate "
                            "in the momentum initialization") as err:
             asm.initial_state()
