@@ -9,7 +9,6 @@ statements, never by literal inequalities with invented constants.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,7 +23,6 @@ __all__ = [
     "final_time_errors",
     "rates",
     "report_to_csv",
-    "report_from_csv",
     "format_table",
 ]
 
@@ -100,24 +98,6 @@ def report_to_csv(levels: Sequence[LevelResult]) -> str:
         lines.append(f"{lv.n_cells},{lv.h!r},{lv.dt!r},{lv.err_rho!r},{rr},"
                      f"{lv.err_m!r},{rm},{lv.newton_total}")
     return "\n".join(lines) + "\n"
-
-
-def report_from_csv(text: str) -> list[LevelResult]:
-    stream = io.StringIO(text)
-    header = stream.readline().strip()
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    out = []
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        n, h, dt, er, rr, em, rm, nt = line.split(",")
-        out.append(LevelResult(
-            n_cells=int(n), h=float(h), dt=float(dt), err_rho=float(er),
-            err_m=float(em), rate_rho=float(rr) if rr else None,
-            rate_m=float(rm) if rm else None, newton_total=int(nt)))
-    return out
 
 
 def format_table(levels: Sequence[LevelResult],

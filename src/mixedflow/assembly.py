@@ -14,6 +14,11 @@ of the boundary extension; it is taken either as the backward difference
 selectable through :class:`DiscretizationOptions`.  The Jacobian has the
 block form [[A(m), -B^T], [B, M_phi / dt]] where A carries the flux
 Jacobian, B the divergence coupling and M_phi the porosity-weighted mass.
+All four blocks live on one CSC pattern, lifted once from the P1 node
+graph.  B, -B^T and M_phi are scattered into it from their element data
+once per assembler, and the flux block once per Jacobian; the A-only
+matrix of the momentum initialization is J's momentum rows of its momentum
+columns.
 """
 
 from __future__ import annotations
@@ -159,25 +164,20 @@ class _FixedCsc:
         col = np.repeat(np.arange(self.n), np.diff(self.indptr))[self._pinned]
         self._pinned_diag = self._pinned[self.indices[self._pinned] == col]
 
-    @classmethod
-    def build(cls, keys: np.ndarray, n: int) -> tuple[_FixedCsc, np.ndarray]:
-        """The pattern of triplets given by their keys ``col * n + row``, and
-        their slots."""
-        unique, slots = np.unique(keys, return_inverse=True)
-        counts = np.bincount(unique // n, minlength=n)
-        return cls(unique % n, np.concatenate([[0], np.cumsum(counts)]),
-                   np.empty(0, dtype=int)), slots
-
     def scatter(self, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
         return np.bincount(slots, weights=values, minlength=self.nnz)
+
+    def operator(self, data: np.ndarray) -> sp.csc_matrix:
+        """CSC matrix over ``data`` as it is, pinned rows included."""
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=(self.n, self.n))
 
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
         """CSC matrix over ``data``, with the pinned rows of ``data`` set to
         identity rows in place."""
         data[self._pinned] = 0.0
         data[self._pinned_diag] = 1.0
-        return sp.csc_matrix((data, self.indices, self.indptr),
-                             shape=(self.n, self.n))
+        return self.operator(data)
 
 
 @dataclass(frozen=True)
@@ -185,11 +185,11 @@ class _NodeGraph:
     """The P1 node graph G, the pattern every block of the system lifts.
 
     Nodes i and j are adjacent when they share a triangle (i = j included);
-    node j has ``node_deg[j]`` neighbours.  Entry s of G's CSC pattern is row node ``row[s]`` of a column node j,
-    at ``local[s]`` within j's ``deg[s]`` entries, which start at
-    ``start[s]``; ``transpose[s]`` is the entry (j, row[s]).
-    ``element[t, i, j]`` is the entry of local nodes i (row) and j (column)
-    of triangle t.
+    node j has ``node_deg[j]`` neighbours.  Entry s of G's CSC pattern is
+    row node ``row[s]`` of a column node j, at ``local[s]`` within j's
+    ``deg[s]`` entries, which start at ``start[s]``; ``transpose[s]`` is the
+    entry (j, row[s]).  ``element[t, i, j]`` is the entry of local nodes i
+    (row) and j (column) of triangle t.
     """
 
     nnz: int
@@ -203,17 +203,19 @@ class _NodeGraph:
 
     @classmethod
     def build(cls, triangles: np.ndarray, n_nodes: int) -> _NodeGraph:
-        graph, slots = _FixedCsc.build(
+        # keys col * n_nodes + row sort into CSC order
+        unique, slots = np.unique(
             (triangles[:, None, :] * n_nodes + triangles[:, :, None]).ravel(),
-            n_nodes)
+            return_inverse=True)
+        nnz = len(unique)
         element = slots.reshape(-1, 3, 3)
-        transpose = np.empty(graph.nnz, dtype=np.int64)
+        transpose = np.empty(nnz, dtype=np.int64)
         transpose[element] = element.transpose(0, 2, 1)
-        node_deg = np.diff(graph.indptr).astype(np.int64)
+        node_deg = np.bincount(unique // n_nodes, minlength=n_nodes)
         col = np.repeat(np.arange(n_nodes), node_deg)
-        start = graph.indptr[:-1].astype(np.int64)[col]
-        return cls(graph.nnz, node_deg, graph.indices.astype(np.int64), start,
-                   node_deg[col], np.arange(graph.nnz) - start, transpose, element)
+        start = (np.cumsum(node_deg) - node_deg)[col]
+        return cls(nnz, node_deg, unique % n_nodes, start, node_deg[col],
+                   np.arange(nnz) - start, transpose, element)
 
 
 class Assembler:
@@ -234,102 +236,61 @@ class Assembler:
         lo, hi = data.phi_bounds
         if np.any(self._phi_q < lo - 1e-12) or np.any(self._phi_q > hi + 1e-12):
             raise ValueError("porosity violates its stated bounds at quadrature points")
-        self.mass_phi = self.scalar_space.mass_matrix(data.phi)
-        self.div_coupling = self._assemble_div_coupling()
-        self._div_coupling_T = self.div_coupling.T.tocsr()
         bn = mesh.boundary_nodes
         self._pinned_m = np.column_stack([2 * bn, 2 * bn + 1]).ravel() \
             if self.options.momentum_bc == "exact" else np.empty(0, dtype=int)
         self._pinned_rho = bn if self.options.pin_rho_boundary \
             else np.empty(0, dtype=int)
-        graph = _NodeGraph.build(mesh.triangles, mesh.n_nodes)
-        self._momentum_pattern = self._build_momentum_pattern(graph)
-        self._jacobian_pattern = self._build_jacobian_pattern(graph)
+        self._lift(_NodeGraph.build(mesh.triangles, mesh.n_nodes))
 
-    # -- static operators ----------------------------------------------------
-
-    def _assemble_div_coupling(self):
-        """B[j, (i,c)] = (d phi_i / dx_c, phi_j): density rows, momentum cols."""
-        mesh = self.mesh
-        tris = mesh.triangles
-        int_basis = mesh.areas / 3.0  # exact integral of each P1 basis
-        rows, cols, vals = [], [], []
-        for k in range(3):
-            for i in range(3):
-                for c in range(2):
-                    rows.append(tris[:, k])
-                    cols.append(2 * tris[:, i] + c)
-                    vals.append(mesh.grads[:, i, c] * int_basis)
-        return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(mesh.n_nodes, 2 * mesh.n_nodes)).tocsr()
-
-    def _build_momentum_pattern(self, graph: _NodeGraph
-                                ) -> tuple[_FixedCsc, np.ndarray, np.ndarray,
-                                           np.ndarray]:
-        """Pattern of the A block, exact-BC momentum rows pinned, and how its
-        data is filled, lifted from the node graph G.
-
-        Columns 2j and 2j + 1 of A each hold rows 2i and 2i + 1 for every
-        neighbour i of node j in order, so entry (2i + c, 2j + d) sits at
-        4 start + 2 d deg + 2 local + c of G's entry (i, j).  The element
-        entry (dF_c/dm_d phi_j, phi_i) of triangle t sits at row
-        dof[t,i] + c, column dof[t,j] + d; the slots run over the blocks
-        (c, d) = xx, xy, yy, each in (t, i, j) order, so they take the
-        (3, nt, 9) element data of the flux Jacobian's three distinct
-        entries in one ``bincount``.  A is symmetric, so its yx block is not
-        summed: the yx slots ``mirror`` copy the xy data of the transposed
-        entries, ``source``.
-        """
-        g = graph
-
-        def slot(c, d):  # the A data index of block (c, d) at every entry of G
-            return 4 * g.start + 2 * d * g.deg + 2 * g.local + c
-
-        indices = np.empty(4 * g.nnz, dtype=np.int64)
-        for c in range(2):
-            for d in range(2):
-                indices[slot(c, d)] = 2 * g.row + c
-        indptr = np.concatenate([[0], np.cumsum(np.repeat(2 * g.node_deg, 2))])
-        slots = np.concatenate([slot(c, d)[g.element]
-                                for c, d in ((0, 0), (0, 1), (1, 1))])
-        return (_FixedCsc(indices, indptr, self._pinned_m), slots.ravel(),
-                slot(1, 0)[g.transpose], slot(0, 1))
-
-    def _build_jacobian_pattern(self, graph: _NodeGraph):
-        """Pattern of [[A, -B^T], [B, M_phi/dt]] and its static data, lifted
-        from the node graph G.
+    def _lift(self, g: _NodeGraph) -> None:
+        """J's pattern, its A part and the static data of B, -B^T and M_phi,
+        lifted from the node graph G.
 
         Columns 2j, 2j + 1 and n_m + j of J hold the same rows: 2i and
         2i + 1 for every neighbour i of node j in order, then n_m + i for
-        each.  A's entries are J's momentum rows of its momentum columns, in
-        A's order.  The B blocks and M_phi are canonical compressed matrices
-        on G, so each fills its part of J in that part's order: -B^T from
-        B's rows, B from B^T's rows, M_phi from its columns.  Returns the
-        pattern, the slots in it of A's entries, and the data of the B
-        blocks and of M_phi.
+        each.  ``slot[r, c]`` is the data index of component block (r, c),
+        r and c over (m_x, m_y, rho_bar), at every entry of G, so the
+        element entry (i, j) of triangle t of that block sits at
+        ``slot[r, c][g.element[t, i, j]]`` and each block is scattered from
+        its (nt, 3, 3) element data by one ``bincount``.  The flux block
+        takes the xx, xy and yy data of the flux Jacobian; A is symmetric,
+        so its yx block is not summed: the yx slots ``_mirror`` copy the xy
+        data of the transposed entries, ``_source``.  A alone is J's
+        momentum rows of its momentum columns, ``_a_slots``, which keep J's
+        order.
         """
-        g = graph
         n_m = self.vector_space.n_dofs
+        first = (6 * g.start, 6 * g.start + 3 * g.deg,  # columns 2j, 2j + 1,
+                 6 * g.nnz + 3 * g.start)                # n_m + j
+        offset = (2 * g.local, 2 * g.local + 1, 2 * g.deg + g.local)
+        slot = np.array([[f + o for f in first] for o in offset])
+        indices = np.empty(9 * g.nnz, dtype=np.int32)
+        for r, rows in enumerate((2 * g.row, 2 * g.row + 1, n_m + g.row)):
+            indices[slot[r]] = rows
         deg = g.node_deg
-        indices = np.empty(9 * g.nnz, dtype=np.int64)
-        for first in (6 * g.start, 6 * g.start + 3 * g.deg,
-                      6 * g.nnz + 3 * g.start):  # columns 2j, 2j + 1, n_m + j
-            for c in range(2):
-                indices[first + 2 * g.local + c] = 2 * g.row + c
-            indices[first + 2 * g.deg + g.local] = n_m + g.row
-        indptr = np.concatenate(
-            [[0], np.cumsum(np.concatenate([np.repeat(3 * deg, 2), 3 * deg]))])
-        pattern = _FixedCsc(indices, indptr,
-                            np.concatenate([self._pinned_m, n_m + self._pinned_rho]))
-        momentum_col = np.arange(9 * g.nnz) < 6 * g.nnz
-        momentum_row = indices < n_m
-        coupling, mass = np.zeros(9 * g.nnz), np.zeros(9 * g.nnz)
-        coupling[~momentum_col & momentum_row] = -self.div_coupling.data
-        coupling[momentum_col & ~momentum_row] = self._div_coupling_T.data
-        mass[~momentum_col & ~momentum_row] = self.mass_phi.tocsc().data
-        return (pattern, np.flatnonzero(momentum_col & momentum_row),
-                coupling, mass)
+        self._pattern = _FixedCsc(
+            indices, np.concatenate(
+                [[0], np.cumsum(np.concatenate([np.repeat(3 * deg, 2), 3 * deg]))]),
+            np.concatenate([self._pinned_m, n_m + self._pinned_rho]))
+        self._a_slots = np.flatnonzero(indices[:6 * g.nnz] < n_m)
+        self._a = _FixedCsc(indices[self._a_slots],
+                            np.concatenate([[0], np.cumsum(np.repeat(2 * deg, 2))]),
+                            self._pinned_m)
+        self._flux_slots = slot[[0, 0, 1], [0, 1, 1]][:, g.element].ravel()
+        self._mirror, self._source = slot[1, 0][g.transpose], slot[0, 1].copy()
+        # B's element entry (d phi_j / dx_c, phi_i) = |T| / 3 d phi_j / dx_c
+        # is b_el[c, t, i, j]; -B^T's is -b_el[c, t, j, i]
+        mesh = self.mesh
+        grad_int = np.moveaxis(mesh.grads, -1, 0) * (mesh.areas / 3.0)[:, None]
+        b_el = np.broadcast_to(grad_int[:, :, None, :], (2, len(mesh.triangles), 3, 3))
+        self._coupling = self._pattern.scatter(slot[2, :2][:, g.element].ravel(),
+                                               b_el.ravel())
+        self._coupling -= self._pattern.scatter(slot[:2, 2][:, g.element].ravel(),
+                                                b_el.transpose(0, 1, 3, 2).ravel())
+        self._mass = self._pattern.scatter(
+            slot[2, 2][g.element].ravel(),
+            self.scalar_space.element_matrices(self._phi_q).ravel())
 
     # -- per-step data -------------------------------------------------------
 
@@ -357,76 +318,97 @@ class Assembler:
 
         The load (grad Psi(t), v) and the exact-BC values are bound once.
         The function returns the rows and a thunk that builds their
-        derivative w.r.t. m, the A block, on its own fixed pattern with the
-        pinned rows set to identity rows: every A shares that pattern's
-        index arrays, so a held factor of one preconditions the next.  m is
-        evaluated at the quadrature points once, and the law's F(|m|) there
-        serves the rows and the thunk; F' is evaluated only when the thunk
-        is called, so a converged iterate never pays for it.  Alone, the
-        momentum rows are the initialization's system.
+        derivative w.r.t. m, the A block, on its fixed pattern (J's momentum
+        rows of its momentum columns) with the pinned rows set to identity
+        rows: every A shares that pattern's index arrays, so a held factor
+        of one preconditions the next.  m is evaluated at the quadrature
+        points once, and the law's F(|m|) there serves the rows and the
+        thunk; F' is evaluated only when the thunk is called, so a converged
+        iterate never pays for it.  Alone, the momentum rows are the
+        initialization's system.
         """
-        return self._momentum_rows(*self._momentum_loads(t))
+        rows = self._momentum_rows(*self._momentum_loads(t))
+        return lambda m_dofs, rho_bar: self._on_a(
+            rows(m_dofs, self._coupling_rows(rho_bar)))
 
-    def _momentum_rows(self, grad_psi: np.ndarray, bc: np.ndarray
-                       ) -> Callable[[np.ndarray, np.ndarray], Linearization]:
-        """:meth:`momentum` over the loads bound by :meth:`_momentum_loads`."""
+    def _momentum_rows(self, grad_psi: np.ndarray, bc: np.ndarray) -> Callable[
+            [np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]:
+        """The momentum rows over the loads bound by :meth:`_momentum_loads`,
+        as a function of m and their coupling term -B^T rho_bar.  The thunk
+        returns J's data of the flux block A (see :meth:`_flux_block`)."""
         vs = self.vector_space
         pinned = self._pinned_m
-        a, slots, mirror, source = self._momentum_pattern
 
-        def linearize(m_dofs: np.ndarray, rho_bar: np.ndarray):
+        def linearize(m_dofs: np.ndarray, coupling: np.ndarray):
             flux, flux_jacobian = self.data.law.linearize(vs.eval_at_quadrature(m_dofs))
-            r = vs.load_vector(flux) - self._div_coupling_T @ rho_bar + grad_psi
+            r = vs.load_vector(flux) + coupling + grad_psi
             r[pinned] = m_dofs[pinned] - bc
-
-            def momentum_jacobian() -> sp.csc_matrix:
-                data = a.scatter(slots, self.scalar_space.element_matrices(
-                    flux_jacobian()).ravel())
-                data[mirror] = data[source]
-                return a.matrix(data)
-
-            return r, momentum_jacobian
+            return r, lambda: self._flux_block(flux_jacobian)
 
         return linearize
+
+    def _flux_block(self, flux_jacobian: Callable[[], np.ndarray]) -> np.ndarray:
+        """J's data with the flux block A, and zeros elsewhere, from the law's
+        thunk for its (3, nt, nq) xx, xy and yy values at the quadrature
+        points.  The values are freed before J's data is allocated."""
+        element_values = self.scalar_space.element_matrices(flux_jacobian())
+        data = self._pattern.scatter(self._flux_slots, element_values.ravel())
+        data[self._mirror] = data[self._source]
+        return data
+
+    def _on_a(self, linearization: tuple) -> Linearization:
+        """Momentum rows whose thunk builds A alone, on its own pattern."""
+        r, flux_block = linearization
+        return r, lambda: self._a.matrix(flux_block()[self._a_slots])
+
+    def _coupling_rows(self, rho_bar: np.ndarray) -> np.ndarray:
+        """-B^T rho_bar, the momentum rows' coupling term."""
+        n_m = self.vector_space.n_dofs
+        return (self._pattern.operator(self._coupling)
+                @ np.concatenate([np.zeros(n_m), rho_bar]))[:n_m]
 
     def level(self, state_prev: SystemState, t_n: float,
               dt: float) -> Callable[[np.ndarray], Linearization]:
         """The backward-Euler level t_n = ``state_prev.t`` + dt, as a function
         of the flat ``[m, rho_bar]`` Newton vector x.
 
-        The loads of f, dPsi and grad Psi and the exact-BC values are bound
-        once.  ``linearize(x)`` returns the stacked (momentum, density)
-        residual at x and a thunk that builds its Jacobian there (see
-        :meth:`jacobian`) from the momentum rows' quadrature values.
+        The loads of f, dPsi and grad Psi, the exact-BC values and J's
+        static data [[0, -B^T], [B, M_phi / dt]] are bound once.  One
+        operator over that data gives the residual's -B^T rho_bar, B m and
+        M_phi (rho_bar - rho_bar_{n-1}) / dt terms.  ``linearize(x)`` returns
+        the stacked (momentum, density) residual at x and a thunk that adds
+        the flux block at x, from the momentum rows' quadrature values, to
+        the static data (see :meth:`jacobian`).
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         if abs(t_n - state_prev.t - dt) > 1e-10 * max(1.0, abs(t_n)):
             raise ValueError("state times inconsistent with dt")
         ss = self.scalar_space
-        f_vec = ss.load_vector(self.data.f(self._qpts, t_n))
-        dpsi_vec = ss.load_vector(self._phi_q * self._dpsi_values(t_n, dt))
-        momentum = self.momentum(t_n)
+        load = ss.load_vector(self._phi_q * self._dpsi_values(t_n, dt)) \
+            - ss.load_vector(self.data.f(self._qpts, t_n))
+        momentum = self._momentum_rows(*self._momentum_loads(t_n))
         n_m = self.vector_space.n_dofs
-        rho_prev = state_prev.rho_bar
+        static = self._coupling + self._mass / dt
+        operator = self._pattern.operator(static)
+        x_prev = np.concatenate([np.zeros(n_m), state_prev.rho_bar])
+        coupling_prev = (operator @ x_prev)[:n_m]  # -B^T rho_bar_{n-1}
 
         def linearize(x: np.ndarray):
-            m, rho_bar = x[:n_m], x[n_m:]
-            r_mom, momentum_jacobian = momentum(m, rho_bar)
-            r_den = self.mass_phi @ (rho_bar - rho_prev) / dt \
-                + self.div_coupling @ m - f_vec + dpsi_vec
-            r_den[self._pinned_rho] = rho_bar[self._pinned_rho]
-            return (np.concatenate([r_mom, r_den]),
-                    lambda: self._coupled_jacobian(momentum_jacobian(), dt))
+            # [-B^T (rho_bar - rho_prev); B m + M_phi (rho_bar - rho_prev) / dt]
+            static_rows = operator @ (x - x_prev)
+            r_mom, flux_block = momentum(x[:n_m], static_rows[:n_m] + coupling_prev)
+            r_den = static_rows[n_m:] + load
+            r_den[self._pinned_rho] = x[n_m:][self._pinned_rho]
+
+            def jacobian() -> sp.csc_matrix:
+                data = flux_block()
+                data += static
+                return self._pattern.matrix(data)
+
+            return np.concatenate([r_mom, r_den]), jacobian
 
         return linearize
-
-    def _coupled_jacobian(self, momentum_jacobian: sp.csc_matrix,
-                          dt: float) -> sp.csc_matrix:
-        pattern, a_slots, coupling, mass = self._jacobian_pattern
-        data = coupling + mass / dt
-        data[a_slots] = momentum_jacobian.data
-        return pattern.matrix(data)
 
     # -- views at one state ------------------------------------------------------
 
@@ -439,10 +421,11 @@ class Assembler:
     def jacobian(self, state_n: SystemState, dt: float) -> sp.csc_matrix:
         """Exact derivative of :meth:`residual` w.r.t. (m, rho_bar), in CSC.
 
-        The matrix is J = [[A(m), -B^T], [B, M_phi / dt]] on a sparsity
-        pattern built once per assembler.  Each call places the data of the
-        A block (see :meth:`momentum`) in J's pattern, next to the static B
-        and M_phi data (the four blocks share no entry).  A pinned row
+        The matrix is J = [[A(m), -B^T], [B, M_phi / dt]] on one sparsity
+        pattern, lifted once per assembler from the P1 node graph.  The
+        static B, -B^T and M_phi data are scattered into it once; each call
+        scatters the flux block A into the same pattern (the four blocks
+        share no entry) and adds the static data.  A pinned row
         (``momentum_bc="exact"``, ``pin_rho_boundary``) is the identity row
         e_d^T, the derivative of its residual row m_d - g_d or rho_d.
 
@@ -456,8 +439,10 @@ class Assembler:
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        _, momentum_jacobian = self.momentum(state_n.t)(state_n.m, state_n.rho_bar)
-        return self._coupled_jacobian(momentum_jacobian(), dt)
+        _, flux_jacobian = self.data.law.linearize(
+            self.vector_space.eval_at_quadrature(state_n.m))
+        return self._pattern.matrix(self._flux_block(flux_jacobian)
+                                    + (self._coupling + self._mass / dt))
 
     def initial_state(self, newton_tol: float = 1e-10) -> SystemState:
         """Project the initial density; solve the momentum rows by Newton from
@@ -483,8 +468,9 @@ class Assembler:
                               lambda pts: np.asarray(data.rho0(pts), dtype=float)
                               - np.asarray(data.psi(pts, 0.0), dtype=float))
         grad_psi, bc = self._momentum_loads(0.0)
+        coupling = self._coupling_rows(rho_bar0)
         with np.errstate(over="ignore", invalid="ignore"):
-            target = (self._div_coupling_T @ rho_bar0 - grad_psi).reshape(-1, 2) \
+            target = (-coupling - grad_psi).reshape(-1, 2) \
                 / self.scalar_space.load_vector(1.0)[:, None]
             size = np.hypot(target[:, 0], target[:, 1])
             scale = np.divide(data.law.invert(size), size,
@@ -492,7 +478,7 @@ class Assembler:
             m0 = (target * scale[:, None]).reshape(-1)
         m0[self._pinned_m] = bc
         momentum = self._momentum_rows(grad_psi, bc)
-        m, _ = solver._newton(lambda m: momentum(m, rho_bar0), m0, newton_tol,
-                              _INIT_MAX_ITER, solver.LinearSolver(),
+        m, _ = solver._newton(lambda m: self._on_a(momentum(m, coupling)), m0,
+                              newton_tol, _INIT_MAX_ITER, solver.LinearSolver(),
                               "in the momentum initialization")
         return SystemState(rho_bar0, m, 0.0)

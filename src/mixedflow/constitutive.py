@@ -6,9 +6,9 @@ The scalar law is
 
 with one singular negative power -alpha, alpha in (0,1), and positive top
 power alpha_N.  The vector flux is m -> F(|m|) m.  The evaluation entry
-points (``eval_F``, ``eval_F_prime``, ``linearize`` and its views ``flux``
-and ``flux_jacobian``) clamp the argument at ``eps_reg``, which keeps Newton
-linearizations finite and positive definite at m = 0.
+points (``eval_F``, ``eval_F_prime``, ``linearize`` and its view ``flux``)
+clamp the argument at ``eps_reg``, which keeps Newton linearizations finite
+and positive definite at m = 0.
 """
 
 from __future__ import annotations
@@ -199,7 +199,9 @@ class GeneralizedPolynomial:
 
         The thunk returns the three distinct entries xx, xy and yy of the
         symmetric Jacobian F(|m^|) I + F'(|m^|)/|m^| m (x) m, with |m^| =
-        max(|m|, eps_reg), stacked as a (3, ...) array.  F is evaluated once
+        max(|m|, eps_reg), stacked as a (3, ...) array.  Its eigenvalues are
+        at least (1 - alpha) F(|m^|) > 0, which keeps the momentum block of
+        the Newton matrix positive definite at any state.  F is evaluated once
         for both; F' only when the thunk is called.  Overflow gives inf or
         nan entries without a warning, so callers check what they use.
         """
@@ -221,15 +223,3 @@ class GeneralizedPolynomial:
         """F(|m|) m for one 2-vector or an (..., 2) array of vectors."""
         flux, _ = self.linearize(np.moveaxis(np.asarray(m, dtype=float), -1, 0))
         return np.moveaxis(flux, 0, -1)
-
-    def flux_jacobian(self, m):
-        """d(flux)/dm = F(|m^|) I + F'(|m^|)/|m^| m (x) m with |m^| = max(|m|, eps_reg),
-        shape (..., 2, 2) for one 2-vector or an (..., 2) array of vectors.
-
-        Symmetric, eigenvalues >= (1 - alpha) F(|m^|) > 0; this keeps the
-        momentum block of the Newton matrix positive definite at any state.
-        """
-        _, jacobian = self.linearize(np.moveaxis(np.asarray(m, dtype=float), -1, 0))
-        xx, xy, yy = jacobian()
-        return np.stack([np.stack([xx, xy], axis=-1),
-                         np.stack([xy, yy], axis=-1)], axis=-2)

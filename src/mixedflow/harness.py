@@ -36,8 +36,8 @@ from .analysis import (LevelResult, final_time_errors, format_table, rates,
                        report_to_csv)
 from .assembly import (DiscretizationOptions, ExactSolution, ProblemData,
                        SystemState)
-from .constitutive import (CoefficientVector, GeneralizedPolynomial,
-                           PowerSpec)
+from .constitutive import (DEFAULT_EPS_REG, CoefficientVector,
+                           GeneralizedPolynomial, PowerSpec)
 from .mesh_fem import ScalarP1Space, VectorP1Space, build_mesh, norm
 from .solver import MarchConfig, NewtonConfig, march
 
@@ -105,7 +105,7 @@ def manufactured_problem(law: GeneralizedPolynomial, name: str) -> ProblemData:
 
 
 def _law(coefficients: Sequence[float], alpha: float = 0.5,
-         exponents: Sequence[float] = (1.0,), eps_reg: float = 1e-10,
+         exponents: Sequence[float] = (1.0,), eps_reg: float = DEFAULT_EPS_REG,
          a_star: float | None = None, a_sup: float | None = None
          ) -> GeneralizedPolynomial:
     return GeneralizedPolynomial(
@@ -199,7 +199,7 @@ class StudyConfig:
     exponents: tuple[float, ...] = (1.0,)
     coefficients_a: tuple[float, ...] = (1.0, 1.0, 1.0)
     coefficients_b: tuple[float, ...] = (0.95, 1.0, 0.95)
-    eps_reg: float = 1e-10
+    eps_reg: float = DEFAULT_EPS_REG
     pairing: str = "manufactured"  # or "shared_data"
     # solver settings
     newton_tol: float = 1e-6

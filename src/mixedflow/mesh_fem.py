@@ -206,10 +206,9 @@ class ScalarP1Space(_P1Space):
         m_el *= self.mesh.areas[:, None]
         return m_el
 
-    def mass_matrix(self, weight: Callable[[np.ndarray], np.ndarray] | None = None):
-        """(w phi_i, phi_j), with w = 1 when ``weight`` is omitted."""
-        wq = 1.0 if weight is None else np.asarray(weight(self._qpts), dtype=float)
-        m_el = self.element_matrices(np.broadcast_to(wq, self._qpts.shape[:2]))
+    def mass_matrix(self):
+        """(phi_i, phi_j)."""
+        m_el = self.element_matrices(np.ones(self._qpts.shape[:2]))
         tris = self.mesh.triangles
         rows = np.repeat(tris, 3, axis=1).ravel()
         cols = np.tile(tris, (1, 3)).ravel()

@@ -10,6 +10,14 @@ from mixedflow.constitutive import (CoefficientVector, GeneralizedPolynomial,
 from mixedflow.verify import WITNESSES, lemma_constants
 
 
+def flux_jacobian(law, m):
+    """The flux Jacobian at one 2-vector or an (..., 2) array of vectors, as
+    (..., 2, 2) matrices, from the thunk of ``linearize``."""
+    xx, xy, yy = law.linearize(np.moveaxis(np.asarray(m, dtype=float), -1, 0))[1]()
+    return np.stack([np.stack([xx, xy], axis=-1),
+                     np.stack([xy, yy], axis=-1)], axis=-2)
+
+
 def vec(mag_lo=1e-6, mag_hi=1e2):
     return st.tuples(
         st.floats(min_value=np.log(mag_lo), max_value=np.log(mag_hi)),
@@ -161,11 +169,11 @@ class TestFlux:
 
 class TestFluxJacobian:
     def test_axis_value(self, reference_law):
-        jac = reference_law.flux_jacobian([1.0, 0.0])
+        jac = flux_jacobian(reference_law, [1.0, 0.0])
         np.testing.assert_allclose(jac, [[3.5, 0.0], [0.0, 3.0]], atol=1e-14)
 
     def test_clamped_at_origin(self, reference_law):
-        jac = reference_law.flux_jacobian([0.0, 0.0])
+        jac = flux_jacobian(reference_law, [0.0, 0.0])
         f_eps = reference_law.eval_F(reference_law.eps_reg)
         np.testing.assert_allclose(jac, f_eps * np.eye(2))
 
@@ -174,7 +182,7 @@ class TestFluxJacobian:
     def test_eigenvalue_floor(self, reference_law, m):
         m = np.array(m)
         mag = max(np.linalg.norm(m), reference_law.eps_reg)
-        eigs = np.linalg.eigvalsh(reference_law.flux_jacobian(m))
+        eigs = np.linalg.eigvalsh(flux_jacobian(reference_law, m))
         floor = (1.0 - 0.5) * reference_law.eval_F(mag)
         assert eigs.min() >= floor * (1.0 - 1e-12)
         assert eigs.min() > 0.0
@@ -183,7 +191,7 @@ class TestFluxJacobian:
         for _ in range(50):
             m = rng.standard_normal(2)
             m *= max(1.0, 10 * reference_law.eps_reg / np.linalg.norm(m))
-            jac = reference_law.flux_jacobian(m)
+            jac = flux_jacobian(reference_law, m)
             fd = np.empty((2, 2))
             h = 1e-6 * (1.0 + np.linalg.norm(m))
             for j in range(2):
@@ -195,17 +203,14 @@ class TestFluxJacobian:
 
     def test_views_of_one_kernel(self, reference_law, rng):
         ms = rng.standard_normal((7, 2))
-        flux, jacobian = reference_law.linearize(ms.T)
+        flux, _ = reference_law.linearize(ms.T)
         np.testing.assert_array_equal(reference_law.flux(ms), flux.T)
-        jac = reference_law.flux_jacobian(ms)
-        np.testing.assert_array_equal(jac[:, [0, 0, 1], [0, 1, 1]], jacobian().T)
-        np.testing.assert_array_equal(jac[:, 1, 0], jac[:, 0, 1])
 
     def test_batched_matches_single(self, reference_law, rng):
         ms = rng.standard_normal((7, 2)) + np.array([1.0, 0.2])
-        batch = reference_law.flux_jacobian(ms)
+        batch = flux_jacobian(reference_law, ms)
         for k, m in enumerate(ms):
-            np.testing.assert_allclose(batch[k], reference_law.flux_jacobian(m))
+            np.testing.assert_allclose(batch[k], flux_jacobian(reference_law, m))
 
 
 class TestLemmaConstants:

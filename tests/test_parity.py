@@ -4,7 +4,9 @@ assembly with LIL row surgery, a residual that assembles its load vectors
 on every call by a four-operand einsum and ``np.add.at``, and SciPy's
 default (COLAMD, partial pivoting) ``splu`` on every solve.  The references
 take m at the quadrature points and the element dofs from their own einsum
-and the mesh's triangles, not from the space kernels under test."""
+and the mesh's triangles, and B and M_phi from the mesh's basis gradients
+and their own element mass, not from the assembler or the space kernels
+under test."""
 
 import numpy as np
 import pytest
@@ -72,6 +74,34 @@ def reference_momentum_block(asm, m_dofs):
                          shape=(vs.n_dofs, vs.n_dofs)).tocsr()
 
 
+def reference_div_coupling(asm):
+    """B[k, 2i + c] = (d phi_i / dx_c, phi_k) from the mesh's basis gradients
+    and |T| / 3, the integral of each P1 basis function over triangle T, by a
+    coo->csr scatter: density rows, momentum columns."""
+    mesh = asm.mesh
+    tris, nt = mesh.triangles, len(mesh.triangles)
+    vals = mesh.grads[:, None, :, :] * mesh.areas[:, None, None, None] / 3.0
+    rows = np.broadcast_to(tris[:, :, None, None], (nt, 3, 3, 2))
+    cols = np.broadcast_to(2 * tris[:, None, :, None] + np.arange(2), (nt, 3, 3, 2))
+    return sp.coo_matrix((np.broadcast_to(vals, (nt, 3, 3, 2)).ravel(),
+                          (rows.ravel(), cols.ravel())),
+                         shape=(mesh.n_nodes, 2 * mesh.n_nodes)).tocsr()
+
+
+def reference_mass(asm):
+    """(phi phi_j, phi_i) from the element quadrature and a coo->csr scatter."""
+    mesh = asm.mesh
+    pts = asm.scalar_space.quadrature_coords()
+    phi_q = np.asarray(asm.data.phi(pts), dtype=float) * np.ones(pts.shape[:2])
+    m_el = np.einsum("q,tq,qi,qj->tij", QUAD_WEIGHTS, phi_q, QUAD_POINTS,
+                     QUAD_POINTS) * mesh.areas[:, None, None]
+    tris = mesh.triangles
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    return sp.coo_matrix((m_el.ravel(), (rows, cols)),
+                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+
+
 def pinned_momentum_dofs(asm):
     bn = asm.mesh.boundary_nodes
     return np.column_stack([2 * bn, 2 * bn + 1]).ravel()
@@ -79,9 +109,9 @@ def pinned_momentum_dofs(asm):
 
 def reference_jacobian(asm, state, dt):
     a_blk = reference_momentum_block(asm, state.m)
-    bt = asm.div_coupling.T.tocsr()
-    b = asm.div_coupling
-    m_dt = asm.mass_phi / dt
+    b = reference_div_coupling(asm)
+    bt = b.T.tocsr()
+    m_dt = reference_mass(asm) / dt
     if asm.options.momentum_bc == "exact":
         a_blk, bt = a_blk.tolil(), bt.tolil()
         for d in pinned_momentum_dofs(asm):
@@ -112,7 +142,8 @@ def reference_flux_vector(asm, m_dofs):
 def reference_momentum_residual(asm, m_dofs, rho_bar, t):
     data = asm.data
     grad_psi = reference_load(asm.vector_space, lambda pts: data.grad_psi(pts, t))
-    r = reference_flux_vector(asm, m_dofs) - asm.div_coupling.T @ rho_bar + grad_psi
+    r = reference_flux_vector(asm, m_dofs) \
+        - reference_div_coupling(asm).T @ rho_bar + grad_psi
     if asm.options.momentum_bc == "exact":
         bn = asm.mesh.boundary_nodes
         pinned = pinned_momentum_dofs(asm)
@@ -134,8 +165,8 @@ def reference_residual(asm, state, prev, dt):
     f_vec = reference_load(ss, lambda pts: np.asarray(data.f(pts, t), dtype=float)
                            * np.ones(pts.shape[:2]))
     r_mom = reference_momentum_residual(asm, state.m, state.rho_bar, t)
-    r_den = asm.mass_phi @ (state.rho_bar - prev.rho_bar) / dt \
-        + asm.div_coupling @ state.m - f_vec + reference_load(ss, phi_dpsi)
+    r_den = reference_mass(asm) @ (state.rho_bar - prev.rho_bar) / dt \
+        + reference_div_coupling(asm) @ state.m - f_vec + reference_load(ss, phi_dpsi)
     if asm.options.pin_rho_boundary:
         bn = asm.mesh.boundary_nodes
         r_den[bn] = state.rho_bar[bn]
@@ -203,45 +234,48 @@ class TestJacobianParity:
         np.testing.assert_array_equal(first.toarray(), before)
 
 
-def key_sort(keys, n):
-    """CSC indices, indptr and slots of triplets keyed ``col * n + row``,
-    by one sort: how the fixed patterns were built before they were lifted
-    from the node graph."""
-    unique, slots = np.unique(keys, return_inverse=True)
-    counts = np.bincount(unique // n, minlength=n)
-    return unique % n, np.concatenate([[0], np.cumsum(counts)]), slots
-
-
-def key_sort_patterns(asm):
-    """The A block's and the Jacobian's patterns and data arrays, in the
-    layout of ``Assembler._momentum_pattern`` and ``_jacobian_pattern``."""
+def key_sort_pattern(asm):
+    """J's pattern and the arrays that fill it, by one sort of the keys
+    ``col * n + row`` of every element entry of every block: how the fixed
+    patterns were built before they were lifted from the node graph.
+    Returns J's indices and indptr, the A-only indices and indptr, the A
+    slots in J, the flux slots, the yx ``mirror`` and xy ``source`` slots,
+    and the static data of the B blocks and of M_phi."""
     n_m = asm.vector_space.n_dofs
-    n, nt = n_m + asm.mesh.n_nodes, len(asm.mesh.triangles)
-    dof = 2 * asm.mesh.triangles
+    n = n_m + asm.mesh.n_nodes
+    tris = asm.mesh.triangles
+    dofs = (2 * tris, 2 * tris + 1, n_m + tris)  # m_x, m_y, rho_bar of each node
 
-    def block(c, d):
-        return ((dof[:, None, :] + d) * n_m + dof[:, :, None] + c).ravel()
+    def keys(r, c):  # element entries (t, i, j) of block (r, c)
+        return (dofs[c][:, None, :] * n + dofs[r][:, :, None]).ravel()
 
-    xy, first = np.unique(block(0, 1), return_index=True)
-    a_indices, a_indptr, slots = key_sort(np.concatenate(
-        [block(0, 0), block(0, 1), block(1, 1), xy % n_m * n_m + xy // n_m]), n_m)
-    a_col = np.repeat(np.arange(n_m), np.diff(a_indptr))
-    b, mass = asm.div_coupling.tocoo(), asm.mass_phi.tocoo()
+    unique = np.unique(np.concatenate([keys(r, c) for r in range(3) for c in range(3)]))
+    row, col = unique % n, unique // n
+    a_slots = np.flatnonzero((row < n_m) & (col < n_m))
+
+    def slots(ks):
+        return np.searchsorted(unique, ks)
+
+    xy = np.unique(keys(0, 1))
+    b, mass = reference_div_coupling(asm).tocoo(), reference_mass(asm).tocoo()
     b_row, b_col = b.row.astype(np.int64), b.col.astype(np.int64)
-    j_indices, j_indptr, j_slots = key_sort(np.concatenate(
-        [a_col * n + a_indices, (n_m + b_row) * n + b_col, b_col * n + n_m + b_row,
-         (n_m + mass.col.astype(np.int64)) * n + n_m + mass.row]), n)
-    a_slots, b_slots, mass_slots = np.split(j_slots, np.cumsum([len(a_col), 2 * b.nnz]))
-    size = len(j_indices)
-    return ((a_indices, a_indptr, slots[:27 * nt], slots[27 * nt:], slots[9 * nt + first]),
-            (j_indices, j_indptr, a_slots,
-             np.bincount(b_slots, np.concatenate([-b.data, b.data]), size),
-             np.bincount(mass_slots, mass.data, size)))
+    coupling = np.bincount(
+        slots(np.concatenate([b_col * n + n_m + b_row, (n_m + b_row) * n + b_col])),
+        np.concatenate([b.data, -b.data]), len(unique))
+    mass_data = np.bincount(
+        slots((n_m + mass.col.astype(np.int64)) * n + n_m + mass.row), mass.data,
+        len(unique))
+    return (row, np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))]),
+            row[a_slots], np.concatenate(
+                [[0], np.cumsum(np.bincount(col[a_slots], minlength=n_m))]),
+            a_slots, slots(np.concatenate([keys(0, 0), keys(0, 1), keys(1, 1)])),
+            slots(xy % n * n + xy // n), slots(xy), coupling, mass_data)
 
 
 class TestLiftedPatterns:
-    """The patterns lifted from the node graph against the key sorts they
-    replace: the same arrays, and Jacobians equal bit for bit."""
+    """The single pattern lifted from the node graph, and the A-only pattern
+    derived from it, against the key sort they replace: the same arrays, and
+    Jacobians equal bit for bit."""
 
     @pytest.fixture(params=[(n, options) for n in (2, 5, 16) for options in OPTIONS],
                     ids=lambda p: f"N{p[0]}-{p[1].momentum_bc}-pin{p[1].pin_rho_boundary}")
@@ -252,11 +286,14 @@ class TestLiftedPatterns:
 
     def test_same_arrays(self, pair):
         asm, _ = pair
-        (a, *a_arrays), (j, *j_arrays) = asm._momentum_pattern, asm._jacobian_pattern
-        ref_a, ref_j = key_sort_patterns(asm)
-        for got, ref in zip([a.indices, a.indptr, *a_arrays, j.indices, j.indptr,
-                             *j_arrays], ref_a + ref_j):
+        j, a = asm._pattern, asm._a
+        *ref_arrays, coupling, mass = key_sort_pattern(asm)
+        for got, ref in zip([j.indices, j.indptr, a.indices, a.indptr, asm._a_slots,
+                             asm._flux_slots, asm._mirror, asm._source], ref_arrays):
             assert got.dtype.kind == ref.dtype.kind and np.array_equal(got, ref)
+        # the static data sum the same element entries, maybe in another order
+        for got, ref in ((asm._coupling, coupling), (asm._mass, mass)):
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
         for pattern, pinned in [(a, asm._pinned_m),
                                 (j, np.concatenate([asm._pinned_m, a.n + asm._pinned_rho]))]:
             in_pinned_row = np.flatnonzero(np.isin(pattern.indices, pinned))
@@ -267,14 +304,16 @@ class TestLiftedPatterns:
 
     def test_jacobian_bitwise_equal(self, pair):
         asm, ref = pair
-        (a_indices, a_indptr, *a_arrays), (j_indices, j_indptr, *j_arrays) = \
-            key_sort_patterns(ref)
-        ref._momentum_pattern = (_FixedCsc(a_indices, a_indptr, ref._pinned_m),
-                                 *a_arrays)
-        ref._jacobian_pattern = (_FixedCsc(j_indices, j_indptr, np.concatenate(
-            [ref._pinned_m, ref.vector_space.n_dofs + ref._pinned_rho])), *j_arrays)
+        (j_indices, j_indptr, a_indices, a_indptr, ref._a_slots, ref._flux_slots,
+         ref._mirror, ref._source, _, _) = key_sort_pattern(ref)
+        ref._pattern = _FixedCsc(j_indices, j_indptr, np.concatenate(
+            [ref._pinned_m, ref.vector_space.n_dofs + ref._pinned_rho]))
+        ref._a = _FixedCsc(a_indices, a_indptr, ref._pinned_m)
         state = random_state(asm, np.random.default_rng(asm.mesh.n_nodes))
         got, want = asm.jacobian(state, 0.1).data, ref.jacobian(state, 0.1).data
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got, want = (x.momentum(state.t)(state.m, state.rho_bar)[1]().data
+                     for x in (asm, ref))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
