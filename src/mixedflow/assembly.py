@@ -313,24 +313,6 @@ class Assembler:
 
     # -- the two nonlinear systems ---------------------------------------------
 
-    def momentum(self, t: float) -> Callable[[np.ndarray, np.ndarray], Linearization]:
-        """The momentum rows at time ``t``, as a function of (m, rho_bar).
-
-        The load (grad Psi(t), v) and the exact-BC values are bound once.
-        The function returns the rows and a thunk that builds their
-        derivative w.r.t. m, the A block, on its fixed pattern (J's momentum
-        rows of its momentum columns) with the pinned rows set to identity
-        rows: every A shares that pattern's index arrays, so a held factor
-        of one preconditions the next.  m is evaluated at the quadrature
-        points once, and the law's F(|m|) there serves the rows and the
-        thunk; F' is evaluated only when the thunk is called, so a converged
-        iterate never pays for it.  Alone, the momentum rows are the
-        initialization's system.
-        """
-        rows = self._momentum_rows(*self._momentum_loads(t))
-        return lambda m_dofs, rho_bar: self._on_a(
-            rows(m_dofs, self._coupling_rows(rho_bar)))
-
     def _momentum_rows(self, grad_psi: np.ndarray, bc: np.ndarray) -> Callable[
             [np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]:
         """The momentum rows over the loads bound by :meth:`_momentum_loads`,
@@ -355,17 +337,6 @@ class Assembler:
         data = self._pattern.scatter(self._flux_slots, element_values.ravel())
         data[self._mirror] = data[self._source]
         return data
-
-    def _on_a(self, linearization: tuple) -> Linearization:
-        """Momentum rows whose thunk builds A alone, on its own pattern."""
-        r, flux_block = linearization
-        return r, lambda: self._a.matrix(flux_block()[self._a_slots])
-
-    def _coupling_rows(self, rho_bar: np.ndarray) -> np.ndarray:
-        """-B^T rho_bar, the momentum rows' coupling term."""
-        n_m = self.vector_space.n_dofs
-        return (self._pattern.operator(self._coupling)
-                @ np.concatenate([np.zeros(n_m), rho_bar]))[:n_m]
 
     def level(self, state_prev: SystemState, t_n: float,
               dt: float) -> Callable[[np.ndarray], Linearization]:
@@ -419,13 +390,14 @@ class Assembler:
             np.concatenate([state_n.m, state_n.rho_bar]))[0]
 
     def jacobian(self, state_n: SystemState, dt: float) -> sp.csc_matrix:
-        """Exact derivative of :meth:`residual` w.r.t. (m, rho_bar), in CSC.
+        """Exact derivative of :meth:`residual` w.r.t. (m, rho_bar), in CSC:
+        the Jacobian thunk of :meth:`level` at ``state_n``.
 
         The matrix is J = [[A(m), -B^T], [B, M_phi / dt]] on one sparsity
         pattern, lifted once per assembler from the P1 node graph.  The
-        static B, -B^T and M_phi data are scattered into it once; each call
-        scatters the flux block A into the same pattern (the four blocks
-        share no entry) and adds the static data.  A pinned row
+        static B, -B^T and M_phi data are scattered into it once; each
+        Jacobian scatters the flux block A into the same pattern (the four
+        blocks share no entry) and adds the static data.  A pinned row
         (``momentum_bc="exact"``, ``pin_rho_boundary``) is the identity row
         e_d^T, the derivative of its residual row m_d - g_d or rho_d.
 
@@ -437,12 +409,9 @@ class Assembler:
         equals the minor without d, a principal minor of the positive-real
         unpinned matrix.
         """
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        _, flux_jacobian = self.data.law.linearize(
-            self.vector_space.eval_at_quadrature(state_n.m))
-        return self._pattern.matrix(self._flux_block(flux_jacobian)
-                                    + (self._coupling + self._mass / dt))
+        prev = SystemState(state_n.rho_bar, state_n.m, state_n.t - dt)
+        return self.level(prev, state_n.t, dt)(
+            np.concatenate([state_n.m, state_n.rho_bar]))[1]()
 
     def initial_state(self, newton_tol: float = 1e-10) -> SystemState:
         """Project the initial density; solve the momentum rows by Newton from
@@ -468,7 +437,9 @@ class Assembler:
                               lambda pts: np.asarray(data.rho0(pts), dtype=float)
                               - np.asarray(data.psi(pts, 0.0), dtype=float))
         grad_psi, bc = self._momentum_loads(0.0)
-        coupling = self._coupling_rows(rho_bar0)
+        n_m = self.vector_space.n_dofs
+        coupling = (self._pattern.operator(self._coupling)  # -B^T rho_bar_0
+                    @ np.concatenate([np.zeros(n_m), rho_bar0]))[:n_m]
         with np.errstate(over="ignore", invalid="ignore"):
             target = (-coupling - grad_psi).reshape(-1, 2) \
                 / self.scalar_space.load_vector(1.0)[:, None]
@@ -478,7 +449,13 @@ class Assembler:
             m0 = (target * scale[:, None]).reshape(-1)
         m0[self._pinned_m] = bc
         momentum = self._momentum_rows(grad_psi, bc)
-        m, _ = solver._newton(lambda m: self._on_a(momentum(m, coupling)), m0,
-                              newton_tol, _INIT_MAX_ITER, solver.LinearSolver(),
-                              "in the momentum initialization")
+
+        def linearize(m: np.ndarray) -> Linearization:
+            # A alone, J's momentum rows of its momentum columns: every A
+            # shares one pattern, so a held factor preconditions the next
+            r, flux_block = momentum(m, coupling)
+            return r, lambda: self._a.matrix(flux_block()[self._a_slots])
+
+        m, _ = solver._newton(linearize, m0, newton_tol, _INIT_MAX_ITER,
+                              solver.LinearSolver(), "in the momentum initialization")
         return SystemState(rho_bar0, m, 0.0)

@@ -6,9 +6,9 @@ The scalar law is
 
 with one singular negative power -alpha, alpha in (0,1), and positive top
 power alpha_N.  The vector flux is m -> F(|m|) m.  The evaluation entry
-points (``eval_F``, ``eval_F_prime``, ``linearize`` and its view ``flux``)
-clamp the argument at ``eps_reg``, which keeps Newton linearizations finite
-and positive definite at m = 0.
+points (``eval_F``, ``eval_F_prime`` and ``linearize``) clamp the argument
+at ``eps_reg``, which keeps Newton linearizations finite and positive
+definite at m = 0.
 """
 
 from __future__ import annotations
@@ -218,8 +218,3 @@ class GeneralizedPolynomial:
                 return np.stack([f + gx * m[0], gx * m[1], f + g * m[1] * m[1]])
 
         return flux, jacobian
-
-    def flux(self, m):
-        """F(|m|) m for one 2-vector or an (..., 2) array of vectors."""
-        flux, _ = self.linearize(np.moveaxis(np.asarray(m, dtype=float), -1, 0))
-        return np.moveaxis(flux, 0, -1)

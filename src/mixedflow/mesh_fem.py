@@ -64,7 +64,6 @@ class StructuredTriMesh:
             raise ValueError("n_cells_per_side must be >= 1")
         n = int(n_cells_per_side)
         self.n_cells_per_side = n
-        self.h = 1.0 / n
         xs = np.linspace(0.0, 1.0, n + 1)
         gx, gy = np.meshgrid(xs, xs, indexing="xy")
         # node index i + j*(n+1): x varies fastest

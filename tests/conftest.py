@@ -9,6 +9,29 @@ from mixedflow.constitutive import (CoefficientVector, GeneralizedPolynomial,
 from mixedflow.harness import builtin_problem
 
 
+def flux(law: GeneralizedPolynomial, m) -> np.ndarray:
+    """F(|m|) m for one 2-vector or an (..., 2) array of vectors, from
+    ``law.linearize``."""
+    values, _ = law.linearize(np.moveaxis(np.asarray(m, dtype=float), -1, 0))
+    return np.moveaxis(values, 0, -1)
+
+
+def momentum_rows(asm, t: float, rho_bar: np.ndarray):
+    """The momentum rows of ``asm`` at time ``t`` and density ``rho_bar``, as
+    a function of m: the rows and a thunk for their derivative A, on A's own
+    pattern, as the momentum initialization solves them."""
+    n_m = asm.vector_space.n_dofs
+    coupling = (asm._pattern.operator(asm._coupling)  # -B^T rho_bar
+                @ np.concatenate([np.zeros(n_m), rho_bar]))[:n_m]
+    rows = asm._momentum_rows(*asm._momentum_loads(t))
+
+    def linearize(m: np.ndarray):
+        r, flux_block = rows(m, coupling)
+        return r, lambda: asm._a.matrix(flux_block()[asm._a_slots])
+
+    return linearize
+
+
 @pytest.fixture(scope="session")
 def reference_law() -> GeneralizedPolynomial:
     """F(z) = z^-1/2 + 1 + z: alpha = 1/2, alpha_N = 1, s = 3."""

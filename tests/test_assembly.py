@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import momentum_rows
 from mixedflow import solver
 from mixedflow.assembly import Assembler, DiscretizationOptions, SystemState
 from mixedflow.harness import builtin_problem
@@ -203,8 +204,7 @@ class TestInitialState:
         (zero start: 7 steps at N=16, 6 at N=32 pinned)."""
         asm = Assembler(build_mesh(n), nonconstant_momentum(problem), options)
         state = asm.initial_state(newton_tol=1e-6)
-        momentum = asm.momentum(0.0)
-        solver._newton(lambda m: momentum(m, state.rho_bar),
+        solver._newton(momentum_rows(asm, 0.0, state.rho_bar),
                        np.zeros(asm.vector_space.n_dofs), 1e-6, 60,
                        solver.LinearSolver(), "from m = 0")
         (steps, factorizations), (zero_steps, zero_factorizations) = newton_runs

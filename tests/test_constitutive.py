@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import flux
 from mixedflow.constitutive import (CoefficientVector, GeneralizedPolynomial,
                                     PowerSpec)
 from mixedflow.verify import WITNESSES, lemma_constants
@@ -147,24 +148,24 @@ class TestInvert:
 
 class TestFlux:
     def test_zero_maps_to_zero(self, reference_law):
-        assert np.all(reference_law.flux([0.0, 0.0]) == 0.0)
+        assert np.all(flux(reference_law, [0.0, 0.0]) == 0.0)
 
     def test_axis_value(self, reference_law):
-        np.testing.assert_allclose(reference_law.flux([1.0, 0.0]), [3.0, 0.0])
+        np.testing.assert_allclose(flux(reference_law, [1.0, 0.0]), [3.0, 0.0])
 
     @given(m=vec())
     @settings(max_examples=100, deadline=None)
     def test_odd_symmetry(self, reference_law, m):
         m = np.array(m)
-        np.testing.assert_allclose(reference_law.flux(-m),
-                                   -reference_law.flux(m), rtol=1e-13)
+        np.testing.assert_allclose(flux(reference_law, -m),
+                                   -flux(reference_law, m), rtol=1e-13)
 
     @given(m=vec())
     @settings(max_examples=100, deadline=None)
     def test_isotropy_coordinate_swap(self, reference_law, m):
         mx, my = m
-        np.testing.assert_allclose(reference_law.flux([mx, my])[::-1],
-                                   reference_law.flux([my, mx]), rtol=1e-13)
+        np.testing.assert_allclose(flux(reference_law, [mx, my])[::-1],
+                                   flux(reference_law, [my, mx]), rtol=1e-13)
 
 
 class TestFluxJacobian:
@@ -197,14 +198,9 @@ class TestFluxJacobian:
             for j in range(2):
                 dm = np.zeros(2)
                 dm[j] = h
-                fd[:, j] = (reference_law.flux(m + dm)
-                            - reference_law.flux(m - dm)) / (2 * h)
+                fd[:, j] = (flux(reference_law, m + dm)
+                            - flux(reference_law, m - dm)) / (2 * h)
             assert np.abs(fd - jac).max() <= 1e-6 * np.abs(jac).max()
-
-    def test_views_of_one_kernel(self, reference_law, rng):
-        ms = rng.standard_normal((7, 2))
-        flux, _ = reference_law.linearize(ms.T)
-        np.testing.assert_array_equal(reference_law.flux(ms), flux.T)
 
     def test_batched_matches_single(self, reference_law, rng):
         ms = rng.standard_normal((7, 2)) + np.array([1.0, 0.2])

@@ -16,9 +16,6 @@ class TestMesh:
         assert len(mesh.triangles) == tris
         assert len(mesh.boundary_nodes) == bnodes
 
-    def test_h(self):
-        assert build_mesh(4).h == pytest.approx(0.25)
-
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             build_mesh(0)

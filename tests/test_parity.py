@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from conftest import momentum_rows
 from mixedflow import solver as solver_module
 from mixedflow.assembly import (Assembler, DiscretizationOptions, SystemState,
                                 _FixedCsc)
@@ -219,7 +220,7 @@ class TestJacobianParity:
             if options.momentum_bc == "exact":
                 for d in pinned_momentum_dofs(asm):
                     ref.rows[d], ref.data[d] = [d], [1.0]
-            got = asm.momentum(state.t)(state.m, state.rho_bar)[1]()
+            got = momentum_rows(asm, state.t, state.rho_bar)(state.m)[1]()
             assert rel_diff(got.toarray(), ref.toarray()) <= 1e-13, (n, options)
             # the A block of the coupled Jacobian, entry for entry
             n_m = asm.vector_space.n_dofs
@@ -312,7 +313,7 @@ class TestLiftedPatterns:
         state = random_state(asm, np.random.default_rng(asm.mesh.n_nodes))
         got, want = asm.jacobian(state, 0.1).data, ref.jacobian(state, 0.1).data
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        got, want = (x.momentum(state.t)(state.m, state.rho_bar)[1]().data
+        got, want = (momentum_rows(x, state.t, state.rho_bar)(state.m)[1]().data
                      for x in (asm, ref))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -343,7 +344,7 @@ class TestResidualParity:
     def test_momentum_residual_matches(self, systems):
         for n, options, asm, state, _ in systems:
             for t in (state.t, 0.0, state.t):
-                got = asm.momentum(t)(state.m, state.rho_bar)[0]
+                got = momentum_rows(asm, t, state.rho_bar)(state.m)[0]
                 ref = reference_momentum_residual(asm, state.m, state.rho_bar, t)
                 assert rel_diff(got, ref) <= 1e-13, (n, options, t)
 
