@@ -18,7 +18,9 @@ All four blocks live on one CSC pattern, lifted once from the P1 node
 graph.  B, -B^T and M_phi are scattered into it from their element data
 once per assembler, and the flux block once per Jacobian; the A-only
 matrix of the momentum initialization is J's momentum rows of its momentum
-columns.
+columns.  Beside J's pattern sits the residual operator's: J's entries
+outside A, the coupling and mass entries [[0, -B^T], [B, M_phi / dt]],
+which the residual multiplies without A's explicit zeros.
 """
 
 from __future__ import annotations
@@ -242,6 +244,10 @@ class Assembler:
         self._pinned_rho = bn if self.options.pin_rho_boundary \
             else np.empty(0, dtype=int)
         self._lift(_NodeGraph.build(mesh.triangles, mesh.n_nodes))
+        # one-entry caches: (dt, J's static data, residual operator) and
+        # (t, Psi(t) at the quadrature points)
+        self._per_dt: tuple | None = None
+        self._psi: tuple | None = None
 
     def _lift(self, g: _NodeGraph) -> None:
         """J's pattern, its A part and the static data of B, -B^T and M_phi,
@@ -258,7 +264,8 @@ class Assembler:
         so its yx block is not summed: the yx slots ``_mirror`` copy the xy
         data of the transposed entries, ``_source``.  A alone is J's
         momentum rows of its momentum columns, ``_a_slots``, which keep J's
-        order.
+        order; the residual operator's pattern ``_static`` is J's other
+        entries, those where ``_outside_a`` holds, in J's order.
         """
         n_m = self.vector_space.n_dofs
         first = (6 * g.start, 6 * g.start + 3 * g.deg,  # columns 2j, 2j + 1,
@@ -277,6 +284,14 @@ class Assembler:
         self._a = _FixedCsc(indices[self._a_slots],
                             np.concatenate([[0], np.cumsum(np.repeat(2 * deg, 2))]),
                             self._pinned_m)
+        # the residual operator's entries: the rho_bar rows of each momentum
+        # column, then each rho_bar column; a mask takes under a quarter of
+        # the memory of their slot numbers
+        self._outside_a = (indices >= n_m) | (np.arange(9 * g.nnz) >= 6 * g.nnz)
+        self._static = _FixedCsc(
+            indices[self._outside_a], np.concatenate(
+                [[0], np.cumsum(np.concatenate([np.repeat(deg, 2), 3 * deg]))]),
+            np.empty(0, dtype=int))
         self._flux_slots = slot[[0, 0, 1], [0, 1, 1]][:, g.element].ravel()
         self._mirror, self._source = slot[1, 0][g.transpose], slot[0, 1].copy()
         # B's element entry (d phi_j / dx_c, phi_i) = |T| / 3 d phi_j / dx_c
@@ -294,11 +309,31 @@ class Assembler:
 
     # -- per-step data -------------------------------------------------------
 
-    def _dpsi_values(self, t_n: float, dt: float) -> np.ndarray:
+    def _psi_at(self, t: float) -> np.ndarray:
+        """Psi(t) at the quadrature points; the last value is kept, so a
+        march evaluates Psi once per level."""
+        if self._psi is None or self._psi[0] != t:
+            self._psi = (t, np.asarray(self.data.psi(self._qpts, t), dtype=float))
+        return self._psi[1]
+
+    def _dpsi_values(self, t_prev: float, t_n: float, dt: float) -> np.ndarray:
         if self.options.psi_t_mode == "analytic":
             return np.asarray(self.data.psi_t(self._qpts, t_n), dtype=float)
-        return (np.asarray(self.data.psi(self._qpts, t_n), dtype=float)
-                - np.asarray(self.data.psi(self._qpts, t_n - dt), dtype=float)) / dt
+        earlier = self._psi_at(t_prev)  # the last level's Psi(t_n) in a march
+        return (self._psi_at(t_n) - earlier) / dt
+
+    def _static_data(self, dt: float) -> tuple[np.ndarray, sp.csc_matrix]:
+        """J's static data [[0, -B^T], [B, M_phi / dt]] and the residual
+        operator over its coupling and mass entries, built once per dt;
+        both are read-only."""
+        if self._per_dt is None or self._per_dt[0] != dt:
+            self._per_dt = None  # free the old dt's arrays first
+            static = self._coupling + self._mass / dt
+            static.flags.writeable = False
+            data = static[self._outside_a]
+            data.flags.writeable = False
+            self._per_dt = (dt, static, self._static.operator(data))
+        return self._per_dt[1:]
 
     def _momentum_loads(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """The load (grad Psi(t), v) and the exact momentum at the pinned
@@ -343,25 +378,29 @@ class Assembler:
         """The backward-Euler level t_n = ``state_prev.t`` + dt, as a function
         of the flat ``[m, rho_bar]`` Newton vector x.
 
-        The loads of f, dPsi and grad Psi, the exact-BC values and J's
-        static data [[0, -B^T], [B, M_phi / dt]] are bound once.  One
-        operator over that data gives the residual's -B^T rho_bar, B m and
-        M_phi (rho_bar - rho_bar_{n-1}) / dt terms.  ``linearize(x)`` returns
-        the stacked (momentum, density) residual at x and a thunk that adds
-        the flux block at x, from the momentum rows' quadrature values, to
-        the static data (see :meth:`jacobian`).
+        Bound per dt (kept while dt repeats, as it does in a march): J's
+        static data [[0, -B^T], [B, M_phi / dt]] and the residual operator
+        over its coupling and mass entries alone (see
+        :meth:`_static_data`).  Bound per level: the loads of f, dPsi and
+        grad Psi, the exact-BC values and -B^T rho_bar_{n-1}; in the
+        discrete ``psi_t_mode`` Psi is evaluated at t_n only, since the
+        last level left Psi(``state_prev.t``).  Per iterate,
+        ``linearize(x)`` returns the stacked (momentum, density) residual
+        at x, whose -B^T rho_bar, B m and M_phi (rho_bar - rho_bar_{n-1}) /
+        dt terms are one product with the residual operator, and a thunk
+        that adds the static data to the flux block at x, built from the
+        momentum rows' quadrature values (see :meth:`jacobian`).
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         if abs(t_n - state_prev.t - dt) > 1e-10 * max(1.0, abs(t_n)):
             raise ValueError("state times inconsistent with dt")
-        ss = self.scalar_space
-        load = ss.load_vector(self._phi_q * self._dpsi_values(t_n, dt)) \
-            - ss.load_vector(self.data.f(self._qpts, t_n))
+        static, operator = self._static_data(dt)
+        load = self.scalar_space.load_vector(
+            self._phi_q * self._dpsi_values(state_prev.t, t_n, dt)
+            - self.data.f(self._qpts, t_n))
         momentum = self._momentum_rows(*self._momentum_loads(t_n))
         n_m = self.vector_space.n_dofs
-        static = self._coupling + self._mass / dt
-        operator = self._pattern.operator(static)
         x_prev = np.concatenate([np.zeros(n_m), state_prev.rho_bar])
         coupling_prev = (operator @ x_prev)[:n_m]  # -B^T rho_bar_{n-1}
 
@@ -438,7 +477,8 @@ class Assembler:
                               - np.asarray(data.psi(pts, 0.0), dtype=float))
         grad_psi, bc = self._momentum_loads(0.0)
         n_m = self.vector_space.n_dofs
-        coupling = (self._pattern.operator(self._coupling)  # -B^T rho_bar_0
+        coupling_op = self._static.operator(self._coupling[self._outside_a])
+        coupling = (coupling_op  # -B^T rho_bar_0
                     @ np.concatenate([np.zeros(n_m), rho_bar0]))[:n_m]
         with np.errstate(over="ignore", invalid="ignore"):
             target = (-coupling - grad_psi).reshape(-1, 2) \

@@ -1,6 +1,7 @@
 """Command line entry point.
 
-Subcommands: ``single``, ``convergence``, ``dependence``, ``verify``.
+Subcommands: ``single``, ``convergence``, ``dependence``, ``verify``; each
+takes only the flags its study reads (``_STUDY_FLAGS``).
 Exit codes: 0 success, 1 configuration error, 2 nonlinear solver failure,
 3 verification violations.
 """
@@ -28,6 +29,34 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+# Every flag, by name, with its argparse options.
+_FLAGS = {
+    "config": dict(metavar="PATH", help="flat key = value configuration file"),
+    "levels": dict(metavar="4,8,16", help="comma separated mesh levels"),
+    "seed": dict(type=int, metavar="N"),
+    "out": dict(metavar="PATH", help="CSV / dump output path"),
+    "verbose": dict(action="store_true"),
+    "problem": dict(metavar="NAME",
+                    help="builtin problem (example1, example2_F2, example2_F1)"),
+    "dt-ratio": dict(type=float, metavar="R", dest="dt_ratio"),
+    "trials": dict(type=int, metavar="N"),
+    "psi-t": dict(dest="psi_t_mode", choices=("discrete", "analytic")),
+    "momentum-bc": dict(dest="momentum_bc", choices=("none", "exact")),
+    "pairing": dict(choices=("manufactured", "shared_data")),
+}
+
+# Each subcommand takes the flags its study reads; a config file may still
+# set any key.
+_MARCH_FLAGS = {"config", "levels", "out", "verbose", "dt-ratio", "psi-t",
+                "momentum-bc"}
+_STUDY_FLAGS = {
+    "single": _MARCH_FLAGS | {"problem"},
+    "convergence": _MARCH_FLAGS | {"problem"},
+    "dependence": _MARCH_FLAGS | {"pairing"},
+    "verify": {"config", "seed", "trials", "psi-t", "momentum-bc"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="mixedflow",
@@ -40,22 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("verify", "randomized inequality and scheme verification suite"),
     ):
         p = sub.add_parser(name, help=desc)
-        p.add_argument("--config", metavar="PATH",
-                       help="flat key = value configuration file")
-        p.add_argument("--levels", metavar="4,8,16",
-                       help="comma separated mesh levels")
-        p.add_argument("--seed", type=int, metavar="N")
-        p.add_argument("--out", metavar="PATH", help="CSV / dump output path")
-        p.add_argument("--verbose", action="store_true")
-        p.add_argument("--problem", metavar="NAME",
-                       help="builtin problem (example1, example2_F2, example2_F1)")
-        p.add_argument("--dt-ratio", type=float, metavar="R", dest="dt_ratio")
-        p.add_argument("--trials", type=int, metavar="N")
-        p.add_argument("--psi-t", dest="psi_t_mode",
-                       choices=("discrete", "analytic"))
-        p.add_argument("--momentum-bc", dest="momentum_bc",
-                       choices=("none", "exact"))
-        p.add_argument("--pairing", choices=("manufactured", "shared_data"))
+        for flag, options in _FLAGS.items():
+            if flag in _STUDY_FLAGS[name]:
+                p.add_argument(f"--{flag}", **options)
     return parser
 
 
@@ -65,14 +81,15 @@ def _config_from_args(args: argparse.Namespace) -> StudyConfig:
         with open(args.config) as fh:
             fields.update(parse_config_text(fh.read()))
     fields["study"] = args.study
-    if args.levels is not None:  # typed by StudyConfig, as a config value is
-        fields["levels"] = parse_value("levels", args.levels)
+    levels = getattr(args, "levels", None)
+    if levels is not None:  # typed by StudyConfig, as a config value is
+        fields["levels"] = parse_value("levels", levels)
     for key in ("seed", "out", "problem", "dt_ratio", "trials",
                 "psi_t_mode", "momentum_bc", "pairing"):
-        value = getattr(args, key)
+        value = getattr(args, key, None)  # None too when the study has no flag
         if value is not None:
             fields[key] = value
-    if args.verbose:  # a flag: absent leaves the config's value
+    if getattr(args, "verbose", False):  # a flag: absent leaves the config's value
         fields["verbose"] = True
     known = set(StudyConfig.__dataclass_fields__)
     unknown = set(fields) - known

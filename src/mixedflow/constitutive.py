@@ -126,6 +126,9 @@ class GeneralizedPolynomial:
         self.coeffs = coeffs
         self.eps_reg = float(eps_reg)
         self._exps = spec.all_exponents()
+        # (a_i, e_i) of the nonzero coefficients, read by every evaluation
+        self._terms = [(a, e) for a, e in zip(coeffs.values, self._exps.tolist())
+                       if a != 0.0]
 
     def coefficients(self) -> np.ndarray:
         return np.array(self.coeffs.values, dtype=float)
@@ -133,20 +136,20 @@ class GeneralizedPolynomial:
     def eval_F(self, z):
         """F(max(z, eps_reg)); exact for z >= eps_reg, finite at z = 0."""
         z = np.maximum(np.asarray(z, dtype=float), self.eps_reg)
-        a = self.coefficients()
         out = np.zeros_like(z)
-        for ai, ei in zip(a, self._exps):
-            if ai != 0.0:
+        for ai, ei in self._terms:
+            if ei == 0.0:
+                out += ai
+            else:
                 out += ai * z ** ei
         return out if out.ndim else float(out)
 
     def eval_F_prime(self, z):
         """dF/dz at max(z, eps_reg), including the singular -alpha term."""
         z = np.maximum(np.asarray(z, dtype=float), self.eps_reg)
-        a = self.coefficients()
         out = np.zeros_like(z)
-        for ai, ei in zip(a, self._exps):
-            if ai != 0.0 and ei != 0.0:
+        for ai, ei in self._terms:
+            if ei != 0.0:
                 out += ai * ei * z ** (ei - 1.0)
         return out if out.ndim else float(out)
 

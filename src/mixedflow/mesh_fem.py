@@ -68,18 +68,14 @@ class StructuredTriMesh:
         gx, gy = np.meshgrid(xs, xs, indexing="xy")
         # node index i + j*(n+1): x varies fastest
         self.nodes = np.column_stack([gx.ravel(), gy.ravel()])
-        tris = np.empty((2 * n * n, 3), dtype=np.int64)
-        k = 0
-        for j in range(n):
-            for i in range(n):
-                ll = i + j * (n + 1)
-                lr = ll + 1
-                ul = ll + (n + 1)
-                ur = ul + 1
-                tris[k] = (ll, lr, ur)       # below the / diagonal
-                tris[k + 1] = (ll, ur, ul)   # above it
-                k += 2
-        self.triangles = tris
+        # the lower-left node of cell (i, j), cells with i fastest
+        cells = np.arange(n, dtype=np.int64)
+        ll = (cells[None, :] + (n + 1) * cells[:, None]).ravel()
+        ul = ll + (n + 1)
+        self.triangles = np.stack([
+            np.column_stack([ll, ll + 1, ul + 1]),   # below the / diagonal
+            np.column_stack([ll, ul + 1, ul]),       # above it
+        ], axis=1).reshape(-1, 3)
         on_edge = (
             (self.nodes[:, 0] < _BOUNDARY_TOL)
             | (self.nodes[:, 0] > 1.0 - _BOUNDARY_TOL)
@@ -158,8 +154,10 @@ class _P1Space:
         to that.
         """
         shape = self._sampled_shape()
-        r_el = (np.broadcast_to(values, shape).reshape(-1, shape[-1]) @ _W_I) \
-            .reshape(-1, shape[-2], 3)
+        values = np.asarray(values)
+        if values.shape != shape:
+            values = np.broadcast_to(values, shape)
+        r_el = (values.reshape(-1, shape[-1]) @ _W_I).reshape(-1, shape[-2], 3)
         r_el *= self.mesh.areas[:, None]
         return np.bincount(self._element_dofs.ravel(), weights=r_el.ravel(),
                            minlength=self.n_dofs)

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_triangular
 
 from . import assembly  # by module: assembly.initial_state uses _newton in turn
 from .mesh_fem import StructuredTriMesh, norm
@@ -316,7 +315,9 @@ def _preconditioned_gmres(matrix, rhs: np.ndarray, precondition, max_iter: int,
         tri[j, j] = r
         g[j], g[j + 1] = c * g[j], -s * g[j]
         if abs(g[j + 1]) <= atol or col[j + 1] == 0.0:
-            y = solve_triangular(tri[:j + 1, :j + 1], g[:j + 1])
+            y = g[:j + 1]  # back substitution in tri y = g, in place
+            for i in range(j, -1, -1):
+                y[i] = (y[i] - tri[i, i + 1:j + 1] @ y[i + 1:]) / tri[i, i]
             return y @ search[:j + 1], j + 1
         basis[j + 1] = w / col[j + 1]
     return None, max_iter
@@ -423,6 +424,11 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
     Returns the final state and per-step diagnostics.  The first Newton
     failure aborts with the step index attached.  One linear solver serves
     every step, so it can reuse its factor across time levels.
+
+    The step energies are ||rho_bar_n||^2 = rho_bar_n^T M rho_bar_n, with M
+    the unweighted P1 mass matrix built once per march (exact for P1 under
+    the degree-4 quadrature), and dt ||m_n||_{L^s}^s by quadrature
+    (:func:`~mixedflow.mesh_fem.norm`).
     """
     newton_config = newton_config or NewtonConfig()
     linear_solver = linear_solver or LinearSolver()
@@ -430,6 +436,7 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
     state = assembler.initial_state(newton_tol=newton_config.tol)
     dt = march_config.dt
     s = data.law.spec.s
+    mass = assembler.scalar_space.mass_matrix()
     diagnostics: list[StepDiagnostics] = []
     energy_m_accum = 0.0
     x_older = None  # the flat state two levels back
@@ -453,7 +460,7 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
         energy_m_accum += dt * norm(assembler.vector_space, state.m, s) ** s
         diag = StepDiagnostics(
             n, t_n, stats.iterations, stats.residual_norm,
-            energy_rho=norm(assembler.scalar_space, state.rho_bar, 2.0) ** 2,
+            energy_rho=float(state.rho_bar @ (mass @ state.rho_bar)),
             energy_m_accum=energy_m_accum,
             factorizations=linear_solver.factorizations - factorizations,
             krylov_iterations=linear_solver.krylov_iterations - krylov_iterations,

@@ -271,9 +271,14 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("argv", [["single", "--seed", "abc"],
+    @pytest.mark.parametrize("argv", [["verify", "--seed", "abc"],
                                       ["single", "--psi-t", "midpoint"],
-                                      ["single", "--bogus"], ["nosuch"], []])
+                                      ["single", "--bogus"], ["nosuch"], [],
+                                      # a flag the study does not read
+                                      ["single", "--trials", "5"],
+                                      ["convergence", "--pairing", "shared_data"],
+                                      ["dependence", "--problem", "example2_F1"],
+                                      ["verify", "--levels", "4"]])
     def test_malformed_flags_one_line_error(self, capsys, argv):
         assert main(argv) == EXIT_CONFIG_ERROR
         captured = capsys.readouterr()

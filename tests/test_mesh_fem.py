@@ -26,6 +26,19 @@ class TestMesh:
         np.testing.assert_allclose(mesh.areas, 0.5 / n ** 2, rtol=1e-14)
         assert abs(mesh.areas.sum() - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_triangles_match_cell_loop(self, n):
+        """The triangle list equals the cell-by-cell loop it replaced."""
+        ref = []
+        for j in range(n):
+            for i in range(n):
+                ll = i + j * (n + 1)
+                ul = ll + (n + 1)
+                ref += [(ll, ll + 1, ul + 1), (ll, ul + 1, ul)]
+        tris = build_mesh(n).triangles
+        assert tris.dtype == np.int64
+        np.testing.assert_array_equal(tris, np.array(ref, dtype=np.int64))
+
     def test_deterministic_ordering(self):
         a, b = build_mesh(3), build_mesh(3)
         np.testing.assert_array_equal(a.triangles, b.triangles)

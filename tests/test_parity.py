@@ -8,6 +8,8 @@ and the mesh's triangles, and B and M_phi from the mesh's basis gradients
 and their own element mass, not from the assembler or the space kernels
 under test."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -400,6 +402,49 @@ class TestMarchParity:
         x = np.concatenate([final.m, final.rho_bar])
         x_ref = np.concatenate([ref.m, ref.rho_bar])
         assert np.linalg.norm(x - x_ref) <= 1e-7 * np.linalg.norm(x_ref)
+
+
+class TestFrozenMarch:
+    """Two N=16 marches (dt = 1/32, t = 1, default Newton tolerance) against
+    ``data/march_parity.npz``, written by :func:`frozen_march` before the
+    per-dt static data, the per-level Psi cache and the mass-matrix energies.
+
+    Those changes keep the arithmetic to roundoff, so the final flat
+    ``[m, rho_bar]`` vector must stay within 1e-10 relative and the Newton
+    and factorization counts equal step by step.  A change of where GMRES
+    starts that moves the state by 3e-8 fails.  GMRES counts sit on ties (a
+    1e-16 change can move one step's count by one), so their totals are only
+    reported in the message.
+    """
+
+    FIXTURE = Path(__file__).parent / "data" / "march_parity.npz"
+    MARCHES = {
+        "example2_F2": DiscretizationOptions(momentum_bc="exact",
+                                             pin_rho_boundary=True),
+        "example1": DiscretizationOptions(),
+    }
+
+    @staticmethod
+    def frozen_march(problem, options) -> dict:
+        state, diags = march(builtin_problem(problem), build_mesh(16),
+                             MarchConfig(dt=1 / 32), options=options)
+        return {"state": np.concatenate([state.m, state.rho_bar]),
+                "newton": [d.newton_iterations for d in diags],
+                "factorizations": [d.factorizations for d in diags],
+                "krylov": [d.krylov_iterations for d in diags]}
+
+    @pytest.mark.parametrize("problem", list(MARCHES))
+    def test_march_matches_fixture(self, problem):
+        frozen = np.load(self.FIXTURE)
+        got = self.frozen_march(problem, self.MARCHES[problem])
+        want = {key: frozen[f"{problem}_{key}"] for key in got}
+        krylov = f"GMRES totals {sum(got['krylov'])} vs {want['krylov'].sum()}"
+        np.testing.assert_array_equal(got["newton"], want["newton"], err_msg=krylov)
+        np.testing.assert_array_equal(got["factorizations"], want["factorizations"],
+                                      err_msg=krylov)
+        gap = np.linalg.norm(got["state"] - want["state"])
+        gap /= np.linalg.norm(want["state"])
+        assert gap <= 1e-10, (gap, krylov)
 
 
 class _RecordingSpla:
