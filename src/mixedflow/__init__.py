@@ -3,7 +3,7 @@ flow whose momentum law spans the pre-Darcy, Darcy and post-Darcy regimes."""
 
 from .constitutive import CoefficientVector, GeneralizedPolynomial, PowerSpec
 from .mesh_fem import (ScalarP1Space, StructuredTriMesh, VectorP1Space,
-                       build_mesh, l2_project, norm)
+                       build_mesh, norm)
 from .assembly import (Assembler, DiscretizationOptions, ExactSolution,
                        ProblemData, SystemState)
 from .solver import (LinearSolveFailure, LinearSolver, MarchConfig,

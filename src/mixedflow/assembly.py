@@ -14,13 +14,15 @@ of the boundary extension; it is taken either as the backward difference
 selectable through :class:`DiscretizationOptions`.  The Jacobian has the
 block form [[A(m), -B^T], [B, M_phi / dt]] where A carries the flux
 Jacobian, B the divergence coupling and M_phi the porosity-weighted mass.
-All four blocks live on one CSC pattern, lifted once from the P1 node
-graph.  B, -B^T and M_phi are scattered into it from their element data
-once per assembler, and the flux block once per Jacobian; the A-only
-matrix of the momentum initialization is J's momentum rows of its momentum
-columns.  Beside J's pattern sits the residual operator's: J's entries
-outside A, the coupling and mass entries [[0, -B^T], [B, M_phi / dt]],
-which the residual multiplies without A's explicit zeros.
+The :class:`Assembler` builds every sparse matrix, each on the P1 node
+graph G.  J's four blocks live on one CSC pattern lifted from G.  B, -B^T
+and M_phi are scattered into it from their element data once per
+assembler, and the flux block once per Jacobian; the A-only matrix of the
+momentum initialization is J's momentum rows of its momentum columns.
+Beside J's pattern sits the residual operator's: J's entries outside A,
+the coupling and mass entries [[0, -B^T], [B, M_phi / dt]], which the
+residual multiplies without A's explicit zeros.  The unweighted P1 mass
+matrix M, which the initial projection and a march's energies read, is on G.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import solver
 from .constitutive import GeneralizedPolynomial
-from .mesh_fem import (ScalarP1Space, StructuredTriMesh, VectorP1Space,
-                       l2_project)
+from .mesh_fem import ScalarP1Space, StructuredTriMesh, VectorP1Space
 
 __all__ = [
     "ExactSolution",
@@ -74,7 +76,6 @@ class ProblemData:
     psi_t: Callable[[np.ndarray, float], np.ndarray]
     grad_psi: Callable[[np.ndarray, float], np.ndarray]
     rho0: Callable[[np.ndarray], np.ndarray]
-    final_time: float = 1.0
     phi_bounds: tuple[float, float] = (1.0, 1.0)
     exact: ExactSolution | None = None
     name: str = "problem"
@@ -83,8 +84,6 @@ class ProblemData:
         lo, hi = self.phi_bounds
         if not (0.0 < lo <= hi):
             raise ValueError(f"porosity bounds must satisfy 0 < lo <= hi, got {self.phi_bounds}")
-        if self.final_time <= 0.0:
-            raise ValueError("final_time must be positive")
 
 
 @dataclass
@@ -251,7 +250,7 @@ class Assembler:
 
     def _lift(self, g: _NodeGraph) -> None:
         """J's pattern, its A part and the static data of B, -B^T and M_phi,
-        lifted from the node graph G.
+        lifted from the node graph G, and the unweighted mass M on G itself.
 
         Columns 2j, 2j + 1 and n_m + j of J hold the same rows: 2i and
         2i + 1 for every neighbour i of node j in order, then n_m + i for
@@ -265,7 +264,8 @@ class Assembler:
         data of the transposed entries, ``_source``.  A alone is J's
         momentum rows of its momentum columns, ``_a_slots``, which keep J's
         order; the residual operator's pattern ``_static`` is J's other
-        entries, those where ``_outside_a`` holds, in J's order.
+        entries, those where ``_outside_a`` holds, in J's order.  ``mass``
+        is M in CSC on G's rows and column starts, by one ``bincount``.
         """
         n_m = self.vector_space.n_dofs
         first = (6 * g.start, 6 * g.start + 3 * g.deg,  # columns 2j, 2j + 1,
@@ -303,9 +303,14 @@ class Assembler:
                                                b_el.ravel())
         self._coupling -= self._pattern.scatter(slot[:2, 2][:, g.element].ravel(),
                                                 b_el.transpose(0, 1, 3, 2).ravel())
-        self._mass = self._pattern.scatter(
-            slot[2, 2][g.element].ravel(),
-            self.scalar_space.element_matrices(self._phi_q).ravel())
+        ss = self.scalar_space
+        self._mass_phi = self._pattern.scatter(
+            slot[2, 2][g.element].ravel(), ss.element_matrices(self._phi_q).ravel())
+        mass = np.bincount(g.element.ravel(), ss.element_matrices(
+            np.ones_like(self._phi_q)).ravel(), minlength=g.nnz)
+        mass.flags.writeable = False
+        self.mass = sp.csc_matrix((mass, g.row, np.concatenate([[0], np.cumsum(deg)])),
+                                  shape=(ss.n_dofs, ss.n_dofs))
 
     # -- per-step data -------------------------------------------------------
 
@@ -328,7 +333,7 @@ class Assembler:
         both are read-only."""
         if self._per_dt is None or self._per_dt[0] != dt:
             self._per_dt = None  # free the old dt's arrays first
-            static = self._coupling + self._mass / dt
+            static = self._coupling + self._mass_phi / dt
             static.flags.writeable = False
             data = static[self._outside_a]
             data.flags.writeable = False
@@ -453,8 +458,8 @@ class Assembler:
             np.concatenate([state_n.m, state_n.rho_bar]))[1]()
 
     def initial_state(self, newton_tol: float = 1e-10) -> SystemState:
-        """Project the initial density; solve the momentum rows by Newton from
-        the law inverted at the nodes.
+        """Project rho_0 - Psi(., 0) onto P1 with :attr:`mass`; solve the
+        momentum rows by Newton from the law inverted at the nodes.
 
         The momentum rows hold no derivative of m.  With the mass lumped
         they read F(|m_i|) m_i = g_i at each node i, with the nodal target
@@ -472,13 +477,11 @@ class Assembler:
         with the residual trace, as does a failure on the way.
         """
         data = self.data
-        rho_bar0 = l2_project(self.scalar_space,
-                              lambda pts: np.asarray(data.rho0(pts), dtype=float)
-                              - np.asarray(data.psi(pts, 0.0), dtype=float))
+        rho_bar0 = _solve_spd(self.mass, self.scalar_space.load_vector(
+            np.asarray(data.rho0(self._qpts), dtype=float) - self._psi_at(0.0)))
         grad_psi, bc = self._momentum_loads(0.0)
         n_m = self.vector_space.n_dofs
-        coupling_op = self._static.operator(self._coupling[self._outside_a])
-        coupling = (coupling_op  # -B^T rho_bar_0
+        coupling = (self._pattern.operator(self._coupling)  # -B^T rho_bar_0
                     @ np.concatenate([np.zeros(n_m), rho_bar0]))[:n_m]
         with np.errstate(over="ignore", invalid="ignore"):
             target = (-coupling - grad_psi).reshape(-1, 2) \
@@ -499,3 +502,23 @@ class Assembler:
         m, _ = solver._newton(linearize, m0, newton_tol, _INIT_MAX_ITER,
                               solver.LinearSolver(), "in the momentum initialization")
         return SystemState(rho_bar0, m, 0.0)
+
+
+def _solve_spd(mat: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve a P1 mass-matrix system by Jacobi-preconditioned CG.
+
+    The Jacobi-scaled P1 mass matrix has condition number at most 4 on any
+    mesh (Wathen, IMA J. Numer. Anal. 1987), so CG needs a fixed, small
+    number of iterations at every h (19-22 at N = 16 to 128).  CG aims at
+    1e-12 ||rhs||, at least two decades inside the residual check; a zero
+    ``rhs`` returns zero at once.
+    """
+    if not np.any(rhs):
+        return np.zeros_like(rhs)
+    sol, _ = spla.cg(mat, rhs, rtol=1e-12, atol=0.0,
+                     M=sp.diags(1.0 / mat.diagonal()))
+    resid = np.linalg.norm(mat @ sol - rhs)
+    scale = max(np.linalg.norm(rhs), 1.0)
+    if not np.isfinite(resid) or resid > 1e-10 * scale:
+        raise RuntimeError(f"mass solve failed: residual {resid:.3e}")
+    return sol

@@ -35,7 +35,7 @@ _FLAGS = {
     "levels": dict(metavar="4,8,16", help="comma separated mesh levels"),
     "seed": dict(type=int, metavar="N"),
     "out": dict(metavar="PATH", help="CSV / dump output path"),
-    "verbose": dict(action="store_true"),
+    "verbose": dict(action="store_const", const=True),
     "problem": dict(metavar="NAME",
                     help="builtin problem (example1, example2_F2, example2_F1)"),
     "dt-ratio": dict(type=float, metavar="R", dest="dt_ratio"),
@@ -80,17 +80,11 @@ def _config_from_args(args: argparse.Namespace) -> StudyConfig:
     if args.config:
         with open(args.config) as fh:
             fields.update(parse_config_text(fh.read()))
-    fields["study"] = args.study
-    levels = getattr(args, "levels", None)
-    if levels is not None:  # typed by StudyConfig, as a config value is
-        fields["levels"] = parse_value("levels", levels)
-    for key in ("seed", "out", "problem", "dt_ratio", "trials",
-                "psi_t_mode", "momentum_bc", "pairing"):
-        value = getattr(args, key, None)  # None too when the study has no flag
-        if value is not None:
-            fields[key] = value
-    if getattr(args, "verbose", False):  # a flag: absent leaves the config's value
-        fields["verbose"] = True
+    # every given flag; an absent one is None and leaves the config's value
+    for key, value in vars(args).items():
+        if value is not None and key != "config":
+            # levels is typed by StudyConfig, as a config value is
+            fields[key] = parse_value(key, value) if key == "levels" else value
     known = set(StudyConfig.__dataclass_fields__)
     unknown = set(fields) - known
     if unknown:

@@ -1,5 +1,8 @@
 """Structured triangulation of the unit square and equal-order P1 spaces.
 
+This is the dense P1 layer: the mesh, the spaces, the quadrature kernels
+and the norms.  It holds no sparse matrix; the assembler builds each one.
+
 The unit square is divided into an n x n grid of squares, each cut along
 the lower-left to upper-right diagonal into two positively oriented
 triangles.  Scalar fields use continuous piecewise-linear (P1) nodal
@@ -25,8 +28,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "QUAD_POINTS",
@@ -35,7 +36,6 @@ __all__ = [
     "ScalarP1Space",
     "VectorP1Space",
     "build_mesh",
-    "l2_project",
     "norm",
 ]
 
@@ -203,15 +203,6 @@ class ScalarP1Space(_P1Space):
         m_el *= self.mesh.areas[:, None]
         return m_el
 
-    def mass_matrix(self):
-        """(phi_i, phi_j)."""
-        m_el = self.element_matrices(np.ones(self._qpts.shape[:2]))
-        tris = self.mesh.triangles
-        rows = np.repeat(tris, 3, axis=1).ravel()
-        cols = np.tile(tris, (1, 3)).ravel()
-        return sp.coo_matrix((m_el.ravel(), (rows, cols)),
-                             shape=(self.n_dofs, self.n_dofs)).tocsr()
-
 
 class VectorP1Space(_P1Space):
     """Two interleaved P1 components sharing the scalar node ordering."""
@@ -232,32 +223,6 @@ class VectorP1Space(_P1Space):
         """A (..., 2) array of vectors, such as a data function returns at
         :meth:`quadrature_coords`, as the (2, ...) layout of this space."""
         return np.moveaxis(np.asarray(values, dtype=float), -1, 0)
-
-
-def l2_project(space: ScalarP1Space, g: Callable) -> np.ndarray:
-    """Solve the mass-matrix system so the residual is quadrature-orthogonal."""
-    return _solve_spd(space.mass_matrix(),
-                      space.load_vector(g(space.quadrature_coords())))
-
-
-def _solve_spd(mat, rhs: np.ndarray) -> np.ndarray:
-    """Solve a P1 mass-matrix system by Jacobi-preconditioned CG.
-
-    The Jacobi-scaled P1 mass matrix has condition number at most 4 on any
-    mesh (Wathen, IMA J. Numer. Anal. 1987), so CG needs a fixed, small
-    number of iterations at every h (19-22 at N = 16 to 128).  CG aims at
-    1e-12 ||rhs||, at least two decades inside the residual check; a zero
-    ``rhs`` returns zero at once.
-    """
-    if not np.any(rhs):
-        return np.zeros_like(rhs)
-    sol, _ = spla.cg(mat, rhs, rtol=1e-12, atol=0.0,
-                     M=sp.diags(1.0 / mat.diagonal()))
-    resid = np.linalg.norm(mat @ sol - rhs)
-    scale = max(np.linalg.norm(rhs), 1.0)
-    if not np.isfinite(resid) or resid > 1e-10 * scale:
-        raise RuntimeError(f"mass solve failed: residual {resid:.3e}")
-    return sol
 
 
 def norm(space, dofs: np.ndarray, p: float = 2.0,

@@ -426,9 +426,9 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
     every step, so it can reuse its factor across time levels.
 
     The step energies are ||rho_bar_n||^2 = rho_bar_n^T M rho_bar_n, with M
-    the unweighted P1 mass matrix built once per march (exact for P1 under
-    the degree-4 quadrature), and dt ||m_n||_{L^s}^s by quadrature
-    (:func:`~mixedflow.mesh_fem.norm`).
+    the unweighted P1 mass matrix built once per march, ``assembler.mass``
+    (exact for P1 under the degree-4 quadrature), and dt ||m_n||_{L^s}^s by
+    quadrature (:func:`~mixedflow.mesh_fem.norm`).
     """
     newton_config = newton_config or NewtonConfig()
     linear_solver = linear_solver or LinearSolver()
@@ -436,7 +436,6 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
     state = assembler.initial_state(newton_tol=newton_config.tol)
     dt = march_config.dt
     s = data.law.spec.s
-    mass = assembler.scalar_space.mass_matrix()
     diagnostics: list[StepDiagnostics] = []
     energy_m_accum = 0.0
     x_older = None  # the flat state two levels back
@@ -460,7 +459,7 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
         energy_m_accum += dt * norm(assembler.vector_space, state.m, s) ** s
         diag = StepDiagnostics(
             n, t_n, stats.iterations, stats.residual_norm,
-            energy_rho=float(state.rho_bar @ (mass @ state.rho_bar)),
+            energy_rho=float(state.rho_bar @ (assembler.mass @ state.rho_bar)),
             energy_m_accum=energy_m_accum,
             factorizations=linear_solver.factorizations - factorizations,
             krylov_iterations=linear_solver.krylov_iterations - krylov_iterations,

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import momentum_rows
 from mixedflow import solver
-from mixedflow.assembly import Assembler, DiscretizationOptions, SystemState
+from mixedflow.assembly import (Assembler, DiscretizationOptions, SystemState,
+                                _solve_spd)
 from mixedflow.harness import builtin_problem
 from mixedflow.mesh_fem import build_mesh, norm
 from mixedflow.verify import jacobian_fd_error
@@ -28,7 +31,6 @@ def interpolated_exact_state(asm, data, t):
 
 class TestResidual:
     def test_zero_data_zero_state_zero_residual(self, example1):
-        import dataclasses
         zero_scalar = lambda x, t: np.zeros(np.shape(x)[:-1])
         zero_vec = lambda x, t: np.zeros(np.shape(x))
         data = dataclasses.replace(
@@ -42,7 +44,6 @@ class TestResidual:
         assert np.linalg.norm(asm.residual(state, prev, 0.1)) == 0.0
 
     def test_doubling_f_doubles_its_contribution(self, example1):
-        import dataclasses
         doubled = dataclasses.replace(
             example1, f=lambda x, t: 2.0 * example1.f(x, t))
         mesh = build_mesh(2)
@@ -129,7 +130,6 @@ class TestJacobian:
         assert np.linalg.eigvalsh(a_block).min() > 0.0
 
     def test_darcy_block_is_vector_mass(self):
-        import dataclasses
         from mixedflow.constitutive import (CoefficientVector,
                                             GeneralizedPolynomial, PowerSpec)
         darcy_law = GeneralizedPolynomial(PowerSpec(0.5, [1.0]),
@@ -143,14 +143,13 @@ class TestJacobian:
             state = SystemState(np.zeros(nv), m, 0.5)
             a_block = asm.jacobian(state, 0.1).toarray()[: 2 * nv, : 2 * nv]
             # F == 1: the block is the interleaved vector mass matrix
-            mass = asm.scalar_space.mass_matrix().toarray()
+            mass = asm.mass.toarray()
             expected = np.zeros_like(a_block)
             expected[0::2, 0::2] = mass
             expected[1::2, 1::2] = mass
             np.testing.assert_allclose(a_block, expected, atol=1e-13)
 
     def test_independent_of_f_and_psi(self, example1):
-        import dataclasses
         other = dataclasses.replace(
             example1,
             f=lambda x, t: 7.0 + 0.0 * x[..., 0],
@@ -220,6 +219,45 @@ class TestInitialState:
         assert np.linalg.norm(m - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
+class TestProjection:
+    """The L^2 projection of the initial density, M rho_bar_0 = (g, q) with
+    M the assembler's mass matrix."""
+
+    @staticmethod
+    def project(n, g):
+        """The space of the N x N mesh and g's projection onto it."""
+        asm = Assembler(build_mesh(n), builtin_problem("example1"))
+        space = asm.scalar_space
+        return space, _solve_spd(asm.mass, space.load_vector(g(space.quadrature_coords())))
+
+    def test_fixes_space_members(self, example1):
+        # rho_0 - Psi(., 0) = g, projected by the initial state
+        g = lambda x: 1.0 + 2.0 * x[..., 0] - 0.5 * x[..., 1]
+        data = dataclasses.replace(example1,
+                                   rho0=lambda x: example1.psi(x, 0.0) + g(x))
+        asm = Assembler(build_mesh(3), data)
+        np.testing.assert_allclose(asm.initial_state().rho_bar,
+                                   g(asm.mesh.nodes), atol=1e-11)
+
+    def test_zero(self):
+        assert np.all(self.project(2, lambda x: 0.0 * x[..., 0])[1] == 0.0)
+
+    def test_second_order_rate_for_sine(self):
+        g = lambda x: np.sin(np.pi * x[..., 0])
+        errs = [norm(*self.project(n, g), 2.0, against=g) for n in (4, 8, 16)]
+        # frozen oracle values from the dev sweep
+        np.testing.assert_allclose(
+            errs, [1.702501e-02, 4.126684e-03, 1.020294e-03], rtol=1e-5)
+        rates = np.log(np.array(errs[:-1]) / errs[1:]) / np.log(2.0)
+        assert np.all(rates > 1.9)
+
+    def test_mass_matrix_spd(self, example1):
+        for n in (2, 4, 8):
+            mass = Assembler(build_mesh(n), example1).mass.toarray()
+            np.testing.assert_allclose(mass, mass.T, atol=1e-16)
+            assert np.linalg.eigvalsh(mass).min() > 0.0
+
+
 class TestOptions:
     def test_pin_rho_boundary_rows(self, example1):
         asm = Assembler(build_mesh(2), example1,
@@ -234,7 +272,6 @@ class TestOptions:
         np.testing.assert_array_equal(r[2 * nv:][bn], state.rho_bar[bn])
 
     def test_momentum_bc_requires_exact(self, example1):
-        import dataclasses
         data = dataclasses.replace(example1, exact=None)
         with pytest.raises(ValueError):
             Assembler(build_mesh(2), data,

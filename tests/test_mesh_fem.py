@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from mixedflow.mesh_fem import (QUAD_WEIGHTS, ScalarP1Space, VectorP1Space,
-                                build_mesh, l2_project, norm)
+                                build_mesh, norm)
 
 
 class TestMesh:
@@ -67,36 +67,6 @@ class TestQuadrature:
                 approx = space.integrate(qpts[..., 0] ** px * qpts[..., 1] ** py)
                 exact = 1.0 / ((px + 1) * (py + 1))
                 assert abs(approx - exact) <= 1e-13
-
-
-class TestProjection:
-    def test_fixes_space_members(self):
-        space = ScalarP1Space(build_mesh(3))
-        g = lambda x: 1.0 + 2.0 * x[..., 0] - 0.5 * x[..., 1]
-        np.testing.assert_allclose(l2_project(space, g),
-                                   g(space.mesh.nodes), atol=1e-11)
-
-    def test_zero(self):
-        space = ScalarP1Space(build_mesh(2))
-        assert np.all(l2_project(space, lambda x: 0.0 * x[..., 0]) == 0.0)
-
-    def test_second_order_rate_for_sine(self):
-        g = lambda x: np.sin(np.pi * x[..., 0])
-        errs = []
-        for n in (4, 8, 16):
-            space = ScalarP1Space(build_mesh(n))
-            errs.append(norm(space, l2_project(space, g), 2.0, against=g))
-        # frozen oracle values from the dev sweep
-        np.testing.assert_allclose(
-            errs, [1.702501e-02, 4.126684e-03, 1.020294e-03], rtol=1e-5)
-        rates = np.log(np.array(errs[:-1]) / errs[1:]) / np.log(2.0)
-        assert np.all(rates > 1.9)
-
-    def test_mass_matrix_spd(self):
-        for n in (2, 4, 8):
-            mass = ScalarP1Space(build_mesh(n)).mass_matrix().toarray()
-            np.testing.assert_allclose(mass, mass.T, atol=1e-16)
-            assert np.linalg.eigvalsh(mass).min() > 0.0
 
 
 class TestNorms:

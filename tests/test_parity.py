@@ -8,6 +8,7 @@ and the mesh's triangles, and B and M_phi from the mesh's basis gradients
 and their own element mass, not from the assembler or the space kernels
 under test."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import scipy.sparse.linalg as spla
 from conftest import momentum_rows
 from mixedflow import solver as solver_module
 from mixedflow.assembly import (Assembler, DiscretizationOptions, SystemState,
-                                _FixedCsc)
+                                _FixedCsc, _NodeGraph)
 from mixedflow.harness import builtin_problem
 from mixedflow.mesh_fem import QUAD_POINTS, QUAD_WEIGHTS, build_mesh
 from mixedflow.solver import (LinearSolveFailure, LinearSolver, MarchConfig,
@@ -295,7 +296,7 @@ class TestLiftedPatterns:
                              asm._flux_slots, asm._mirror, asm._source], ref_arrays):
             assert got.dtype.kind == ref.dtype.kind and np.array_equal(got, ref)
         # the static data sum the same element entries, maybe in another order
-        for got, ref in ((asm._coupling, coupling), (asm._mass, mass)):
+        for got, ref in ((asm._coupling, coupling), (asm._mass_phi, mass)):
             assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
         for pattern, pinned in [(a, asm._pinned_m),
                                 (j, np.concatenate([asm._pinned_m, a.n + asm._pinned_rho]))]:
@@ -318,6 +319,39 @@ class TestLiftedPatterns:
         got, want = (momentum_rows(x, state.t, state.rho_bar)(state.m)[1]().data
                      for x in (asm, ref))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestMassMatrix:
+    """The unweighted P1 mass matrix M, scattered on the node graph G,
+    against the coo->csr build of the same element matrices it replaced:
+    equal bit for bit, on G's rows and column starts.  Under a porosity
+    phi != 1, M differs from J's block M_phi, so an M built from phi's
+    element matrices fails."""
+
+    POROUS = dict(phi=lambda x: 1.0 + 0.5 * x[..., 0] * x[..., 1],
+                  phi_bounds=(1.0, 1.5))
+
+    @pytest.mark.parametrize("porous", [False, True], ids=["phi1", "phi_varies"])
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_matches_coo_csr_on_node_graph(self, n, porous):
+        data = builtin_problem("example1")
+        if porous:
+            data = dataclasses.replace(data, **self.POROUS)
+        asm = Assembler(build_mesh(n), data)
+        space, tris = asm.scalar_space, asm.mesh.triangles
+        m_el = space.element_matrices(np.ones(space.quadrature_coords().shape[:2]))
+        ref = sp.coo_matrix((m_el.ravel(), (np.repeat(tris, 3, axis=1).ravel(),
+                                            np.tile(tris, (1, 3)).ravel())),
+                            shape=(space.n_dofs, space.n_dofs)).tocsr()
+        g = _NodeGraph.build(tris, asm.mesh.n_nodes)
+        mass = asm.mass
+        assert mass.format == "csc" and not mass.data.flags.writeable
+        assert np.array_equal(mass.indices, g.row)
+        assert np.array_equal(mass.indptr, np.concatenate([[0], np.cumsum(g.node_deg)]))
+        # M is symmetric, so its CSR arrays are its CSC ones
+        assert np.array_equal(ref.indices, mass.indices)
+        assert np.array_equal(ref.indptr, mass.indptr)
+        assert np.array_equal(mass.data.view(np.int64), ref.data.view(np.int64))
 
 
 class TestResidualParity:
