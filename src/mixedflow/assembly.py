@@ -17,12 +17,13 @@ Jacobian, B the divergence coupling and M_phi the porosity-weighted mass.
 The :class:`Assembler` builds every sparse matrix, each on the P1 node
 graph G.  J's four blocks live on one CSC pattern lifted from G.  B, -B^T
 and M_phi are scattered into it from their element data once per
-assembler, and the flux block once per Jacobian; the A-only matrix of the
-momentum initialization is J's momentum rows of its momentum columns.
-Beside J's pattern sits the residual operator's: J's entries outside A,
-the coupling and mass entries [[0, -B^T], [B, M_phi / dt]], which the
-residual multiplies without A's explicit zeros.  The unweighted P1 mass
-matrix M, which the initial projection and a march's energies read, is on G.
+assembler, and the flux block once per Jacobian.  Beside J's pattern sits
+the residual operator's: J's entries outside A, the coupling and mass
+entries [[0, -B^T], [B, M_phi / dt]], which the residual multiplies without
+A's explicit zeros.  The unweighted P1 mass matrix M, which the initial
+projection and a march's energies read, is on G.  The initial momentum
+needs no matrix: it is the law inverted node by node (see
+:meth:`Assembler.initial_state`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import solver
 from .constitutive import GeneralizedPolynomial
 from .mesh_fem import ScalarP1Space, StructuredTriMesh, VectorP1Space
 
@@ -134,9 +134,6 @@ class DiscretizationOptions:
 
 # A residual and a thunk that builds its Jacobian at the same iterate.
 Linearization = tuple[np.ndarray, Callable[[], sp.csc_matrix]]
-
-# Newton steps the momentum initialization may take before it fails.
-_INIT_MAX_ITER = 60
 
 
 class _FixedCsc:
@@ -249,8 +246,8 @@ class Assembler:
         self._psi: tuple | None = None
 
     def _lift(self, g: _NodeGraph) -> None:
-        """J's pattern, its A part and the static data of B, -B^T and M_phi,
-        lifted from the node graph G, and the unweighted mass M on G itself.
+        """J's pattern and the static data of B, -B^T and M_phi, lifted from
+        the node graph G, and the unweighted mass M on G itself.
 
         Columns 2j, 2j + 1 and n_m + j of J hold the same rows: 2i and
         2i + 1 for every neighbour i of node j in order, then n_m + i for
@@ -261,11 +258,10 @@ class Assembler:
         its (nt, 3, 3) element data by one ``bincount``.  The flux block
         takes the xx, xy and yy data of the flux Jacobian; A is symmetric,
         so its yx block is not summed: the yx slots ``_mirror`` copy the xy
-        data of the transposed entries, ``_source``.  A alone is J's
-        momentum rows of its momentum columns, ``_a_slots``, which keep J's
-        order; the residual operator's pattern ``_static`` is J's other
-        entries, those where ``_outside_a`` holds, in J's order.  ``mass``
-        is M in CSC on G's rows and column starts, by one ``bincount``.
+        data of the transposed entries, ``_source``.  The residual
+        operator's pattern ``_static`` is J's entries outside A, those where
+        ``_outside_a`` holds, in J's order.  ``mass`` is M in CSC on G's
+        rows and column starts, by one ``bincount``.
         """
         n_m = self.vector_space.n_dofs
         first = (6 * g.start, 6 * g.start + 3 * g.deg,  # columns 2j, 2j + 1,
@@ -280,10 +276,6 @@ class Assembler:
             indices, np.concatenate(
                 [[0], np.cumsum(np.concatenate([np.repeat(3 * deg, 2), 3 * deg]))]),
             np.concatenate([self._pinned_m, n_m + self._pinned_rho]))
-        self._a_slots = np.flatnonzero(indices[:6 * g.nnz] < n_m)
-        self._a = _FixedCsc(indices[self._a_slots],
-                            np.concatenate([[0], np.cumsum(np.repeat(2 * deg, 2))]),
-                            self._pinned_m)
         # the residual operator's entries: the rho_bar rows of each momentum
         # column, then each rho_bar column; a mask takes under a quarter of
         # the memory of their slot numbers
@@ -351,23 +343,7 @@ class Assembler:
         return grad_psi, np.asarray(self.data.exact.m(self.mesh.nodes[bn], t),
                                     dtype=float).reshape(-1)
 
-    # -- the two nonlinear systems ---------------------------------------------
-
-    def _momentum_rows(self, grad_psi: np.ndarray, bc: np.ndarray) -> Callable[
-            [np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]:
-        """The momentum rows over the loads bound by :meth:`_momentum_loads`,
-        as a function of m and their coupling term -B^T rho_bar.  The thunk
-        returns J's data of the flux block A (see :meth:`_flux_block`)."""
-        vs = self.vector_space
-        pinned = self._pinned_m
-
-        def linearize(m_dofs: np.ndarray, coupling: np.ndarray):
-            flux, flux_jacobian = self.data.law.linearize(vs.eval_at_quadrature(m_dofs))
-            r = vs.load_vector(flux) + coupling + grad_psi
-            r[pinned] = m_dofs[pinned] - bc
-            return r, lambda: self._flux_block(flux_jacobian)
-
-        return linearize
+    # -- one time level ----------------------------------------------------------
 
     def _flux_block(self, flux_jacobian: Callable[[], np.ndarray]) -> np.ndarray:
         """J's data with the flux block A, and zeros elsewhere, from the law's
@@ -394,7 +370,7 @@ class Assembler:
         at x, whose -B^T rho_bar, B m and M_phi (rho_bar - rho_bar_{n-1}) /
         dt terms are one product with the residual operator, and a thunk
         that adds the static data to the flux block at x, built from the
-        momentum rows' quadrature values (see :meth:`jacobian`).
+        law's values at x's quadrature points (see :meth:`jacobian`).
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -404,20 +380,23 @@ class Assembler:
         load = self.scalar_space.load_vector(
             self._phi_q * self._dpsi_values(state_prev.t, t_n, dt)
             - self.data.f(self._qpts, t_n))
-        momentum = self._momentum_rows(*self._momentum_loads(t_n))
-        n_m = self.vector_space.n_dofs
+        grad_psi, bc = self._momentum_loads(t_n)
+        vs = self.vector_space
+        n_m = vs.n_dofs
         x_prev = np.concatenate([np.zeros(n_m), state_prev.rho_bar])
         coupling_prev = (operator @ x_prev)[:n_m]  # -B^T rho_bar_{n-1}
 
         def linearize(x: np.ndarray):
             # [-B^T (rho_bar - rho_prev); B m + M_phi (rho_bar - rho_prev) / dt]
             static_rows = operator @ (x - x_prev)
-            r_mom, flux_block = momentum(x[:n_m], static_rows[:n_m] + coupling_prev)
+            flux, flux_jacobian = self.data.law.linearize(vs.eval_at_quadrature(x[:n_m]))
+            r_mom = vs.load_vector(flux) + (static_rows[:n_m] + coupling_prev) + grad_psi
+            r_mom[self._pinned_m] = x[self._pinned_m] - bc
             r_den = static_rows[n_m:] + load
             r_den[self._pinned_rho] = x[n_m:][self._pinned_rho]
 
             def jacobian() -> sp.csc_matrix:
-                data = flux_block()
+                data = self._flux_block(flux_jacobian)
                 data += static
                 return self._pattern.matrix(data)
 
@@ -457,28 +436,25 @@ class Assembler:
         return self.level(prev, state_n.t, dt)(
             np.concatenate([state_n.m, state_n.rho_bar]))[1]()
 
-    def initial_state(self, newton_tol: float = 1e-10) -> SystemState:
-        """Project rho_0 - Psi(., 0) onto P1 with :attr:`mass`; solve the
-        momentum rows by Newton from the law inverted at the nodes.
+    def initial_state(self) -> SystemState:
+        """Project rho_0 - Psi(., 0) onto P1 with :attr:`mass`; invert the
+        law node by node for the momentum.
 
-        The momentum rows hold no derivative of m.  With the mass lumped
+        m_0 enters no level equation (level n reads rho_bar_{n-1} alone, see
+        :meth:`level`): it only starts the first level's Newton and the
+        second level's extrapolation, so no Newton solve refines it.  It
+        solves the momentum rows at rho_bar_0 with the mass lumped, where
         they read F(|m_i|) m_i = g_i at each node i, with the nodal target
-        g_i = ((B^T rho_bar_0)_i - (grad Psi, v)_i) / (integral of phi_i),
-        and :meth:`~mixedflow.constitutive.GeneralizedPolynomial.invert`
-        solves them node by node: m_i = g_i z_i / |g_i| with
-        z_i F(z_i) = |g_i|.  The pinned dofs take their exact values.  This
-        start solves the rows to roundoff when the momentum is constant, as
-        on the built-in problems (the lumped-mass method; Thomee, Galerkin
-        Finite Element Methods for Parabolic Problems, 2006, ch. 15);
-        otherwise it is only a start, and Newton corrects it.  Newton
-        accepts an iterate by the same rule ||residual|| <= ``newton_tol``
-        from any start, and checks the start like every iterate: a
-        non-finite one raises :class:`~mixedflow.solver.NonConvergence`
-        with the residual trace, as does a failure on the way.
+        g_i = ((B^T rho_bar_0)_i - (grad Psi, v)_i) / (integral of phi_i);
+        :meth:`~mixedflow.constitutive.GeneralizedPolynomial.invert` gives
+        m_i = g_i z_i / |g_i| with z_i F(z_i) = |g_i|.  The pinned dofs take
+        their exact values.  When the momentum is constant in space, as on
+        the built-in problems, this solves the unlumped rows to roundoff too
+        (the lumped-mass method; Thomee, Galerkin Finite Element Methods for
+        Parabolic Problems, 2006, ch. 15).
         """
-        data = self.data
         rho_bar0 = _solve_spd(self.mass, self.scalar_space.load_vector(
-            np.asarray(data.rho0(self._qpts), dtype=float) - self._psi_at(0.0)))
+            np.asarray(self.data.rho0(self._qpts), dtype=float) - self._psi_at(0.0)))
         grad_psi, bc = self._momentum_loads(0.0)
         n_m = self.vector_space.n_dofs
         coupling = (self._pattern.operator(self._coupling)  # -B^T rho_bar_0
@@ -487,21 +463,11 @@ class Assembler:
             target = (-coupling - grad_psi).reshape(-1, 2) \
                 / self.scalar_space.load_vector(1.0)[:, None]
             size = np.hypot(target[:, 0], target[:, 1])
-            scale = np.divide(data.law.invert(size), size,
+            scale = np.divide(self.data.law.invert(size), size,
                               out=np.zeros_like(size), where=size > 0.0)
             m0 = (target * scale[:, None]).reshape(-1)
         m0[self._pinned_m] = bc
-        momentum = self._momentum_rows(grad_psi, bc)
-
-        def linearize(m: np.ndarray) -> Linearization:
-            # A alone, J's momentum rows of its momentum columns: every A
-            # shares one pattern, so a held factor preconditions the next
-            r, flux_block = momentum(m, coupling)
-            return r, lambda: self._a.matrix(flux_block()[self._a_slots])
-
-        m, _ = solver._newton(linearize, m0, newton_tol, _INIT_MAX_ITER,
-                              solver.LinearSolver(), "in the momentum initialization")
-        return SystemState(rho_bar0, m, 0.0)
+        return SystemState(rho_bar0, m0, 0.0)
 
 
 def _solve_spd(mat: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:

@@ -1,16 +1,15 @@
 """Built-in manufactured problems, study orchestration and configuration.
 
-Two manufactured example problems are built in:
+Three example problems are built in, the first two manufactured:
 
 ``example1``      law (1, 1, 1) with alpha = 1/2, alpha_1 = 1; density
                   (e^-t + e^-2t + e^-4t)(x1 + x2)/sqrt(2), spatially
                   constant momentum -e^-2t (1, 1)/sqrt(2).
 ``example2_F2``   law (0.95, 1, 0.95) with its own manufactured data of the
                   same shape (weights 0.95, 1, 0.95).
-``example2_F1``   law (1, 1, 1) paired with example2_F2's data; no exact
-                  solution is attached (the pair is not manufactured for
-                  this law).  Used by the shared-data variant of the
-                  dependence study.
+``example2_F1``   law (1, 1, 1) paired with example2_F2's data, for
+                  ``problem`` only; no exact solution is attached (the
+                  pair is not manufactured for this law).
 
 The dependence study solves two problems per level and measures the norms
 of the discrete-solution differences.  Its default pairing solves each law

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from . import assembly  # by module: assembly.initial_state uses _newton in turn
+from . import assembly
 from .mesh_fem import StructuredTriMesh, norm
 
 __all__ = [
@@ -433,7 +433,7 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
     newton_config = newton_config or NewtonConfig()
     linear_solver = linear_solver or LinearSolver()
     assembler = assembly.Assembler(mesh, data, options)
-    state = assembler.initial_state(newton_tol=newton_config.tol)
+    state = assembler.initial_state()
     dt = march_config.dt
     s = data.law.spec.s
     diagnostics: list[StepDiagnostics] = []

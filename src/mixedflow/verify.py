@@ -258,14 +258,17 @@ class InequalityReport:
         return "\n".join(lines)
 
 
-def _violation(small, large, slack: float):
-    """Positive where small <= large fails beyond relative slack."""
+_SLACK = 1e-12  # relative, for roundoff in both sides of every inequality
+
+
+def _violation(small, large):
+    """Positive where small <= large fails beyond the relative ``_SLACK``."""
     scale = np.maximum(1.0, np.maximum(np.abs(small), np.abs(large)))
-    return small - large - slack * scale
+    return small - large - _SLACK * scale
 
 
 def inequality_suite(law: GeneralizedPolynomial, seed: int = 0,
-                     trials: int = 10_000, slack: float = 1e-12) -> InequalityReport:
+                     trials: int = 10_000) -> InequalityReport:
     """Run ``trials`` random draws per witness and report violations.
 
     A trial counts as violated unless its violation is <= 0, so a side that
@@ -280,7 +283,7 @@ def inequality_suite(law: GeneralizedPolynomial, seed: int = 0,
     for kind, witness in WITNESSES.items():
         inputs = {name: sample(draw) for name, sample in witness.inputs.items()}
         viol = functools.reduce(np.maximum, (
-            _violation(small, large, slack)
+            _violation(small, large)
             for small, large in witness.evaluate(law, **inputs)))
         worst = int(np.argmax(viol))
         report.kinds.append(KindReport(
@@ -295,7 +298,7 @@ def inequality_suite(law: GeneralizedPolynomial, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def gronwall_check(a: Sequence[float], b: Sequence[float], g: Sequence[float],
-                   dt: float, slack: float = 1e-12) -> bool:
+                   dt: float) -> bool:
     """Check the backward-difference Gronwall conclusion for given sequences.
 
     The sequences must be nonnegative with a common length (a has one more
@@ -303,7 +306,7 @@ def gronwall_check(a: Sequence[float], b: Sequence[float], g: Sequence[float],
     (a_n - a_{n-1})/dt - a_n + b_n <= g_n for every n >= 1; inputs violating
     the hypothesis (or dt >= 1) are rejected with ValueError.  Returns True
     iff  a_n + dt * sum b_i <= exp(n dt / (1 - dt)) (a_0 + dt * sum g_i)
-    holds for every n, up to relative ``slack``.
+    holds for every n, up to the relative ``_SLACK``.
     """
     if not 0.0 < dt < 1.0:
         raise ValueError("dt must lie in (0, 1)")
@@ -315,13 +318,13 @@ def gronwall_check(a: Sequence[float], b: Sequence[float], g: Sequence[float],
     if np.any(a < 0.0) or np.any(b < 0.0) or np.any(g < 0.0):
         raise ValueError("sequences must be nonnegative")
     hyp = (a[1:] - a[:-1]) / dt - a[1:] + b - g
-    tol = slack * np.maximum(1.0, np.abs(a[1:]) / dt)
+    tol = _SLACK * np.maximum(1.0, np.abs(a[1:]) / dt)
     if np.any(hyp > tol):
         raise ValueError("hypothesis (a_n - a_{n-1})/dt - a_n + b_n <= g_n fails")
     n = np.arange(1, len(a))
     lhs = a[1:] + dt * np.cumsum(b)
     rhs = np.exp(n * dt / (1.0 - dt)) * (a[0] + dt * np.cumsum(g))
-    return bool(np.all(lhs <= rhs * (1.0 + slack) + slack))
+    return bool(np.all(lhs <= rhs * (1.0 + _SLACK) + _SLACK))
 
 
 def sample_gronwall_sequences(rng: np.random.Generator, n_steps: int,
@@ -344,15 +347,14 @@ def sample_gronwall_sequences(rng: np.random.Generator, n_steps: int,
 
 
 def jacobian_fd_error(assembler: Assembler, state: SystemState,
-                      state_prev: SystemState, dt: float,
-                      step_scale: float = 1e-6) -> float:
+                      state_prev: SystemState, dt: float) -> float:
     """Max entrywise relative deviation of the Jacobian from central differences."""
     linearize = assembler.level(state_prev, state.t, dt)
     x0 = np.concatenate([state.m, state.rho_bar])
     jac = linearize(x0)[1]().toarray()
     fd = np.empty_like(jac)
     for j in range(len(x0)):
-        h = step_scale * (1.0 + abs(x0[j]))
+        h = 1e-6 * (1.0 + abs(x0[j]))
         xp = x0.copy()
         xp[j] += h
         xm = x0.copy()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mixedflow import solver
+from mixedflow.assembly import SystemState
 from mixedflow.constitutive import (CoefficientVector, GeneralizedPolynomial,
                                     PowerSpec)
 from mixedflow.harness import builtin_problem
@@ -16,20 +17,13 @@ def flux(law: GeneralizedPolynomial, m) -> np.ndarray:
     return np.moveaxis(values, 0, -1)
 
 
-def momentum_rows(asm, t: float, rho_bar: np.ndarray):
-    """The momentum rows of ``asm`` at time ``t`` and density ``rho_bar``, as
-    a function of m: the rows and a thunk for their derivative A, on A's own
-    pattern, as the momentum initialization solves them."""
-    n_m = asm.vector_space.n_dofs
-    coupling = (asm._pattern.operator(asm._coupling)  # -B^T rho_bar
-                @ np.concatenate([np.zeros(n_m), rho_bar]))[:n_m]
-    rows = asm._momentum_rows(*asm._momentum_loads(t))
-
-    def linearize(m: np.ndarray):
-        r, flux_block = rows(m, coupling)
-        return r, lambda: asm._a.matrix(flux_block()[asm._a_slots])
-
-    return linearize
+def momentum_rows(asm, t: float, rho_bar: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The momentum rows of ``asm`` at time ``t``, density ``rho_bar`` and
+    momentum ``m``: the first n_m rows of the level residual, which are
+    -B^T rho_bar + (F(|m|) m, v) + (grad Psi, v) whatever rho_bar_{n-1} is,
+    here zero."""
+    prev = SystemState(np.zeros_like(rho_bar), np.zeros_like(m), t - 0.5)
+    return asm.residual(SystemState(rho_bar, m, t), prev, 0.5)[:asm.vector_space.n_dofs]
 
 
 @pytest.fixture(scope="session")

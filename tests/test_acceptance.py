@@ -173,8 +173,7 @@ class TestCriterion4InequalitySuite:
     def test_ten_thousand_trials_no_violations(self):
         cfg = StudyConfig(study="verify")
         t0 = time.time()
-        report = inequality_suite(cfg.law_a(), seed=cfg.seed, trials=10_000,
-                                  slack=1e-12)
+        report = inequality_suite(cfg.law_a(), seed=cfg.seed, trials=10_000)
         elapsed = time.time() - t0
         ok = report.total_violations == 0 and elapsed < 10.0
         _announce("4 inequality suite", ok,

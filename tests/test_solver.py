@@ -59,21 +59,21 @@ class TestNewton:
     def test_darcy_converges_in_one_iteration(self):
         data = darcy_problem()
         asm = Assembler(build_mesh(4), data)
-        state0 = asm.initial_state(newton_tol=1e-6)
+        state0 = asm.initial_state()
         _, stats = newton_solve(asm, state0, 0.125, 0.125)
         assert stats.iterations == 1
         assert stats.residual_norm <= 1e-10
 
     def test_example1_first_step_bounded_iterations(self, example1):
         asm = Assembler(build_mesh(4), example1)
-        state0 = asm.initial_state(newton_tol=1e-6)
+        state0 = asm.initial_state()
         state, stats = newton_solve(asm, state0, 0.125, 0.125)
         assert stats.residual_norm <= 1e-6
         assert stats.iterations <= 10
 
     def test_loose_tolerance_never_more_iterations(self, example1):
         asm = Assembler(build_mesh(4), example1)
-        state0 = asm.initial_state(newton_tol=1e-6)
+        state0 = asm.initial_state()
         _, tight = newton_solve(asm, state0, 0.125, 0.125,
                                 NewtonConfig(tol=1e-6))
         _, loose = newton_solve(asm, state0, 0.125, 0.125,
@@ -82,7 +82,7 @@ class TestNewton:
 
     def test_nonconvergence_carries_trace(self, example1):
         asm = Assembler(build_mesh(2), example1)
-        state0 = asm.initial_state(newton_tol=1e-6)
+        state0 = asm.initial_state()
         with pytest.raises(NonConvergence) as err:
             newton_solve(asm, state0, 0.25, 0.25,
                          NewtonConfig(tol=1e-300, max_iter=2))
@@ -92,7 +92,7 @@ class TestNewton:
 class TestLinearSolver:
     def test_contract_check_passes_on_sane_system(self, example1):
         asm = Assembler(build_mesh(2), example1)
-        state0 = asm.initial_state(newton_tol=1e-6)
+        state0 = asm.initial_state()
         newton_solve(asm, state0, 0.25, 0.25, linear_solver=LinearSolver())
 
     def test_failure_on_singular_matrix(self):
@@ -152,7 +152,7 @@ class TestMarch:
     def test_superlinear_tail(self, example1):
         """Within the basin, residuals contract superlinearly."""
         asm = Assembler(build_mesh(4), example1)
-        state0 = asm.initial_state(newton_tol=1e-6)
+        state0 = asm.initial_state()
         _, stats = newton_solve(asm, state0, 0.125, 0.125,
                                 NewtonConfig(tol=1e-13, max_iter=20))
         trace = [r for r in stats.trace if r > 1e-14]
@@ -162,7 +162,7 @@ class TestMarch:
         assert any(b <= 10.0 * a ** 1.5 for a, b in zip(tail, tail[1:]))
 
     def test_abort_carries_step_index(self, example1):
-        # tolerance the initialization reaches but one coupled iteration cannot
+        # a tolerance one Newton step of the first level cannot reach
         with pytest.raises(NonConvergence) as err:
             march(example1, build_mesh(2), MarchConfig(dt=0.5),
                   NewtonConfig(tol=1e-12, max_iter=1))
@@ -170,7 +170,7 @@ class TestMarch:
 
     def test_newton_starts_from_guess(self, example1):
         asm = Assembler(build_mesh(4), example1)
-        state0 = asm.initial_state(newton_tol=1e-6)
+        state0 = asm.initial_state()
         tight, stats = newton_solve(asm, state0, 0.125, 0.125,
                                     NewtonConfig(tol=1e-12))
         assert stats.iterations > 0
@@ -206,7 +206,7 @@ class TestOneLawPassPerIterate:
 
         monkeypatch.setattr(solver_module, "_newton", newton)
         march(example1, build_mesh(4), MarchConfig(dt=0.125))
-        assert len(steps) == 9  # the initialization and 8 levels
+        assert len(steps) == 8  # one per level
         assert calls["eval_F"] == sum(steps) + len(steps)
         assert calls["eval_F_prime"] == sum(steps)
 
@@ -275,19 +275,9 @@ class NanSteps(LinearSolver):
 class TestNonFiniteIterate:
     def test_newton_raises_nonconvergence_with_trace(self, example1):
         asm = Assembler(build_mesh(2), example1)
-        state0 = asm.initial_state(newton_tol=1e-6)
+        state0 = asm.initial_state()
         with pytest.raises(NonConvergence, match="non-finite Newton iterate") as err:
             newton_solve(asm, state0, 0.25, 0.25, linear_solver=NanSteps())
-        assert len(err.value.trace) == 1 and np.isfinite(err.value.trace[0])
-
-    def test_initial_state_names_momentum_initialization(
-            self, nonconstant_momentum, monkeypatch):
-        # the nodal start solves constant momentum outright; this one takes a step
-        monkeypatch.setattr(LinearSolver, "solve", NanSteps.solve)
-        asm = Assembler(build_mesh(2), nonconstant_momentum("example1"))
-        with pytest.raises(NonConvergence, match="non-finite Newton iterate "
-                           "in the momentum initialization") as err:
-            asm.initial_state()
         assert len(err.value.trace) == 1 and np.isfinite(err.value.trace[0])
 
     def test_cli_exit_code(self, monkeypatch, capsys):
