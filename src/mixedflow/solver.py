@@ -33,7 +33,6 @@ class NonConvergence(RuntimeError):
     def __init__(self, message: str, trace):
         super().__init__(f"{message} (residual trace: "
                          + ", ".join(f"{r:.3e}" for r in trace) + ")")
-        self.reason = message
         self.trace = list(trace)
 
 
@@ -349,63 +348,54 @@ def _flat(state: assembly.SystemState) -> np.ndarray:
     return np.concatenate([state.m, state.rho_bar])
 
 
-def _newton(linearize, x: np.ndarray, tol: float, max_iter: int,
-            linear_solver: LinearSolver, where: str
-            ) -> tuple[np.ndarray, NewtonStats]:
-    """Undamped Newton on flat vectors from ``x`` until ||residual(x)|| <= tol.
+def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState,
+                 t_n: float, dt: float, config: NewtonConfig | None = None,
+                 linear_solver: LinearSolver | None = None,
+                 guess: np.ndarray | None = None
+                 ) -> tuple[assembly.SystemState, NewtonStats]:
+    """Advance one backward-Euler level by undamped Newton from ``guess``,
+    a flat ``[m, rho_bar]`` vector (None: from ``state_prev``).
 
-    ``linearize(x)`` returns the residual at x and a thunk that builds the
-    Jacobian there; the thunk is called only for an iterate that has not
-    converged.  Each step s solves J s = -residual(x) only to
-    ||Js + residual(x)|| <= ``_FORCING`` * tol (see :class:`LinearSolver`).
-    Takes at most ``max_iter`` steps.  ``where`` names the solve
-    in the :class:`NonConvergence` raised on a non-finite residual norm,
-    Jacobian or iterate, or when the steps run out; the error carries the
-    residual-norm trace.  Overflow on the way gives inf or nan without a
-    warning: those checks see it and name it.
+    The level is accepted when ||residual|| <= ``config.tol``, by the same
+    rule from any start.  The Jacobian is built only at an unconverged
+    iterate, and each step s solves J s = -residual only to
+    ||Js + residual|| <= ``_FORCING`` * tol (see :class:`LinearSolver`).
+    A non-finite residual norm, Jacobian or iterate, or ``config.max_iter``
+    steps without convergence, raise :class:`NonConvergence` with the
+    residual-norm trace.  It and a step's :class:`LinearSolveFailure` name
+    the level ``at step k (t=t_n)``, k = round(t_n / dt), a march's step
+    index.  Overflow gives inf or nan without a warning; the checks name it.
     """
+    config = config or NewtonConfig()
+    linear_solver = linear_solver or LinearSolver()
+    x = _flat(state_prev) if guess is None else guess
+    linearize = assembler.level(state_prev, t_n, dt)
+    where = f"at step {round(t_n / dt)} (t={t_n:.6g})"
     with np.errstate(over="ignore", invalid="ignore"):
         r, jacobian = linearize(x)
         trace = [float(np.linalg.norm(r))]
         linear_residual = 0.0
-        while not trace[-1] <= tol:
+        while not trace[-1] <= config.tol:
             if not np.isfinite(trace[-1]):
                 raise NonConvergence(f"non-finite residual norm {where}", trace)
-            if len(trace) > max_iter:
+            if len(trace) > config.max_iter:
                 raise NonConvergence(f"Newton stalled {where}", trace)
             matrix, jacobian = jacobian(), None  # free its quadrature values first
             if not np.all(np.isfinite(matrix.data)):
                 raise NonConvergence(f"non-finite Jacobian {where}", trace)
-            x = x + linear_solver.solve(matrix, -r, _FORCING * tol)
+            try:
+                x = x + linear_solver.solve(matrix, -r, _FORCING * config.tol)
+            except LinearSolveFailure as exc:
+                raise LinearSolveFailure(f"{exc} {where}") from exc
             del matrix  # not held through the next linearization
             if not np.all(np.isfinite(x)):
                 raise NonConvergence(f"non-finite Newton iterate {where}", trace)
             linear_residual = max(linear_residual, linear_solver.residual)
             r, jacobian = linearize(x)
             trace.append(float(np.linalg.norm(r)))
-    return x, NewtonStats(len(trace) - 1, trace[-1], trace, linear_residual)
-
-
-def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState,
-                 t_n: float, dt: float, config: NewtonConfig | None = None,
-                 linear_solver: LinearSolver | None = None,
-                 guess: np.ndarray | None = None
-                 ) -> tuple[assembly.SystemState, NewtonStats]:
-    """Advance one backward-Euler level from the caller's starting iterate.
-
-    ``guess`` is the flat ``[m, rho_bar]`` vector Newton starts from;
-    None starts it from ``state_prev``.  The guess changes only where
-    Newton starts: the level is accepted by the same rule
-    ||residual|| <= ``config.tol`` from any start.
-    """
-    config = config or NewtonConfig()
-    if guess is None:
-        guess = _flat(state_prev)
-    x, stats = _newton(assembler.level(state_prev, t_n, dt), guess, config.tol,
-                       config.max_iter, linear_solver or LinearSolver(),
-                       f"at t={t_n:.6g}")
     n_m = assembler.vector_space.n_dofs
-    return assembly.SystemState(x[n_m:], x[:n_m], t_n), stats
+    return (assembly.SystemState(x[n_m:], x[:n_m], t_n),
+            NewtonStats(len(trace) - 1, trace[-1], trace, linear_residual))
 
 
 def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
@@ -421,9 +411,10 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
     The extrapolation's error is O(dt^2) where the previous state's is
     O(dt), so most levels converge in one Newton step.
 
-    Returns the final state and per-step diagnostics.  The first Newton
-    failure aborts with the step index attached.  One linear solver serves
-    every step, so it can reuse its factor across time levels.
+    Returns the final state and per-step diagnostics.  The first solver
+    failure ends the march; :func:`newton_solve` names its level by step
+    index and t.  One linear solver serves every step, so it can reuse its
+    factor across time levels.
 
     The step energies are ||rho_bar_n||^2 = rho_bar_n^T M rho_bar_n, with M
     the unweighted P1 mass matrix built once per march, ``assembler.mass``
@@ -445,16 +436,8 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
         krylov_iterations = linear_solver.krylov_iterations
         x_prev = _flat(state)
         guess = x_prev if x_older is None else 2.0 * x_prev - x_older
-        try:
-            state, stats = newton_solve(assembler, state, t_n, dt,
-                                        newton_config, linear_solver, guess)
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"march aborted at step {n} (t={t_n:.6g}): {exc.reason}",
-                exc.trace) from exc
-        except LinearSolveFailure as exc:
-            raise LinearSolveFailure(
-                f"march aborted at step {n} (t={t_n:.6g}): {exc}") from exc
+        state, stats = newton_solve(assembler, state, t_n, dt, newton_config,
+                                    linear_solver, guess)
         x_older = x_prev
         energy_m_accum += dt * norm(assembler.vector_space, state.m, s) ** s
         diag = StepDiagnostics(

@@ -62,14 +62,17 @@ def nonconstant_momentum():
 @pytest.fixture
 def newton_runs(monkeypatch):
     """(Newton steps, factorizations of its linear solver) of every
-    ``solver._newton`` call from here on."""
+    ``solver.newton_solve`` call from here on."""
     runs = []
-    real = solver._newton
+    real = solver.newton_solve
 
-    def newton(linearize, x, tol, max_iter, linear_solver, where):
-        x, stats = real(linearize, x, tol, max_iter, linear_solver, where)
+    def newton(assembler, state_prev, t_n, dt, config=None, linear_solver=None,
+               guess=None):
+        linear_solver = linear_solver or solver.LinearSolver()
+        state, stats = real(assembler, state_prev, t_n, dt, config,
+                            linear_solver, guess)
         runs.append((stats.iterations, linear_solver.factorizations))
-        return x, stats
+        return state, stats
 
-    monkeypatch.setattr(solver, "_newton", newton)
+    monkeypatch.setattr(solver, "newton_solve", newton)
     return runs

@@ -121,6 +121,28 @@ class TestJacobian:
         bottom_left = jac[2 * nv:, : 2 * nv]
         np.testing.assert_allclose(top_right, -bottom_left.T, atol=1e-14)
 
+    @pytest.mark.parametrize("n, floor", [(4, 2.5e-2), (8, 1e-2), (16, 3.5e-3)])
+    def test_coupling_kernel_is_three_colour_modes(self, example1, n, floor):
+        """The -B^T block has rank n_rho - 2, and its kernel is spanned by
+        the three-colour density modes: node (i, j) has colour (i + j) mod 3,
+        and the colours' values sum to 0, so the mode has zero mean on every
+        triangle."""
+        asm = Assembler(build_mesh(n), example1)
+        state, dt = asm.initial_state(), 0.5 / n
+        x = np.concatenate([state.m, state.rho_bar])
+        jac = asm.level(state, dt, dt)(x)[1]()
+        n_m = asm.vector_space.n_dofs
+        coupling = jac[:n_m, n_m:].toarray()
+        node = np.arange(asm.mesh.n_nodes)
+        colour = (node % (n + 1) + node // (n + 1)) % 3
+        # colour values (1, -1, 0) and (0, 1, -1)
+        modes = 1.0 * (colour[:, None] == [0, 1]) - (colour[:, None] == [1, 2])
+        singular = np.linalg.svd(coupling, compute_uv=False)
+        assert coupling.shape == (n_m, n_m // 2)
+        assert singular[-3] >= floor
+        assert singular[-2] <= 1e-14 * singular[0]
+        assert np.linalg.norm(coupling @ modes) <= 1e-14 * np.linalg.norm(coupling)
+
     def test_momentum_block_positive_definite(self, example1, rng):
         asm = Assembler(build_mesh(2), example1)
         nv = asm.mesh.n_nodes

@@ -166,7 +166,20 @@ class TestMarch:
         with pytest.raises(NonConvergence) as err:
             march(example1, build_mesh(2), MarchConfig(dt=0.5),
                   NewtonConfig(tol=1e-12, max_iter=1))
-        assert "step 1" in str(err.value)
+        assert str(err.value).startswith("Newton stalled at step 1 (t=0.5) ")
+
+    def test_linear_failure_names_the_level(self, example1):
+        """A direct solve's linear failure names its level as a march would."""
+        class Failing(LinearSolver):
+            def solve(self, matrix, rhs, atol=0.0):
+                raise LinearSolveFailure("no solution")
+
+        asm = Assembler(build_mesh(2), example1)
+        state = dataclasses.replace(asm.initial_state(), t=0.25)
+        with pytest.raises(LinearSolveFailure) as err:
+            newton_solve(asm, state, 0.5, 0.25, NewtonConfig(tol=1e-12),
+                         Failing())
+        assert str(err.value) == "no solution at step 2 (t=0.5)"
 
     def test_newton_starts_from_guess(self, example1):
         asm = Assembler(build_mesh(4), example1)
@@ -197,14 +210,14 @@ class TestOneLawPassPerIterate:
         for name in ("eval_F", "eval_F_prime"):
             monkeypatch.setattr(GeneralizedPolynomial, name, counted(name))
         steps = []
-        real_newton = solver_module._newton
+        real_newton = solver_module.newton_solve
 
         def newton(*args):
-            x, stats = real_newton(*args)
+            state, stats = real_newton(*args)
             steps.append(stats.iterations)
-            return x, stats
+            return state, stats
 
-        monkeypatch.setattr(solver_module, "_newton", newton)
+        monkeypatch.setattr(solver_module, "newton_solve", newton)
         march(example1, build_mesh(4), MarchConfig(dt=0.125))
         assert len(steps) == 8  # one per level
         assert calls["eval_F"] == sum(steps) + len(steps)
