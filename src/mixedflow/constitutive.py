@@ -13,6 +13,7 @@ definite at m = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,8 +47,8 @@ class PowerSpec:
         exps = tuple(float(e) for e in exponents)
         if not exps:
             raise ValueError("need at least one positive exponent")
-        if any(e <= 0.0 for e in exps):
-            raise ValueError(f"positive exponents required, got {exps}")
+        if not all(0.0 < e < math.inf for e in exps):
+            raise ValueError(f"exponents must be positive and finite, got {exps}")
         if any(b <= a for a, b in zip(exps, exps[1:])):
             raise ValueError(f"exponents must be strictly increasing, got {exps}")
         object.__setattr__(self, "alpha", float(alpha))
@@ -92,13 +93,16 @@ class CoefficientVector:
         vals = tuple(float(v) for v in values)
         if len(vals) < 3:
             raise ValueError("need at least (a_-1, a_0, a_N)")
-        if any(v < 0.0 for v in vals):
-            raise ValueError(f"coefficients must be nonnegative, got {vals}")
+        if not all(0.0 <= v < math.inf for v in vals):
+            raise ValueError(
+                f"coefficient values must be nonnegative and finite, got {vals}")
         anchors = (vals[0], vals[1], vals[-1])
         if a_star is None:
             a_star = min(anchors)
         if a_sup is None:
             a_sup = max(vals) if max(vals) > 0.0 else 1.0
+        if not (math.isfinite(a_star) and math.isfinite(a_sup)):
+            raise ValueError(f"a_star and a_sup must be finite, got {a_star}, {a_sup}")
         if max(vals) > a_sup + 1e-15:
             raise ValueError(f"coefficient {max(vals)} exceeds recorded a_sup={a_sup}")
         if min(anchors) < a_star - 1e-15:
@@ -120,8 +124,8 @@ class GeneralizedPolynomial:
             raise ValueError(
                 f"need {spec.n_powers + 2} coefficients for {spec.n_powers} "
                 f"positive powers, got {len(coeffs)}")
-        if eps_reg <= 0.0:
-            raise ValueError("eps_reg must be positive")
+        if not 0.0 < eps_reg < math.inf:
+            raise ValueError(f"eps_reg must be positive and finite, got {eps_reg}")
         self.spec = spec
         self.coeffs = coeffs
         self.eps_reg = float(eps_reg)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -44,10 +46,10 @@ class NewtonConfig:
     max_iter: int = 30
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +61,12 @@ class MarchConfig:
     verbose: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        steps = round(self.final_time / self.dt)
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.final_time):
+            raise ValueError(f"final_time must be finite, got {self.final_time}")
+        ratio = self.final_time / self.dt
+        steps = round(ratio) if math.isfinite(ratio) else 0
         if steps < 1 or abs(steps * self.dt - self.final_time) > 1e-12:
             raise ValueError(
                 f"dt={self.dt} does not divide final_time={self.final_time}")
@@ -82,8 +87,8 @@ _FORCING = 0.01
 
 
 class LinearSolver:
-    """Sparse LU in SuperLU's symmetric mode, held and reused as a GMRES
-    preconditioner, checked, with a pivoting fallback.
+    """Sparse LU in SuperLU's symmetric mode, held as the GMRES
+    preconditioner of later solves, checked, with a pivoting fallback.
 
     The Newton Jacobian J = [[A, -B^T], [B, M_phi/dt]] is positive real: its
     symmetric part blockdiag(A_sym, M_phi/dt) is positive definite.  So every
@@ -128,19 +133,21 @@ class LinearSolver:
     absolute aim, and takes no iteration when x0 already meets it.  The
     kept solutions go with the factor, so they cost 2 * 8 * n floats (S and
     J S) and never reach another pattern.  The cycle length is a work
-    budget read from the fill counts alone:
+    budget read from the counts nnz(LU), nnz(J) and n alone:
 
-        m = floor(nnz(LU)^2 / (4 n (nnz(LU) + nnz(J)))).
+        m = floor((nnz(LU)^2 / (4 n) - 8 nnz(J)) / (nnz(LU) + nnz(J))).
 
-    A GMRES iteration costs a triangular solve pair and a product with J,
-    about nnz(LU) + nnz(J) multiply-adds.  Factoring costs at least
-    sum_k c_k^2 over the column counts c_k of L, and by Cauchy-Schwarz that
-    is at least nnz(L)^2 / n, about nnz(LU)^2 / (4 n).  So m iterations do
-    no more work than one factorization.  When the cycle misses the
-    bound, the held factor is dropped before J is factored afresh, so one
-    factor is alive at a time.  A fresh factor whose first reuse misses
-    ends reuse for this solver: its budget is too short to pay (m is 3 on
-    the N=4 Jacobian); with m < 1 no factor is held at all.
+    Factoring costs at least sum_k c_k^2 over the column counts c_k of L,
+    and by Cauchy-Schwarz that is at least nnz(L)^2 / n, about
+    nnz(LU)^2 / (4 n).  The start's J S costs 8 nnz(J) multiply-adds, and a
+    GMRES iteration a triangular solve pair and a product with J, about
+    nnz(LU) + nnz(J).  So the start and m iterations do no more work than
+    one factorization; the start's dense fit and each iteration's Arnoldi
+    work are left out.  The factor is held only when m >= 1: m is 4, 10, 19 and 29 on
+    the N = 8, 16, 32 and 64 Jacobians of example1, and below 1 at N=4,
+    where every Newton step factors.  When the cycle misses the bound, the
+    held factor is dropped before J is factored afresh, so one factor is
+    alive at a time, and the fresh factor is held by the same rule.
 
     Reuse is safe because it changes only how x is found, never what is
     accepted: a GMRES solution, x0 included, passes the same residual check
@@ -156,7 +163,6 @@ class LinearSolver:
         self.krylov_iterations = 0
         self.residual = 0.0
         self._held: _HeldFactor | None = None
-        self._reuse = True
 
     def solve(self, matrix, rhs: np.ndarray, atol: float = 0.0) -> np.ndarray:
         """x with ||matrix x - rhs|| <= max(_RTOL ||rhs||, atol)."""
@@ -172,17 +178,14 @@ class LinearSolver:
             self.krylov_iterations += iterations
             sol = None if step is None else x0 + step
             if sol is not None and self._miss(matrix, sol, rhs, bound) is None:
-                held.reused = True
                 held.keep(sol)
                 return sol
-            self._reuse = held.reused
         self._held = None  # before factoring: one factor alive at a time
         lu = self._factor(matrix, permc_spec="MMD_AT_PLUS_A",
                           diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         sol = None if lu is None else lu.solve(rhs)
         if sol is not None and self._miss(matrix, sol, rhs, bound) is None:
-            if self._reuse:
-                self._hold(lu, matrix, sol)
+            self._hold(lu, matrix, sol)
             return sol
         del lu  # free the failed factor before the fallback builds its own
         lu = self._factor(matrix)
@@ -204,9 +207,10 @@ class LinearSolver:
 
     def _hold(self, lu, matrix, sol: np.ndarray) -> None:
         """Keep ``lu`` and its solution ``sol`` for the next solve if its work
-        budget allows an iteration."""
+        budget, less the recycled start, allows an iteration."""
         fill = getattr(lu, "nnz", 0)  # a factor that reports no fill gets no budget
-        cycle = fill * fill // (4 * matrix.shape[0] * (fill + matrix.nnz))
+        n, nnz = matrix.shape[0], matrix.nnz
+        cycle = (fill * fill - 4 * n * _RECYCLED * nnz) // (4 * n * (fill + nnz))
         if cycle >= 1:
             self._held = _HeldFactor(lu, matrix.indptr, matrix.indices, cycle,
                                      np.empty((_RECYCLED, len(sol))))
@@ -245,7 +249,6 @@ class _HeldFactor:
     cycle: int
     solutions: np.ndarray  # (_RECYCLED, n), filled round robin
     kept: int = 0
-    reused: bool = False
 
     def fits(self, matrix) -> bool:
         """True when ``matrix`` shares the factored matrix's index arrays."""

@@ -261,6 +261,8 @@ class TestCli:
         (["single"], "levels = 4\nlevels = 8"),
         # F'(eps)/eps of the law overflows
         (["dependence", "--levels", "4"], "eps_reg = 1e-300"),
+        # final_time / dt overflows
+        (["single", "--levels", "4"], "dt_ratio = 1e-320"),
     ])
     def test_bad_study_value_one_line_error(self, tmp_path, capsys, argv, line):
         cfgfile = tmp_path / "bad.cfg"

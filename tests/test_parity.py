@@ -579,13 +579,35 @@ class TestFactorReuse:
         assert recorder.calls == []
 
     def test_n4_march_factors_every_jacobian(self, recorder):
+        """At N=4 the cycle budget, less the recycled start, is below one
+        iteration, so no factor is held and GMRES never runs."""
         mesh = build_mesh(4)
-        _, diags = march(builtin_problem("example1"), mesh, MarchConfig(dt=0.125))
+        linear_solver = LinearSolver()
+        _, diags = march(builtin_problem("example1"), mesh, MarchConfig(dt=0.125),
+                         linear_solver=linear_solver)
         newton_total = sum(d.newton_iterations for d in diags)
+        assert newton_total == 17
         assert len(recorder.calls) == newton_total
         assert sum(d.factorizations for d in diags) == newton_total
-        # the one reuse attempt missed, and reuse stopped after it
-        assert 0 < sum(d.krylov_iterations for d in diags) <= 3
+        assert sum(d.krylov_iterations for d in diags) == 0
+        assert linear_solver._held is None
+
+    def test_zero_start_march_holds_a_factor(self, recorder, monkeypatch):
+        """From a zero initial momentum the early levels take several Newton
+        steps, and the first reuse attempts miss; each miss refactors and
+        holds the new factor, so the march still settles on a held one."""
+        real = Assembler.initial_state
+
+        def zero_momentum(self):
+            state = real(self)
+            return SystemState(state.rho_bar, np.zeros_like(state.m), state.t)
+
+        monkeypatch.setattr(Assembler, "initial_state", zero_momentum)
+        _, diags = march(builtin_problem("example1"), build_mesh(16),
+                         MarchConfig(dt=1 / 32, final_time=0.25))
+        assert [d.newton_iterations for d in diags] == [6, 4, 1, 1, 1, 1, 1, 1]
+        assert sum(d.factorizations for d in diags) <= 4
+        assert len(recorder.calls) == sum(d.factorizations for d in diags)
 
     @pytest.fixture(scope="class")
     def n16_systems(self):
@@ -622,10 +644,12 @@ class TestFactorReuse:
         assert len(recorder.calls) == 2
         assert recorder.calls[1]["options"] == dict(SymmetricMode=True)
         assert solver.krylov_iterations == 1
-        # the fresh factor's first reuse missed, so reuse is off from here on
+        # the miss is not remembered: the fresh factor is held and reused
         monkeypatch.setattr(solver_module, "_preconditioned_gmres", real_gmres)
-        solver.solve(asm.jacobian(state, 1 / 32), rhs)
-        assert len(recorder.calls) == 3 and solver.krylov_iterations == 1
+        jac = asm.jacobian(state, 1 / 32)
+        sol = solver.solve(jac, rhs)
+        assert keeps_contract(jac, sol, rhs)
+        assert len(recorder.calls) == 2 and solver.krylov_iterations > 1
 
     @pytest.mark.parametrize("garbage", [np.nan, "random"])
     def test_garbage_start_keeps_contract(self, recorder, n16_systems, garbage):

@@ -40,6 +40,27 @@ def zero_problem():
 
 
 class TestConfigs:
+    @pytest.mark.parametrize("field, build", [
+        ("tol", lambda: NewtonConfig(tol=np.nan)),
+        ("tol", lambda: NewtonConfig(tol=np.inf)),
+        ("max_iter", lambda: NewtonConfig(max_iter=2.5)),
+        ("exponents", lambda: PowerSpec(0.5, (np.nan,))),
+        ("exponents", lambda: PowerSpec(0.5, (1.0, np.inf))),
+        ("values", lambda: CoefficientVector((1, 1, np.nan))),
+        ("a_star", lambda: CoefficientVector((1, 1, 1), a_star=np.nan)),
+        ("a_sup", lambda: CoefficientVector((1, 1, 1), a_sup=np.inf)),
+        ("eps_reg", lambda: GeneralizedPolynomial(
+            PowerSpec(0.5, (1.0,)), CoefficientVector((1, 1, 1)), eps_reg=np.nan)),
+        ("final_time", lambda: MarchConfig(dt=0.5, final_time=np.inf)),
+        ("dt", lambda: MarchConfig(dt=np.nan)),
+        ("dt", lambda: MarchConfig(dt=1e-320)),  # final_time / dt overflows
+    ], ids=["tol=nan", "tol=inf", "max_iter=2.5", "exponent=nan", "exponent=inf",
+            "coefficient=nan", "a_star=nan", "a_sup=inf", "eps_reg=nan",
+            "final_time=inf", "dt=nan", "dt=1e-320"])
+    def test_non_finite_number_names_its_field(self, field, build):
+        with pytest.raises(ValueError, match=field):
+            build()
+
     def test_newton_validation(self):
         with pytest.raises(ValueError):
             NewtonConfig(tol=0.0)
