@@ -14,12 +14,13 @@ of the boundary extension; it is taken either as the backward difference
 selectable through :class:`DiscretizationOptions`.  The Jacobian has the
 block form [[A(m), -B^T], [B, M_phi / dt]] where A carries the flux
 Jacobian, B the divergence coupling and M_phi the porosity-weighted mass.
-The :class:`Assembler` builds every sparse matrix, each on the P1 node
-graph G.  J's four blocks live on one CSC pattern lifted from G.  B, -B^T
-and M_phi are scattered into it from their element data once per
-assembler, and the flux block once per Jacobian.  Beside J's pattern sits
-the residual operator's: J's entries outside A, the coupling and mass
-entries [[0, -B^T], [B, M_phi / dt]], which the residual multiplies without
+An :class:`Assembler` is one system: a mesh, a problem, the
+:class:`DiscretizationOptions` and the step dt.  It builds every sparse
+matrix, each on the P1 node graph G.  J's four blocks live on one CSC
+pattern lifted from G.  Its static data [[0, -B^T], [B, M_phi / dt]] is
+scattered from the element data of B and M_phi once per assembler, and the
+flux block once per Jacobian.  Beside J's pattern sits the residual
+operator's: J's entries outside A, which the residual multiplies without
 A's explicit zeros.  The unweighted P1 mass matrix M, which the initial
 projection and a march's energies read, is on G.  The initial momentum
 needs no matrix: it is the law inverted node by node (see
@@ -28,6 +29,7 @@ needs no matrix: it is the law inverted node by node (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -217,12 +219,16 @@ class _NodeGraph:
 
 
 class Assembler:
-    """Caches the static operators of one (mesh, problem) pair."""
+    """The backward-Euler system of one mesh, problem, options and step
+    ``dt``: its static operators, built once, and its levels."""
 
-    def __init__(self, mesh: StructuredTriMesh, data: ProblemData,
+    def __init__(self, mesh: StructuredTriMesh, data: ProblemData, dt: float,
                  options: DiscretizationOptions | None = None):
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         self.mesh = mesh
         self.data = data
+        self.dt = dt
         self.options = options or DiscretizationOptions()
         self.scalar_space = ScalarP1Space(mesh)
         self.vector_space = VectorP1Space(mesh)
@@ -240,14 +246,12 @@ class Assembler:
         self._pinned_rho = bn if self.options.pin_rho_boundary \
             else np.empty(0, dtype=int)
         self._lift(_NodeGraph.build(mesh.triangles, mesh.n_nodes))
-        # one-entry caches: (dt, J's static data, residual operator) and
-        # (t, Psi(t) at the quadrature points)
-        self._per_dt: tuple | None = None
+        # one-entry cache: (t, Psi(t) at the quadrature points)
         self._psi: tuple | None = None
 
     def _lift(self, g: _NodeGraph) -> None:
-        """J's pattern and the static data of B, -B^T and M_phi, lifted from
-        the node graph G, and the unweighted mass M on G itself.
+        """J's pattern, its static data and the residual operator, lifted
+        from the node graph G, and the unweighted mass M on G itself.
 
         Columns 2j, 2j + 1 and n_m + j of J hold the same rows: 2i and
         2i + 1 for every neighbour i of node j in order, then n_m + i for
@@ -258,10 +262,11 @@ class Assembler:
         its (nt, 3, 3) element data by one ``bincount``.  The flux block
         takes the xx, xy and yy data of the flux Jacobian; A is symmetric,
         so its yx block is not summed: the yx slots ``_mirror`` copy the xy
-        data of the transposed entries, ``_source``.  The residual
-        operator's pattern ``_static`` is J's entries outside A, those where
-        ``_outside_a`` holds, in J's order.  ``mass`` is M in CSC on G's
-        rows and column starts, by one ``bincount``.
+        data of the transposed entries, ``_source``.  The static data
+        ``_static`` is [[0, -B^T], [B, M_phi / dt]] on J's pattern, read-only.
+        The residual operator ``_operator`` holds it at J's entries outside
+        A, in J's order.  ``mass`` is M in CSC on G's rows and column starts,
+        by one ``bincount``.
         """
         n_m = self.vector_space.n_dofs
         first = (6 * g.start, 6 * g.start + 3 * g.deg,  # columns 2j, 2j + 1,
@@ -276,14 +281,6 @@ class Assembler:
             indices, np.concatenate(
                 [[0], np.cumsum(np.concatenate([np.repeat(3 * deg, 2), 3 * deg]))]),
             np.concatenate([self._pinned_m, n_m + self._pinned_rho]))
-        # the residual operator's entries: the rho_bar rows of each momentum
-        # column, then each rho_bar column; a mask takes under a quarter of
-        # the memory of their slot numbers
-        self._outside_a = (indices >= n_m) | (np.arange(9 * g.nnz) >= 6 * g.nnz)
-        self._static = _FixedCsc(
-            indices[self._outside_a], np.concatenate(
-                [[0], np.cumsum(np.concatenate([np.repeat(deg, 2), 3 * deg]))]),
-            np.empty(0, dtype=int))
         self._flux_slots = slot[[0, 0, 1], [0, 1, 1]][:, g.element].ravel()
         self._mirror, self._source = slot[1, 0][g.transpose], slot[0, 1].copy()
         # B's element entry (d phi_j / dx_c, phi_i) = |T| / 3 d phi_j / dx_c
@@ -291,13 +288,23 @@ class Assembler:
         mesh = self.mesh
         grad_int = np.moveaxis(mesh.grads, -1, 0) * (mesh.areas / 3.0)[:, None]
         b_el = np.broadcast_to(grad_int[:, :, None, :], (2, len(mesh.triangles), 3, 3))
-        self._coupling = self._pattern.scatter(slot[2, :2][:, g.element].ravel(),
-                                               b_el.ravel())
-        self._coupling -= self._pattern.scatter(slot[:2, 2][:, g.element].ravel(),
-                                                b_el.transpose(0, 1, 3, 2).ravel())
+        coupling = self._pattern.scatter(slot[2, :2][:, g.element].ravel(),
+                                         b_el.ravel())
+        coupling -= self._pattern.scatter(slot[:2, 2][:, g.element].ravel(),
+                                          b_el.transpose(0, 1, 3, 2).ravel())
         ss = self.scalar_space
-        self._mass_phi = self._pattern.scatter(
+        mass_phi = self._pattern.scatter(
             slot[2, 2][g.element].ravel(), ss.element_matrices(self._phi_q).ravel())
+        self._static = coupling + mass_phi / self.dt
+        self._static.flags.writeable = False
+        # the residual operator's entries: the rho_bar rows of each momentum
+        # column, then each rho_bar column
+        outside_a = (indices >= n_m) | (np.arange(9 * g.nnz) >= 6 * g.nnz)
+        self._operator = _FixedCsc(
+            indices[outside_a], np.concatenate(
+                [[0], np.cumsum(np.concatenate([np.repeat(deg, 2), 3 * deg]))]),
+            np.empty(0, dtype=int)).operator(self._static[outside_a])
+        self._operator.data.flags.writeable = False
         mass = np.bincount(g.element.ravel(), ss.element_matrices(
             np.ones_like(self._phi_q)).ravel(), minlength=g.nnz)
         mass.flags.writeable = False
@@ -313,24 +320,11 @@ class Assembler:
             self._psi = (t, np.asarray(self.data.psi(self._qpts, t), dtype=float))
         return self._psi[1]
 
-    def _dpsi_values(self, t_prev: float, t_n: float, dt: float) -> np.ndarray:
+    def _dpsi_values(self, t_prev: float, t_n: float) -> np.ndarray:
         if self.options.psi_t_mode == "analytic":
             return np.asarray(self.data.psi_t(self._qpts, t_n), dtype=float)
         earlier = self._psi_at(t_prev)  # the last level's Psi(t_n) in a march
-        return (self._psi_at(t_n) - earlier) / dt
-
-    def _static_data(self, dt: float) -> tuple[np.ndarray, sp.csc_matrix]:
-        """J's static data [[0, -B^T], [B, M_phi / dt]] and the residual
-        operator over its coupling and mass entries, built once per dt;
-        both are read-only."""
-        if self._per_dt is None or self._per_dt[0] != dt:
-            self._per_dt = None  # free the old dt's arrays first
-            static = self._coupling + self._mass_phi / dt
-            static.flags.writeable = False
-            data = static[self._outside_a]
-            data.flags.writeable = False
-            self._per_dt = (dt, static, self._static.operator(data))
-        return self._per_dt[1:]
+        return (self._psi_at(t_n) - earlier) / self.dt
 
     def _momentum_loads(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """The load (grad Psi(t), v) and the exact momentum at the pinned
@@ -354,15 +348,14 @@ class Assembler:
         data[self._mirror] = data[self._source]
         return data
 
-    def level(self, state_prev: SystemState, t_n: float,
-              dt: float) -> Callable[[np.ndarray], Linearization]:
+    def level(self, state_prev: SystemState,
+              t_n: float) -> Callable[[np.ndarray], Linearization]:
         """The backward-Euler level t_n = ``state_prev.t`` + dt, as a function
         of the flat ``[m, rho_bar]`` Newton vector x.
 
-        Bound per dt (kept while dt repeats, as it does in a march): J's
-        static data [[0, -B^T], [B, M_phi / dt]] and the residual operator
-        over its coupling and mass entries alone (see
-        :meth:`_static_data`).  Bound per level: the loads of f, dPsi and
+        Bound per assembler, so per dt: J's static data [[0, -B^T], [B,
+        M_phi / dt]] and the residual operator over its entries outside A
+        (see :meth:`_lift`).  Bound per level: the loads of f, dPsi and
         grad Psi, the exact-BC values and -B^T rho_bar_{n-1}; in the
         discrete ``psi_t_mode`` Psi is evaluated at t_n only, since the
         last level left Psi(``state_prev.t``).  Per iterate,
@@ -372,23 +365,20 @@ class Assembler:
         that adds the static data to the flux block at x, built from the
         law's values at x's quadrature points (see :meth:`jacobian`).
         """
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if abs(t_n - state_prev.t - dt) > 1e-10 * max(1.0, abs(t_n)):
+        if abs(t_n - state_prev.t - self.dt) > 1e-10 * max(1.0, abs(t_n)):
             raise ValueError("state times inconsistent with dt")
-        static, operator = self._static_data(dt)
         load = self.scalar_space.load_vector(
-            self._phi_q * self._dpsi_values(state_prev.t, t_n, dt)
+            self._phi_q * self._dpsi_values(state_prev.t, t_n)
             - self.data.f(self._qpts, t_n))
         grad_psi, bc = self._momentum_loads(t_n)
         vs = self.vector_space
         n_m = vs.n_dofs
         x_prev = np.concatenate([np.zeros(n_m), state_prev.rho_bar])
-        coupling_prev = (operator @ x_prev)[:n_m]  # -B^T rho_bar_{n-1}
+        coupling_prev = (self._operator @ x_prev)[:n_m]  # -B^T rho_bar_{n-1}
 
         def linearize(x: np.ndarray):
             # [-B^T (rho_bar - rho_prev); B m + M_phi (rho_bar - rho_prev) / dt]
-            static_rows = operator @ (x - x_prev)
+            static_rows = self._operator @ (x - x_prev)
             flux, flux_jacobian = self.data.law.linearize(vs.eval_at_quadrature(x[:n_m]))
             r_mom = vs.load_vector(flux) + (static_rows[:n_m] + coupling_prev) + grad_psi
             r_mom[self._pinned_m] = x[self._pinned_m] - bc
@@ -397,7 +387,7 @@ class Assembler:
 
             def jacobian() -> sp.csc_matrix:
                 data = self._flux_block(flux_jacobian)
-                data += static
+                data += self._static
                 return self._pattern.matrix(data)
 
             return np.concatenate([r_mom, r_den]), jacobian
@@ -406,21 +396,21 @@ class Assembler:
 
     # -- views at one state ------------------------------------------------------
 
-    def residual(self, state_n: SystemState, state_prev: SystemState,
-                 dt: float) -> np.ndarray:
+    def residual(self, state_n: SystemState, state_prev: SystemState) -> np.ndarray:
         """Stacked (momentum, density) residual at one time level."""
-        return self.level(state_prev, state_n.t, dt)(
+        return self.level(state_prev, state_n.t)(
             np.concatenate([state_n.m, state_n.rho_bar]))[0]
 
-    def jacobian(self, state_n: SystemState, dt: float) -> sp.csc_matrix:
+    def jacobian(self, state_n: SystemState) -> sp.csc_matrix:
         """Exact derivative of :meth:`residual` w.r.t. (m, rho_bar), in CSC:
         the Jacobian thunk of :meth:`level` at ``state_n``.
 
         The matrix is J = [[A(m), -B^T], [B, M_phi / dt]] on one sparsity
         pattern, lifted once per assembler from the P1 node graph.  The
-        static B, -B^T and M_phi data are scattered into it once; each
-        Jacobian scatters the flux block A into the same pattern (the four
-        blocks share no entry) and adds the static data.  A pinned row
+        static data of B, -B^T and M_phi / dt, for the assembler's dt, are
+        scattered into it once; each Jacobian scatters the flux block A into
+        the same pattern (the four blocks share no entry) and adds the
+        static data.  A pinned row
         (``momentum_bc="exact"``, ``pin_rho_boundary``) is the identity row
         e_d^T, the derivative of its residual row m_d - g_d or rho_d.
 
@@ -432,8 +422,8 @@ class Assembler:
         equals the minor without d, a principal minor of the positive-real
         unpinned matrix.
         """
-        prev = SystemState(state_n.rho_bar, state_n.m, state_n.t - dt)
-        return self.level(prev, state_n.t, dt)(
+        prev = SystemState(state_n.rho_bar, state_n.m, state_n.t - self.dt)
+        return self.level(prev, state_n.t)(
             np.concatenate([state_n.m, state_n.rho_bar]))[1]()
 
     def initial_state(self) -> SystemState:
@@ -451,13 +441,15 @@ class Assembler:
         their exact values.  When the momentum is constant in space, as on
         the built-in problems, this solves the unlumped rows to roundoff too
         (the lumped-mass method; Thomee, Galerkin Finite Element Methods for
-        Parabolic Problems, 2006, ch. 15).
+        Parabolic Problems, 2006, ch. 15).  B^T rho_bar_0 comes from the
+        momentum rows of the residual operator, whose -B^T entries do not
+        depend on dt, so the initial state is the same for every dt.
         """
         rho_bar0 = _solve_spd(self.mass, self.scalar_space.load_vector(
             np.asarray(self.data.rho0(self._qpts), dtype=float) - self._psi_at(0.0)))
         grad_psi, bc = self._momentum_loads(0.0)
         n_m = self.vector_space.n_dofs
-        coupling = (self._pattern.operator(self._coupling)  # -B^T rho_bar_0
+        coupling = (self._operator  # -B^T rho_bar_0
                     @ np.concatenate([np.zeros(n_m), rho_bar0]))[:n_m]
         with np.errstate(over="ignore", invalid="ignore"):
             target = (-coupling - grad_psi).reshape(-1, 2) \

@@ -70,6 +70,8 @@ class MarchConfig:
         if steps < 1 or abs(steps * self.dt - self.final_time) > 1e-12:
             raise ValueError(
                 f"dt={self.dt} does not divide final_time={self.final_time}")
+        if steps > 2 ** 53:  # past it, t_n = n * dt no longer steps by dt
+            raise ValueError(f"dt={self.dt} gives {ratio:.3g} steps, more than 2**53")
 
     @property
     def n_steps(self) -> int:
@@ -352,12 +354,13 @@ def _flat(state: assembly.SystemState) -> np.ndarray:
 
 
 def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState,
-                 t_n: float, dt: float, config: NewtonConfig | None = None,
+                 t_n: float, config: NewtonConfig | None = None,
                  linear_solver: LinearSolver | None = None,
                  guess: np.ndarray | None = None
                  ) -> tuple[assembly.SystemState, NewtonStats]:
-    """Advance one backward-Euler level by undamped Newton from ``guess``,
-    a flat ``[m, rho_bar]`` vector (None: from ``state_prev``).
+    """Advance the assembler's system by one backward-Euler level, t_n =
+    ``state_prev.t`` + ``assembler.dt``, by undamped Newton from ``guess``, a
+    flat ``[m, rho_bar]`` vector (None: from ``state_prev``).
 
     The level is accepted when ||residual|| <= ``config.tol``, by the same
     rule from any start.  The Jacobian is built only at an unconverged
@@ -372,8 +375,8 @@ def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState
     config = config or NewtonConfig()
     linear_solver = linear_solver or LinearSolver()
     x = _flat(state_prev) if guess is None else guess
-    linearize = assembler.level(state_prev, t_n, dt)
-    where = f"at step {round(t_n / dt)} (t={t_n:.6g})"
+    linearize = assembler.level(state_prev, t_n)
+    where = f"at step {round(t_n / assembler.dt)} (t={t_n:.6g})"
     with np.errstate(over="ignore", invalid="ignore"):
         r, jacobian = linearize(x)
         trace = [float(np.linalg.norm(r))]
@@ -414,10 +417,11 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
     The extrapolation's error is O(dt^2) where the previous state's is
     O(dt), so most levels converge in one Newton step.
 
-    Returns the final state and per-step diagnostics.  The first solver
-    failure ends the march; :func:`newton_solve` names its level by step
-    index and t.  One linear solver serves every step, so it can reuse its
-    factor across time levels.
+    Returns the final state and per-step diagnostics.  One
+    :class:`~mixedflow.assembly.Assembler`, built for ``march_config.dt``,
+    serves every level.  One linear solver serves every step, so it can
+    reuse its factor across time levels.  The first solver failure ends the
+    march; :func:`newton_solve` names its level by step index and t.
 
     The step energies are ||rho_bar_n||^2 = rho_bar_n^T M rho_bar_n, with M
     the unweighted P1 mass matrix built once per march, ``assembler.mass``
@@ -426,9 +430,9 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
     """
     newton_config = newton_config or NewtonConfig()
     linear_solver = linear_solver or LinearSolver()
-    assembler = assembly.Assembler(mesh, data, options)
-    state = assembler.initial_state()
     dt = march_config.dt
+    assembler = assembly.Assembler(mesh, data, dt, options)
+    state = assembler.initial_state()
     s = data.law.spec.s
     diagnostics: list[StepDiagnostics] = []
     energy_m_accum = 0.0
@@ -439,7 +443,7 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
         krylov_iterations = linear_solver.krylov_iterations
         x_prev = _flat(state)
         guess = x_prev if x_older is None else 2.0 * x_prev - x_older
-        state, stats = newton_solve(assembler, state, t_n, dt, newton_config,
+        state, stats = newton_solve(assembler, state, t_n, newton_config,
                                     linear_solver, guess)
         x_older = x_prev
         energy_m_accum += dt * norm(assembler.vector_space, state.m, s) ** s

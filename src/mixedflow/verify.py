@@ -347,9 +347,9 @@ def sample_gronwall_sequences(rng: np.random.Generator, n_steps: int,
 
 
 def jacobian_fd_error(assembler: Assembler, state: SystemState,
-                      state_prev: SystemState, dt: float) -> float:
+                      state_prev: SystemState) -> float:
     """Max entrywise relative deviation of the Jacobian from central differences."""
-    linearize = assembler.level(state_prev, state.t, dt)
+    linearize = assembler.level(state_prev, state.t)
     x0 = np.concatenate([state.m, state.rho_bar])
     jac = linearize(x0)[1]().toarray()
     fd = np.empty_like(jac)
@@ -462,8 +462,9 @@ def run_verify(cfg: StudyConfig) -> VerifyReport:
         if not gronwall_check(a, b, g, dt):
             failures += 1
 
-    asm = Assembler(build_mesh(2), builtin_problem("example1"), cfg.discretization())
-    jac_err = float(np.max([jacobian_fd_error(asm, *_random_states(asm, rng), dt=0.1)
+    asm = Assembler(build_mesh(2), builtin_problem("example1"), 0.1,
+                    cfg.discretization())
+    jac_err = float(np.max([jacobian_fd_error(asm, *_random_states(asm, rng))
                             for _ in range(3)]))
 
     mesh8 = build_mesh(8)

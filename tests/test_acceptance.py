@@ -202,7 +202,7 @@ class TestCriterion6JacobianCorrectness:
         data = builtin_problem("example1")
         worst = 0.0
         for n in (2, 4):
-            asm = Assembler(build_mesh(n), data)
+            asm = Assembler(build_mesh(n), data, 0.1)
             nv = asm.mesh.n_nodes
             rng = np.random.default_rng(1000 + n)
             for _ in range(5):
@@ -213,7 +213,7 @@ class TestCriterion6JacobianCorrectness:
                 prev = SystemState(rng.standard_normal(nv),
                                    base + 0.3 * rng.standard_normal(2 * nv),
                                    0.4)
-                worst = max(worst, jacobian_fd_error(asm, state, prev, dt=0.1))
+                worst = max(worst, jacobian_fd_error(asm, state, prev))
         _announce("6 jacobian vs finite differences", worst <= 1e-5,
                   f"max_rel_err={worst:.3e} (10 states, N in {{2,4}})")
         assert worst <= 1e-5

@@ -21,7 +21,7 @@ def example1():
 
 @pytest.fixture(scope="module")
 def assembler4(example1):
-    return Assembler(build_mesh(4), example1)
+    return Assembler(build_mesh(4), example1, 0.1)
 
 
 def interpolated_exact_state(asm, data, t):
@@ -39,23 +39,23 @@ class TestResidual:
             example1, f=zero_scalar, psi=zero_scalar, psi_t=zero_scalar,
             grad_psi=zero_vec, rho0=lambda x: np.zeros(np.shape(x)[:-1]),
             exact=None)
-        asm = Assembler(build_mesh(2), data)
+        asm = Assembler(build_mesh(2), data, 0.1)
         nv = asm.mesh.n_nodes
         state = SystemState(np.zeros(nv), np.zeros(2 * nv), 0.1)
         prev = SystemState(np.zeros(nv), np.zeros(2 * nv), 0.0)
-        assert np.linalg.norm(asm.residual(state, prev, 0.1)) == 0.0
+        assert np.linalg.norm(asm.residual(state, prev)) == 0.0
 
     def test_doubling_f_doubles_its_contribution(self, example1):
         doubled = dataclasses.replace(
             example1, f=lambda x, t: 2.0 * example1.f(x, t))
         mesh = build_mesh(2)
-        asm1 = Assembler(mesh, example1)
-        asm2 = Assembler(mesh, doubled)
+        asm1 = Assembler(mesh, example1, 0.1)
+        asm2 = Assembler(mesh, doubled, 0.1)
         nv = mesh.n_nodes
         state = SystemState(np.zeros(nv), np.zeros(2 * nv), 0.2)
         prev = SystemState(np.zeros(nv), np.zeros(2 * nv), 0.1)
-        r1 = asm1.residual(state, prev, 0.1)
-        r2 = asm2.residual(state, prev, 0.1)
+        r1 = asm1.residual(state, prev)
+        r2 = asm2.residual(state, prev)
         ss = asm1.scalar_space
         fvec = ss.load_vector(example1.f(ss.quadrature_coords(), 0.2))
         np.testing.assert_allclose(r2[2 * nv:] - r1[2 * nv:], -fvec,
@@ -67,12 +67,12 @@ class TestResidual:
         norms = []
         t_eval = 0.5
         for n in (4, 8, 16):
-            asm = Assembler(build_mesh(n), example1,
-                            DiscretizationOptions(psi_t_mode="discrete"))
             dt = 0.5 / n
+            asm = Assembler(build_mesh(n), example1, dt,
+                            DiscretizationOptions(psi_t_mode="discrete"))
             state = interpolated_exact_state(asm, example1, t_eval)
             prev = interpolated_exact_state(asm, example1, t_eval - dt)
-            norms.append(np.linalg.norm(asm.residual(state, prev, dt)))
+            norms.append(np.linalg.norm(asm.residual(state, prev)))
         assert norms[0] > norms[1] > norms[2]
         assert norms[2] < 0.3 * norms[0]
 
@@ -85,38 +85,38 @@ class TestResidual:
         backward-difference data treatment to measure anything.
         """
         for n in (3, 6):
-            asm = Assembler(build_mesh(n), example1,
-                            DiscretizationOptions(psi_t_mode="analytic"))
             dt = 0.5 / n
+            asm = Assembler(build_mesh(n), example1, dt,
+                            DiscretizationOptions(psi_t_mode="analytic"))
             state = interpolated_exact_state(asm, example1, 0.5)
             prev = interpolated_exact_state(asm, example1, 0.5 - dt)
-            assert np.linalg.norm(asm.residual(state, prev, dt)) <= 1e-12
+            assert np.linalg.norm(asm.residual(state, prev)) <= 1e-12
 
     def test_rejects_inconsistent_times(self, assembler4):
         nv = assembler4.mesh.n_nodes
         state = SystemState(np.zeros(nv), np.zeros(2 * nv), 0.5)
         prev = SystemState(np.zeros(nv), np.zeros(2 * nv), 0.1)
         with pytest.raises(ValueError):
-            assembler4.residual(state, prev, 0.1)
+            assembler4.residual(state, prev)
 
 
 class TestJacobian:
     @pytest.mark.parametrize("n", [2, 4])
     def test_matches_finite_differences(self, example1, n):
         rng = np.random.default_rng(100 + n)
-        asm = Assembler(build_mesh(n), example1)
+        asm = Assembler(build_mesh(n), example1, 0.1)
         nv = asm.mesh.n_nodes
         base = np.tile([0.8, -0.6], nv)
         state = SystemState(rng.standard_normal(nv),
                             base + 0.3 * rng.standard_normal(2 * nv), 0.5)
         prev = SystemState(rng.standard_normal(nv),
                            base + 0.3 * rng.standard_normal(2 * nv), 0.4)
-        assert jacobian_fd_error(asm, state, prev, dt=0.1) <= 1e-5
+        assert jacobian_fd_error(asm, state, prev) <= 1e-5
 
     def test_block_antisymmetry(self, assembler4):
         nv = assembler4.mesh.n_nodes
         state = SystemState(np.zeros(nv), np.tile([0.5, 0.5], nv), 0.5)
-        jac = assembler4.jacobian(state, 0.1).toarray()
+        jac = assembler4.jacobian(state).toarray()
         top_right = jac[: 2 * nv, 2 * nv:]
         bottom_left = jac[2 * nv:, : 2 * nv]
         np.testing.assert_allclose(top_right, -bottom_left.T, atol=1e-14)
@@ -127,10 +127,11 @@ class TestJacobian:
         the three-colour density modes: node (i, j) has colour (i + j) mod 3,
         and the colours' values sum to 0, so the mode has zero mean on every
         triangle."""
-        asm = Assembler(build_mesh(n), example1)
-        state, dt = asm.initial_state(), 0.5 / n
+        dt = 0.5 / n
+        asm = Assembler(build_mesh(n), example1, dt)
+        state = asm.initial_state()
         x = np.concatenate([state.m, state.rho_bar])
-        jac = asm.level(state, dt, dt)(x)[1]()
+        jac = asm.level(state, dt)(x)[1]()
         n_m = asm.vector_space.n_dofs
         coupling = jac[:n_m, n_m:].toarray()
         node = np.arange(asm.mesh.n_nodes)
@@ -144,11 +145,11 @@ class TestJacobian:
         assert np.linalg.norm(coupling @ modes) <= 1e-14 * np.linalg.norm(coupling)
 
     def test_momentum_block_positive_definite(self, example1, rng):
-        asm = Assembler(build_mesh(2), example1)
+        asm = Assembler(build_mesh(2), example1, 0.1)
         nv = asm.mesh.n_nodes
         m = np.tile([0.3, -0.9], nv) + 0.2 * rng.standard_normal(2 * nv)
         state = SystemState(np.zeros(nv), m, 0.5)
-        jac = asm.jacobian(state, 0.1).toarray()
+        jac = asm.jacobian(state).toarray()
         a_block = jac[: 2 * nv, : 2 * nv]
         np.testing.assert_allclose(a_block, a_block.T, atol=1e-12)
         assert np.linalg.eigvalsh(a_block).min() > 0.0
@@ -160,12 +161,12 @@ class TestJacobian:
                                           CoefficientVector([0.0, 1.0, 0.0]))
         data = dataclasses.replace(builtin_problem("example1"), law=darcy_law,
                                    exact=None)
-        asm = Assembler(build_mesh(2), data)
+        asm = Assembler(build_mesh(2), data, 0.1)
         nv = asm.mesh.n_nodes
         rng = np.random.default_rng(3)
         for m in (np.zeros(2 * nv), rng.standard_normal(2 * nv)):
             state = SystemState(np.zeros(nv), m, 0.5)
-            a_block = asm.jacobian(state, 0.1).toarray()[: 2 * nv, : 2 * nv]
+            a_block = asm.jacobian(state).toarray()[: 2 * nv, : 2 * nv]
             # F == 1: the block is the interleaved vector mass matrix
             mass = asm.mass.toarray()
             expected = np.zeros_like(a_block)
@@ -181,8 +182,8 @@ class TestJacobian:
         mesh = build_mesh(2)
         nv = mesh.n_nodes
         state = SystemState(np.ones(nv), np.tile([0.4, 0.1], nv), 0.5)
-        j1 = Assembler(mesh, example1).jacobian(state, 0.1).toarray()
-        j2 = Assembler(mesh, other).jacobian(state, 0.1).toarray()
+        j1 = Assembler(mesh, example1, 0.1).jacobian(state).toarray()
+        j2 = Assembler(mesh, other, 0.1).jacobian(state).toarray()
         np.testing.assert_array_equal(j1, j2)
 
 
@@ -200,7 +201,7 @@ class TestInitialState:
 
     def test_example1_momentum_matches_exact(self, example1):
         for n in (4, 8):
-            asm = Assembler(build_mesh(n), example1)
+            asm = Assembler(build_mesh(n), example1, 0.5 / n)
             state = asm.initial_state()
             err = norm(asm.vector_space, state.m, 3.0,
                        against=lambda pts: np.asarray(example1.exact.m(pts, 0.0)))
@@ -208,7 +209,7 @@ class TestInitialState:
 
     def test_rho0_equal_psi_gives_zero(self, example1):
         # example1 is constructed with rho0 = psi(., 0)
-        asm = Assembler(build_mesh(2), example1)
+        asm = Assembler(build_mesh(2), example1, 0.25)
         np.testing.assert_allclose(asm.initial_state().rho_bar, 0.0,
                                    atol=1e-13)
 
@@ -248,7 +249,7 @@ class TestProjection:
     @staticmethod
     def project(n, g):
         """The space of the N x N mesh and g's projection onto it."""
-        asm = Assembler(build_mesh(n), builtin_problem("example1"))
+        asm = Assembler(build_mesh(n), builtin_problem("example1"), 0.5 / n)
         space = asm.scalar_space
         return space, _solve_spd(asm.mass, space.load_vector(g(space.quadrature_coords())))
 
@@ -257,7 +258,7 @@ class TestProjection:
         g = lambda x: 1.0 + 2.0 * x[..., 0] - 0.5 * x[..., 1]
         data = dataclasses.replace(example1,
                                    rho0=lambda x: example1.psi(x, 0.0) + g(x))
-        asm = Assembler(build_mesh(3), data)
+        asm = Assembler(build_mesh(3), data, 0.5 / 3)
         np.testing.assert_allclose(asm.initial_state().rho_bar,
                                    g(asm.mesh.nodes), atol=1e-11)
 
@@ -275,29 +276,34 @@ class TestProjection:
 
     def test_mass_matrix_spd(self, example1):
         for n in (2, 4, 8):
-            mass = Assembler(build_mesh(n), example1).mass.toarray()
+            mass = Assembler(build_mesh(n), example1, 0.5 / n).mass.toarray()
             np.testing.assert_allclose(mass, mass.T, atol=1e-16)
             assert np.linalg.eigvalsh(mass).min() > 0.0
 
 
 class TestOptions:
     def test_pin_rho_boundary_rows(self, example1):
-        asm = Assembler(build_mesh(2), example1,
+        asm = Assembler(build_mesh(2), example1, 0.1,
                         DiscretizationOptions(pin_rho_boundary=True))
         nv = asm.mesh.n_nodes
         rng = np.random.default_rng(0)
         state = SystemState(rng.standard_normal(nv),
                             np.tile([0.5, 0.5], nv), 0.1)
         prev = SystemState(np.zeros(nv), np.tile([0.5, 0.5], nv), 0.0)
-        r = asm.residual(state, prev, 0.1)
+        r = asm.residual(state, prev)
         bn = asm.mesh.boundary_nodes
         np.testing.assert_array_equal(r[2 * nv:][bn], state.rho_bar[bn])
 
     def test_momentum_bc_requires_exact(self, example1):
         data = dataclasses.replace(example1, exact=None)
         with pytest.raises(ValueError):
-            Assembler(build_mesh(2), data,
+            Assembler(build_mesh(2), data, 0.1,
                       DiscretizationOptions(momentum_bc="exact"))
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+    def test_dt_must_be_positive_and_finite(self, example1, dt):
+        with pytest.raises(ValueError, match="dt"):
+            Assembler(build_mesh(2), example1, dt)
 
     def test_unknown_option_values_rejected(self):
         with pytest.raises(ValueError):

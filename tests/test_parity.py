@@ -195,16 +195,16 @@ def systems():
     for n in (2, 8, 32):
         mesh = build_mesh(n)
         for k, options in enumerate(OPTIONS):
-            asm = Assembler(mesh, data, options)
+            asm = Assembler(mesh, data, 0.5 / n, options)
             rng = np.random.default_rng(10 * n + k)
-            cases.append((n, options, asm, random_state(asm, rng), 0.5 / n))
+            cases.append((n, options, asm, random_state(asm, rng), asm.dt))
     return cases
 
 
 class TestJacobianParity:
     def test_matches_bmat_reference(self, systems):
         for n, options, asm, state, dt in systems:
-            jac = asm.jacobian(state, dt)
+            jac = asm.jacobian(state)
             assert jac.format == "csc"
             ref = reference_jacobian(asm, state, dt)
             assert rel_diff(jac.toarray(), ref.toarray()) <= 1e-13, (n, options)
@@ -212,26 +212,26 @@ class TestJacobianParity:
     def test_matches_reference_past_int32_keys(self):
         # n * n exceeds 2**31 from N = 124 on; pattern keys must not wrap
         options = DiscretizationOptions(momentum_bc="exact", pin_rho_boundary=True)
-        asm = Assembler(build_mesh(128), builtin_problem("example1"), options)
+        asm = Assembler(build_mesh(128), builtin_problem("example1"), 1 / 256, options)
         state = random_state(asm, np.random.default_rng(128))
         ref = reference_jacobian(asm, state, 1 / 256)
-        assert abs(asm.jacobian(state, 1 / 256) - ref).max() <= 1e-13 * abs(ref).max()
+        assert abs(asm.jacobian(state) - ref).max() <= 1e-13 * abs(ref).max()
 
     def test_momentum_jacobian_matches_reference_block(self, systems):
-        for n, options, asm, state, dt in systems:
+        for n, options, asm, state, _ in systems:
             ref = reference_momentum_block(asm, state.m).tolil()
             if options.momentum_bc == "exact":
                 for d in pinned_momentum_dofs(asm):
                     ref.rows[d], ref.data[d] = [d], [1.0]
             n_m = asm.vector_space.n_dofs
-            got = asm.jacobian(state, dt)[:n_m, :n_m]
+            got = asm.jacobian(state)[:n_m, :n_m]
             assert rel_diff(got.toarray(), ref.toarray()) <= 1e-13, (n, options)
 
     def test_calls_do_not_share_data(self, systems):
-        _, _, asm, state, dt = systems[-1]
-        first = asm.jacobian(state, dt)
+        _, _, asm, state, _ = systems[-1]
+        first = asm.jacobian(state)
         before = first.toarray()
-        asm.jacobian(SystemState(state.rho_bar, 2.0 * state.m, state.t), 2.0 * dt)
+        asm.jacobian(SystemState(state.rho_bar, 2.0 * state.m, state.t))
         np.testing.assert_array_equal(first.toarray(), before)
 
 
@@ -278,7 +278,7 @@ class TestLiftedPatterns:
     def pair(self, request):
         n, options = request.param
         mesh, data = build_mesh(n), builtin_problem("example1")
-        return Assembler(mesh, data, options), Assembler(mesh, data, options)
+        return Assembler(mesh, data, 0.1, options), Assembler(mesh, data, 0.1, options)
 
     def test_same_arrays(self, pair):
         asm, _ = pair
@@ -287,9 +287,9 @@ class TestLiftedPatterns:
         for got, ref in zip([j.indices, j.indptr, asm._flux_slots, asm._mirror,
                              asm._source], ref_arrays):
             assert got.dtype.kind == ref.dtype.kind and np.array_equal(got, ref)
-        # the static data sum the same element entries, maybe in another order
-        for got, ref in ((asm._coupling, coupling), (asm._mass_phi, mass)):
-            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+        # the static data sum the same element entries
+        ref = coupling + mass / asm.dt
+        assert np.array_equal(asm._static.view(np.int64), ref.view(np.int64))
         pinned = np.concatenate([asm._pinned_m, asm.vector_space.n_dofs + asm._pinned_rho])
         in_pinned_row = np.flatnonzero(np.isin(j.indices, pinned))
         col = np.repeat(np.arange(j.n), np.diff(j.indptr))
@@ -304,7 +304,7 @@ class TestLiftedPatterns:
         ref._pattern = _FixedCsc(j_indices, j_indptr, np.concatenate(
             [ref._pinned_m, ref.vector_space.n_dofs + ref._pinned_rho]))
         state = random_state(asm, np.random.default_rng(asm.mesh.n_nodes))
-        got, want = asm.jacobian(state, 0.1).data, ref.jacobian(state, 0.1).data
+        got, want = asm.jacobian(state).data, ref.jacobian(state).data
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -324,7 +324,7 @@ class TestMassMatrix:
         data = builtin_problem("example1")
         if porous:
             data = dataclasses.replace(data, **self.POROUS)
-        asm = Assembler(build_mesh(n), data)
+        asm = Assembler(build_mesh(n), data, 0.5 / n)
         space, tris = asm.scalar_space, asm.mesh.triangles
         m_el = space.element_matrices(np.ones(space.quadrature_coords().shape[:2]))
         ref = sp.coo_matrix((m_el.ravel(), (np.repeat(tris, 3, axis=1).ravel(),
@@ -349,20 +349,21 @@ class TestResidualParity:
             # a second level and a return to the first must not reuse stale loads
             later = random_state(asm, rng, state.t + dt)
             for cur, before in ((state, prev), (later, state), (state, prev)):
-                got = asm.residual(cur, before, dt)
+                got = asm.residual(cur, before)
                 ref = reference_residual(asm, cur, before, dt)
                 assert rel_diff(got, ref) <= 1e-13, (n, options, cur.t)
 
     @pytest.mark.parametrize("psi_t_mode", ["discrete", "analytic"])
     def test_loads_follow_dt_at_one_time(self, psi_t_mode):
         options = DiscretizationOptions(psi_t_mode=psi_t_mode)
-        asm = Assembler(build_mesh(8), builtin_problem("example1"), options)
+        mesh, data = build_mesh(8), builtin_problem("example1")
+        assemblers = [Assembler(mesh, data, dt, options) for dt in (0.25, 0.125, 0.25)]
         rng = np.random.default_rng(8)
-        state = random_state(asm, rng)
-        for dt in (0.25, 0.125, 0.25):
-            prev = random_state(asm, rng, state.t - dt)
-            ref = reference_residual(asm, state, prev, dt)
-            assert rel_diff(asm.residual(state, prev, dt), ref) <= 1e-13, dt
+        state = random_state(assemblers[0], rng)
+        for asm in assemblers:
+            prev = random_state(asm, rng, state.t - asm.dt)
+            ref = reference_residual(asm, state, prev, asm.dt)
+            assert rel_diff(asm.residual(state, prev), ref) <= 1e-13, asm.dt
 
     def test_momentum_residual_matches(self, systems):
         for n, options, asm, state, _ in systems:
@@ -375,8 +376,8 @@ class TestResidualParity:
 class TestSymmetricModeParity:
     def test_solutions_match_default_splu(self, systems):
         solver = LinearSolver()
-        for n, options, asm, state, dt in systems:
-            jac = asm.jacobian(state, dt)
+        for n, options, asm, state, _ in systems:
+            jac = asm.jacobian(state)
             rhs = np.random.default_rng(n).standard_normal(jac.shape[0])
             got = solver.solve(jac, rhs)
             ref = spla.splu(jac).solve(rhs)
@@ -504,8 +505,8 @@ class TestPivotingFallback:
     def test_no_fallback_on_jacobian(self, systems, monkeypatch):
         recorder = _RecordingSpla()
         monkeypatch.setattr(solver_module, "spla", recorder)
-        _, _, asm, state, dt = systems[-1]
-        jac = asm.jacobian(state, dt)
+        _, _, asm, state, _ = systems[-1]
+        jac = asm.jacobian(state)
         LinearSolver().solve(jac, np.ones(jac.shape[0]))
         assert len(recorder.calls) == 1
 
@@ -573,8 +574,9 @@ class TestFactorReuse:
         the built-in problems, or not; pinned or not."""
         pinned = DiscretizationOptions(momentum_bc="exact", pin_rho_boundary=True)
         for problem in (builtin_problem, nonconstant_momentum):
-            Assembler(build_mesh(16), problem("example1")).initial_state()
-            Assembler(build_mesh(32), problem("example2_F2"), pinned).initial_state()
+            Assembler(build_mesh(16), problem("example1"), 1 / 32).initial_state()
+            Assembler(build_mesh(32), problem("example2_F2"), 1 / 64,
+                      pinned).initial_state()
         assert newton_runs == []
         assert recorder.calls == []
 
@@ -614,7 +616,7 @@ class TestFactorReuse:
         """Two Jacobians of one assembler at different states, and a twin
         assembler of the same problem."""
         data, mesh = builtin_problem("example1"), build_mesh(16)
-        asm, twin = Assembler(mesh, data), Assembler(mesh, data)
+        asm, twin = Assembler(mesh, data, 1 / 32), Assembler(mesh, data, 1 / 32)
         state = asm.initial_state()
         moved = SystemState(state.rho_bar, 1.1 * state.m, 0.5)
         return asm, twin, state, moved
@@ -623,8 +625,8 @@ class TestFactorReuse:
         asm, _, state, moved = n16_systems
         solver = LinearSolver()
         rhs = np.random.default_rng(16).standard_normal(3 * asm.mesh.n_nodes)
-        solver.solve(asm.jacobian(state, 1 / 32), rhs)
-        jac = asm.jacobian(moved, 1 / 32)
+        solver.solve(asm.jacobian(state), rhs)
+        jac = asm.jacobian(moved)
         sol = solver.solve(jac, rhs)
         assert len(recorder.calls) == 1 and solver.factorizations == 1
         assert solver.krylov_iterations > 0
@@ -634,11 +636,11 @@ class TestFactorReuse:
         asm, _, state, moved = n16_systems
         solver = LinearSolver()
         rhs = np.ones(3 * asm.mesh.n_nodes)
-        solver.solve(asm.jacobian(state, 1 / 32), rhs)
+        solver.solve(asm.jacobian(state), rhs)
         real_gmres = solver_module._preconditioned_gmres
         monkeypatch.setattr(solver_module, "_preconditioned_gmres",
                             lambda *args: (np.zeros_like(rhs), 1))
-        jac = asm.jacobian(moved, 1 / 32)
+        jac = asm.jacobian(moved)
         sol = solver.solve(jac, rhs)
         assert keeps_contract(jac, sol, rhs)
         assert len(recorder.calls) == 2
@@ -646,7 +648,7 @@ class TestFactorReuse:
         assert solver.krylov_iterations == 1
         # the miss is not remembered: the fresh factor is held and reused
         monkeypatch.setattr(solver_module, "_preconditioned_gmres", real_gmres)
-        jac = asm.jacobian(state, 1 / 32)
+        jac = asm.jacobian(state)
         sol = solver.solve(jac, rhs)
         assert keeps_contract(jac, sol, rhs)
         assert len(recorder.calls) == 2 and solver.krylov_iterations > 1
@@ -657,10 +659,10 @@ class TestFactorReuse:
         solver = LinearSolver()
         rng = np.random.default_rng(7)
         rhs = rng.standard_normal(3 * asm.mesh.n_nodes)
-        solver.solve(asm.jacobian(state, 1 / 32), rhs)
+        solver.solve(asm.jacobian(state), rhs)
         kept = solver._held.solutions
         kept[:] = rng.standard_normal(kept.shape) if garbage == "random" else garbage
-        jac = asm.jacobian(moved, 1 / 32)
+        jac = asm.jacobian(moved)
         assert keeps_contract(jac, solver.solve(jac, rhs), rhs)
         assert len(recorder.calls) <= 2
 
@@ -668,9 +670,9 @@ class TestFactorReuse:
         asm, twin, state, _ = n16_systems
         solver = LinearSolver()
         rhs = np.ones(3 * asm.mesh.n_nodes)
-        solver.solve(asm.jacobian(state, 1 / 32), rhs)
-        jac = twin.jacobian(state, 1 / 32)
-        assert (jac != asm.jacobian(state, 1 / 32)).nnz == 0  # same pattern and values
+        solver.solve(asm.jacobian(state), rhs)
+        jac = twin.jacobian(state)
+        assert (jac != asm.jacobian(state)).nnz == 0  # same pattern and values
         sol = solver.solve(jac, rhs)
         assert keeps_contract(jac, sol, rhs)
         assert len(recorder.calls) == 2 and solver.krylov_iterations == 0

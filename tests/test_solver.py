@@ -72,6 +72,13 @@ class TestConfigs:
             MarchConfig(dt=0.3, final_time=1.0)
         assert MarchConfig(dt=0.125, final_time=1.0).n_steps == 8
 
+    def test_march_refuses_more_than_2_53_steps(self):
+        """Past 2**53 steps t_n = n * dt no longer advances by dt in float64;
+        dt = 2.5e-291 divides final_time = 1 in 4e290 steps."""
+        with pytest.raises(ValueError, match=r"dt=2\.5e-291 .*4e\+290 steps.*2\*\*53"):
+            MarchConfig(dt=2.5e-291)
+        assert MarchConfig(dt=2.0 ** -53).n_steps == 2 ** 53
+
     def test_single_step_march(self):
         assert MarchConfig(dt=1.0, final_time=1.0).n_steps == 1
 
@@ -79,42 +86,39 @@ class TestConfigs:
 class TestNewton:
     def test_darcy_converges_in_one_iteration(self):
         data = darcy_problem()
-        asm = Assembler(build_mesh(4), data)
+        asm = Assembler(build_mesh(4), data, 0.125)
         state0 = asm.initial_state()
-        _, stats = newton_solve(asm, state0, 0.125, 0.125)
+        _, stats = newton_solve(asm, state0, 0.125)
         assert stats.iterations == 1
         assert stats.residual_norm <= 1e-10
 
     def test_example1_first_step_bounded_iterations(self, example1):
-        asm = Assembler(build_mesh(4), example1)
+        asm = Assembler(build_mesh(4), example1, 0.125)
         state0 = asm.initial_state()
-        state, stats = newton_solve(asm, state0, 0.125, 0.125)
+        state, stats = newton_solve(asm, state0, 0.125)
         assert stats.residual_norm <= 1e-6
         assert stats.iterations <= 10
 
     def test_loose_tolerance_never_more_iterations(self, example1):
-        asm = Assembler(build_mesh(4), example1)
+        asm = Assembler(build_mesh(4), example1, 0.125)
         state0 = asm.initial_state()
-        _, tight = newton_solve(asm, state0, 0.125, 0.125,
-                                NewtonConfig(tol=1e-6))
-        _, loose = newton_solve(asm, state0, 0.125, 0.125,
-                                NewtonConfig(tol=1e-2))
+        _, tight = newton_solve(asm, state0, 0.125, NewtonConfig(tol=1e-6))
+        _, loose = newton_solve(asm, state0, 0.125, NewtonConfig(tol=1e-2))
         assert loose.iterations <= tight.iterations
 
     def test_nonconvergence_carries_trace(self, example1):
-        asm = Assembler(build_mesh(2), example1)
+        asm = Assembler(build_mesh(2), example1, 0.25)
         state0 = asm.initial_state()
         with pytest.raises(NonConvergence) as err:
-            newton_solve(asm, state0, 0.25, 0.25,
-                         NewtonConfig(tol=1e-300, max_iter=2))
+            newton_solve(asm, state0, 0.25, NewtonConfig(tol=1e-300, max_iter=2))
         assert len(err.value.trace) >= 2
 
 
 class TestLinearSolver:
     def test_contract_check_passes_on_sane_system(self, example1):
-        asm = Assembler(build_mesh(2), example1)
+        asm = Assembler(build_mesh(2), example1, 0.25)
         state0 = asm.initial_state()
-        newton_solve(asm, state0, 0.25, 0.25, linear_solver=LinearSolver())
+        newton_solve(asm, state0, 0.25, linear_solver=LinearSolver())
 
     def test_failure_on_singular_matrix(self):
         import scipy.sparse as sp
@@ -172,9 +176,9 @@ class TestMarch:
 
     def test_superlinear_tail(self, example1):
         """Within the basin, residuals contract superlinearly."""
-        asm = Assembler(build_mesh(4), example1)
+        asm = Assembler(build_mesh(4), example1, 0.125)
         state0 = asm.initial_state()
-        _, stats = newton_solve(asm, state0, 0.125, 0.125,
+        _, stats = newton_solve(asm, state0, 0.125,
                                 NewtonConfig(tol=1e-13, max_iter=20))
         trace = [r for r in stats.trace if r > 1e-14]
         # ratios of successive residuals must collapse faster than a fixed
@@ -195,20 +199,18 @@ class TestMarch:
             def solve(self, matrix, rhs, atol=0.0):
                 raise LinearSolveFailure("no solution")
 
-        asm = Assembler(build_mesh(2), example1)
+        asm = Assembler(build_mesh(2), example1, 0.25)
         state = dataclasses.replace(asm.initial_state(), t=0.25)
         with pytest.raises(LinearSolveFailure) as err:
-            newton_solve(asm, state, 0.5, 0.25, NewtonConfig(tol=1e-12),
-                         Failing())
+            newton_solve(asm, state, 0.5, NewtonConfig(tol=1e-12), Failing())
         assert str(err.value) == "no solution at step 2 (t=0.5)"
 
     def test_newton_starts_from_guess(self, example1):
-        asm = Assembler(build_mesh(4), example1)
+        asm = Assembler(build_mesh(4), example1, 0.125)
         state0 = asm.initial_state()
-        tight, stats = newton_solve(asm, state0, 0.125, 0.125,
-                                    NewtonConfig(tol=1e-12))
+        tight, stats = newton_solve(asm, state0, 0.125, NewtonConfig(tol=1e-12))
         assert stats.iterations > 0
-        again, stats = newton_solve(asm, state0, 0.125, 0.125,
+        again, stats = newton_solve(asm, state0, 0.125,
                                     NewtonConfig(tol=1e-12),
                                     guess=np.concatenate([tight.m, tight.rho_bar]))
         assert stats.iterations == 0
@@ -308,10 +310,10 @@ class NanSteps(LinearSolver):
 
 class TestNonFiniteIterate:
     def test_newton_raises_nonconvergence_with_trace(self, example1):
-        asm = Assembler(build_mesh(2), example1)
+        asm = Assembler(build_mesh(2), example1, 0.25)
         state0 = asm.initial_state()
         with pytest.raises(NonConvergence, match="non-finite Newton iterate") as err:
-            newton_solve(asm, state0, 0.25, 0.25, linear_solver=NanSteps())
+            newton_solve(asm, state0, 0.25, linear_solver=NanSteps())
         assert len(err.value.trace) == 1 and np.isfinite(err.value.trace[0])
 
     def test_cli_exit_code(self, monkeypatch, capsys):
