@@ -24,7 +24,9 @@ operator's: J's entries outside A, which the residual multiplies without
 A's explicit zeros.  The unweighted P1 mass matrix M, which the initial
 projection and a march's energies read, is on G.  The initial momentum
 needs no matrix: it is the law inverted node by node (see
-:meth:`Assembler.initial_state`).
+:meth:`Assembler.initial_state`).  Once built, an Assembler is plain data
+that nothing writes: its methods cache nothing, so a level evaluates Psi
+at both of its times.
 """
 
 from __future__ import annotations
@@ -161,23 +163,19 @@ class _FixedCsc:
         in_pinned_row = np.zeros(self.n, dtype=bool)
         in_pinned_row[pinned] = True
         self._pinned = np.flatnonzero(in_pinned_row[self.indices])
-        col = np.repeat(np.arange(self.n), np.diff(self.indptr))[self._pinned]
+        col = np.searchsorted(self.indptr, self._pinned, side="right") - 1
         self._pinned_diag = self._pinned[self.indices[self._pinned] == col]
 
     def scatter(self, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
         return np.bincount(slots, weights=values, minlength=self.nnz)
-
-    def operator(self, data: np.ndarray) -> sp.csc_matrix:
-        """CSC matrix over ``data`` as it is, pinned rows included."""
-        return sp.csc_matrix((data, self.indices, self.indptr),
-                             shape=(self.n, self.n))
 
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
         """CSC matrix over ``data``, with the pinned rows of ``data`` set to
         identity rows in place."""
         data[self._pinned] = 0.0
         data[self._pinned_diag] = 1.0
-        return self.operator(data)
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=(self.n, self.n))
 
 
 @dataclass(frozen=True)
@@ -246,8 +244,6 @@ class Assembler:
         self._pinned_rho = bn if self.options.pin_rho_boundary \
             else np.empty(0, dtype=int)
         self._lift(_NodeGraph.build(mesh.triangles, mesh.n_nodes))
-        # one-entry cache: (t, Psi(t) at the quadrature points)
-        self._psi: tuple | None = None
 
     def _lift(self, g: _NodeGraph) -> None:
         """J's pattern, its static data and the residual operator, lifted
@@ -277,10 +273,13 @@ class Assembler:
         for r, rows in enumerate((2 * g.row, 2 * g.row + 1, n_m + g.row)):
             indices[slot[r]] = rows
         deg = g.node_deg
-        self._pattern = _FixedCsc(
-            indices, np.concatenate(
-                [[0], np.cumsum(np.concatenate([np.repeat(3 * deg, 2), 3 * deg]))]),
-            np.concatenate([self._pinned_m, n_m + self._pinned_rho]))
+        n = n_m + len(deg)
+
+        def starts(*counts):  # indptr of columns with these entry counts
+            return np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+
+        self._pattern = _FixedCsc(indices, starts(np.repeat(3 * deg, 2), 3 * deg),
+                                  np.concatenate([self._pinned_m, n_m + self._pinned_rho]))
         self._flux_slots = slot[[0, 0, 1], [0, 1, 1]][:, g.element].ravel()
         self._mirror, self._source = slot[1, 0][g.transpose], slot[0, 1].copy()
         # B's element entry (d phi_j / dx_c, phi_i) = |T| / 3 d phi_j / dx_c
@@ -300,31 +299,24 @@ class Assembler:
         # the residual operator's entries: the rho_bar rows of each momentum
         # column, then each rho_bar column
         outside_a = (indices >= n_m) | (np.arange(9 * g.nnz) >= 6 * g.nnz)
-        self._operator = _FixedCsc(
-            indices[outside_a], np.concatenate(
-                [[0], np.cumsum(np.concatenate([np.repeat(deg, 2), 3 * deg]))]),
-            np.empty(0, dtype=int)).operator(self._static[outside_a])
+        self._operator = sp.csc_matrix(
+            (self._static[outside_a], indices[outside_a], starts(np.repeat(deg, 2), 3 * deg)),
+            shape=(n, n))
         self._operator.data.flags.writeable = False
         mass = np.bincount(g.element.ravel(), ss.element_matrices(
             np.ones_like(self._phi_q)).ravel(), minlength=g.nnz)
         mass.flags.writeable = False
-        self.mass = sp.csc_matrix((mass, g.row, np.concatenate([[0], np.cumsum(deg)])),
-                                  shape=(ss.n_dofs, ss.n_dofs))
+        self.mass = sp.csc_matrix((mass, g.row, starts(deg)), shape=(ss.n_dofs, ss.n_dofs))
 
     # -- per-step data -------------------------------------------------------
 
     def _psi_at(self, t: float) -> np.ndarray:
-        """Psi(t) at the quadrature points; the last value is kept, so a
-        march evaluates Psi once per level."""
-        if self._psi is None or self._psi[0] != t:
-            self._psi = (t, np.asarray(self.data.psi(self._qpts, t), dtype=float))
-        return self._psi[1]
+        return np.asarray(self.data.psi(self._qpts, t), dtype=float)
 
     def _dpsi_values(self, t_prev: float, t_n: float) -> np.ndarray:
         if self.options.psi_t_mode == "analytic":
             return np.asarray(self.data.psi_t(self._qpts, t_n), dtype=float)
-        earlier = self._psi_at(t_prev)  # the last level's Psi(t_n) in a march
-        return (self._psi_at(t_n) - earlier) / self.dt
+        return (self._psi_at(t_n) - self._psi_at(t_prev)) / self.dt
 
     def _momentum_loads(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """The load (grad Psi(t), v) and the exact momentum at the pinned
@@ -357,15 +349,17 @@ class Assembler:
         M_phi / dt]] and the residual operator over its entries outside A
         (see :meth:`_lift`).  Bound per level: the loads of f, dPsi and
         grad Psi, the exact-BC values and -B^T rho_bar_{n-1}; in the
-        discrete ``psi_t_mode`` Psi is evaluated at t_n only, since the
-        last level left Psi(``state_prev.t``).  Per iterate,
+        discrete ``psi_t_mode`` Psi is evaluated at ``state_prev.t`` and at
+        t_n.  A gap t_n - ``state_prev.t`` off dt by more than 1e-10 dt plus
+        four ulps of t_n raises a ``ValueError``.  Per iterate,
         ``linearize(x)`` returns the stacked (momentum, density) residual
         at x, whose -B^T rho_bar, B m and M_phi (rho_bar - rho_bar_{n-1}) /
         dt terms are one product with the residual operator, and a thunk
         that adds the static data to the flux block at x, built from the
         law's values at x's quadrature points (see :meth:`jacobian`).
         """
-        if abs(t_n - state_prev.t - self.dt) > 1e-10 * max(1.0, abs(t_n)):
+        # the gap of t_n = n dt after (n - 1) dt differs from dt by about an ulp
+        if abs(t_n - state_prev.t - self.dt) > 1e-10 * self.dt + 4 * math.ulp(t_n):
             raise ValueError("state times inconsistent with dt")
         load = self.scalar_space.load_vector(
             self._phi_q * self._dpsi_values(state_prev.t, t_n)
@@ -468,11 +462,9 @@ def _solve_spd(mat: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
     The Jacobi-scaled P1 mass matrix has condition number at most 4 on any
     mesh (Wathen, IMA J. Numer. Anal. 1987), so CG needs a fixed, small
     number of iterations at every h (19-22 at N = 16 to 128).  CG aims at
-    1e-12 ||rhs||, at least two decades inside the residual check; a zero
-    ``rhs`` returns zero at once.
+    1e-12 ||rhs||, at least two decades inside the residual check; for a
+    zero ``rhs`` it returns zero without iterating.
     """
-    if not np.any(rhs):
-        return np.zeros_like(rhs)
     sol, _ = spla.cg(mat, rhs, rtol=1e-12, atol=0.0,
                      M=sp.diags(1.0 / mat.diagonal()))
     resid = np.linalg.norm(mat @ sol - rhs)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mixedflow import assembly
 from mixedflow.assembly import (Assembler, DiscretizationOptions, SystemState,
@@ -98,6 +99,24 @@ class TestResidual:
         prev = SystemState(np.zeros(nv), np.zeros(2 * nv), 0.1)
         with pytest.raises(ValueError):
             assembler4.residual(state, prev)
+
+    def test_rejects_a_gap_of_many_small_steps(self, example1):
+        # 50 steps of dt = 1e-12 are far inside an absolute 1e-10
+        asm = Assembler(build_mesh(2), example1, 1e-12)
+        prev = asm.initial_state()
+        with pytest.raises(ValueError, match="inconsistent"):
+            asm.level(prev, 5e-11)
+
+    @pytest.mark.parametrize("dt, n", [(1e-3, 10 ** 7), (0.1, 10 ** 9)])
+    def test_accepts_late_grid_levels(self, example1, dt, n):
+        """t_n = n dt after (n - 1) dt: the rounded gap misses dt by more
+        than 1e-10 dt, but by less than an ulp of t_n."""
+        asm = Assembler(build_mesh(2), example1, dt)
+        nv = asm.mesh.n_nodes
+        prev = SystemState(np.zeros(nv), np.zeros(2 * nv), (n - 1) * dt)
+        assert abs(n * dt - prev.t - dt) > 1e-10 * dt
+        residual, _ = asm.level(prev, n * dt)(np.zeros(3 * nv))
+        assert np.all(np.isfinite(residual))
 
 
 class TestJacobian:
@@ -279,6 +298,39 @@ class TestProjection:
             mass = Assembler(build_mesh(n), example1, 0.5 / n).mass.toarray()
             np.testing.assert_allclose(mass, mass.T, atol=1e-16)
             assert np.linalg.eigvalsh(mass).min() > 0.0
+
+
+def snapshot(asm):
+    """Every attribute of ``asm`` by identity, with the identity and bytes of
+    each array it holds, the arrays of its sparse matrices and patterns
+    included."""
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        if sp.issparse(value):
+            return [value.data, value.indices, value.indptr]
+        if isinstance(value, assembly._FixedCsc):
+            return [a for a in vars(value).values() if isinstance(a, np.ndarray)]
+        return []
+    return {name: (id(value), [(id(a), a.tobytes()) for a in arrays(value)])
+            for name, value in vars(asm).items()}
+
+
+@pytest.mark.parametrize("problem, options", [
+    ("example1", DiscretizationOptions()),
+    ("example2_F2", DiscretizationOptions(momentum_bc="exact", pin_rho_boundary=True)),
+])
+def test_use_leaves_the_assembler_unchanged(problem, options):
+    """An Assembler is plain data once built: no call writes an attribute
+    or an array it holds."""
+    asm = Assembler(build_mesh(8), builtin_problem(problem), 1 / 16, options)
+    built = snapshot(asm)
+    state = asm.initial_state()
+    assert snapshot(asm) == built
+    _, jacobian = asm.level(state, 1 / 16)(np.concatenate([state.m, state.rho_bar]))
+    assert snapshot(asm) == built
+    jacobian()
+    assert snapshot(asm) == built
 
 
 class TestOptions:

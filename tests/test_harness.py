@@ -371,6 +371,10 @@ class TestCli:
     @pytest.mark.parametrize("line, cause", [
         # the residual's squared norm overflows: one failure, no 30 steps on inf
         ("coefficients_a = 1e200, 1, 1e200", "non-finite residual norm"),
+        # a vanishing flux block leaves J nearly singular: the linear solve
+        # misses its residual bound, with and without pivoting
+        ("coefficients_a = 1e-60, 1e-60, 1e-60\npairing = shared_data",
+         "linear solve residual"),
     ])
     def test_overflow_ends_in_one_solver_failure_line(self, tmp_path, line, cause):
         cfgfile = tmp_path / "overflow.cfg"
