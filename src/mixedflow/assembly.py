@@ -140,82 +140,6 @@ class DiscretizationOptions:
 Linearization = tuple[np.ndarray, Callable[[], sp.csc_matrix]]
 
 
-class _FixedCsc:
-    """CSC pattern of an n x n matrix with fixed ``indices`` and ``indptr``.
-
-    A triplet k that adds into ``data[slots[k]]`` is assembled by one
-    ``np.bincount`` over ``slots`` (:meth:`scatter`).  Every matrix of one
-    pattern shares its read-only ``indices`` and ``indptr``, which is how a
-    held factor recognises the next matrix as its own.  Rows listed in
-    ``pinned`` become identity rows in :meth:`matrix`; their off-diagonal
-    entries stay in the pattern as explicit zeros.
-    """
-
-    def __init__(self, indices: np.ndarray, indptr: np.ndarray,
-                 pinned: np.ndarray):
-        self.n = len(indptr) - 1
-        self.nnz = len(indices)
-        self.indices = np.asarray(indices, dtype=np.int32)
-        self.indptr = np.asarray(indptr, dtype=np.int32)
-        # every matrix shares these; read-only so none can corrupt the rest
-        self.indices.flags.writeable = False
-        self.indptr.flags.writeable = False
-        in_pinned_row = np.zeros(self.n, dtype=bool)
-        in_pinned_row[pinned] = True
-        self._pinned = np.flatnonzero(in_pinned_row[self.indices])
-        col = np.searchsorted(self.indptr, self._pinned, side="right") - 1
-        self._pinned_diag = self._pinned[self.indices[self._pinned] == col]
-
-    def scatter(self, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return np.bincount(slots, weights=values, minlength=self.nnz)
-
-    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        """CSC matrix over ``data``, with the pinned rows of ``data`` set to
-        identity rows in place."""
-        data[self._pinned] = 0.0
-        data[self._pinned_diag] = 1.0
-        return sp.csc_matrix((data, self.indices, self.indptr),
-                             shape=(self.n, self.n))
-
-
-@dataclass(frozen=True)
-class _NodeGraph:
-    """The P1 node graph G, the pattern every block of the system lifts.
-
-    Nodes i and j are adjacent when they share a triangle (i = j included);
-    node j has ``node_deg[j]`` neighbours.  Entry s of G's CSC pattern is
-    row node ``row[s]`` of a column node j, at ``local[s]`` within j's
-    ``deg[s]`` entries, which start at ``start[s]``; ``transpose[s]`` is the
-    entry (j, row[s]).  ``element[t, i, j]`` is the entry of local nodes i
-    (row) and j (column) of triangle t.
-    """
-
-    nnz: int
-    node_deg: np.ndarray
-    row: np.ndarray
-    start: np.ndarray
-    deg: np.ndarray
-    local: np.ndarray
-    transpose: np.ndarray
-    element: np.ndarray
-
-    @classmethod
-    def build(cls, triangles: np.ndarray, n_nodes: int) -> _NodeGraph:
-        # keys col * n_nodes + row sort into CSC order
-        unique, slots = np.unique(
-            (triangles[:, None, :] * n_nodes + triangles[:, :, None]).ravel(),
-            return_inverse=True)
-        nnz = len(unique)
-        element = slots.reshape(-1, 3, 3)
-        transpose = np.empty(nnz, dtype=np.int64)
-        transpose[element] = element.transpose(0, 2, 1)
-        node_deg = np.bincount(unique // n_nodes, minlength=n_nodes)
-        col = np.repeat(np.arange(n_nodes), node_deg)
-        start = (np.cumsum(node_deg) - node_deg)[col]
-        return cls(nnz, node_deg, unique % n_nodes, start, node_deg[col],
-                   np.arange(nnz) - start, transpose, element)
-
-
 class Assembler:
     """The backward-Euler system of one mesh, problem, options and step
     ``dt``: its static operators, built once, and its levels."""
@@ -243,70 +167,99 @@ class Assembler:
             if self.options.momentum_bc == "exact" else np.empty(0, dtype=int)
         self._pinned_rho = bn if self.options.pin_rho_boundary \
             else np.empty(0, dtype=int)
-        self._lift(_NodeGraph.build(mesh.triangles, mesh.n_nodes))
+        self._lift()
 
-    def _lift(self, g: _NodeGraph) -> None:
+    def _lift(self) -> None:
         """J's pattern, its static data and the residual operator, lifted
-        from the node graph G, and the unweighted mass M on G itself.
+        from the P1 node graph G, and the unweighted mass M on G itself.
 
-        Columns 2j, 2j + 1 and n_m + j of J hold the same rows: 2i and
-        2i + 1 for every neighbour i of node j in order, then n_m + i for
-        each.  ``slot[r, c]`` is the data index of component block (r, c),
-        r and c over (m_x, m_y, rho_bar), at every entry of G, so the
-        element entry (i, j) of triangle t of that block sits at
-        ``slot[r, c][g.element[t, i, j]]`` and each block is scattered from
-        its (nt, 3, 3) element data by one ``bincount``.  The flux block
-        takes the xx, xy and yy data of the flux Jacobian; A is symmetric,
-        so its yx block is not summed: the yx slots ``_mirror`` copy the xy
-        data of the transposed entries, ``_source``.  The static data
-        ``_static`` is [[0, -B^T], [B, M_phi / dt]] on J's pattern, read-only.
-        The residual operator ``_operator`` holds it at J's entries outside
-        A, in J's order.  ``mass`` is M in CSC on G's rows and column starts,
-        by one ``bincount``.
+        Nodes i and j of G are adjacent when they share a triangle (i = j
+        included).  Entry s of G's CSC pattern is row node ``row[s]`` of a
+        column node j, at ``local[s]`` within j's ``deg[s]`` entries, which
+        start at ``start[s]``; ``element[t, i, j]`` is the entry of local
+        nodes i (row) and j (column) of triangle t.  Columns 2j, 2j + 1 and
+        n_m + j of J hold the same rows: 2i and 2i + 1 for every neighbour i
+        of node j in order, then n_m + i for each.  ``slot[r, c]`` is the
+        data index of component block (r, c), r and c over (m_x, m_y,
+        rho_bar), at every entry of G, so the element entry (i, j) of
+        triangle t of that block sits at ``slot[r, c][element[t, i, j]]``
+        and each block is scattered from its (nt, 3, 3) element data by one
+        ``bincount``.  The flux block takes the xx, xy and yy data of the
+        flux Jacobian; A is symmetric, so its yx block is not summed: the yx
+        slots ``_mirror`` copy the xy data of the transposed entries,
+        ``_source``.  Every J shares the read-only ``_indices`` and
+        ``_indptr``, which is how a held factor recognises the next J as its
+        own.  A pinned row is an identity row: its entries ``_pinned`` take
+        ``_pinned_identity``, so its off-diagonal entries stay in the pattern
+        as explicit zeros.  The static data ``_static`` is [[0, -B^T], [B,
+        M_phi / dt]] on J's pattern, read-only.  The residual operator
+        ``_operator`` holds it at J's entries outside A, in J's order.
+        ``mass`` is M in CSC on G's rows and column starts, by one
+        ``bincount``.
         """
+        mesh = self.mesh
+        tris, n_nodes = mesh.triangles, mesh.n_nodes
+        # G's keys col * n_nodes + row sort into CSC order
+        keys, element = np.unique(
+            (tris[:, None, :] * n_nodes + tris[:, :, None]).ravel(), return_inverse=True)
+        nnz = len(keys)
+        element = element.reshape(-1, 3, 3)
+        row = keys % n_nodes
+        node_deg = np.bincount(keys // n_nodes, minlength=n_nodes)
+        col = np.repeat(np.arange(n_nodes), node_deg)
+        start = (np.cumsum(node_deg) - node_deg)[col]
+        deg = node_deg[col]
+        local = np.arange(nnz) - start
         n_m = self.vector_space.n_dofs
-        first = (6 * g.start, 6 * g.start + 3 * g.deg,  # columns 2j, 2j + 1,
-                 6 * g.nnz + 3 * g.start)                # n_m + j
-        offset = (2 * g.local, 2 * g.local + 1, 2 * g.deg + g.local)
+        first = (6 * start, 6 * start + 3 * deg,  # columns 2j, 2j + 1,
+                 6 * nnz + 3 * start)              # n_m + j
+        offset = (2 * local, 2 * local + 1, 2 * deg + local)
         slot = np.array([[f + o for f in first] for o in offset])
-        indices = np.empty(9 * g.nnz, dtype=np.int32)
-        for r, rows in enumerate((2 * g.row, 2 * g.row + 1, n_m + g.row)):
+        indices = np.empty(9 * nnz, dtype=np.int32)
+        for r, rows in enumerate((2 * row, 2 * row + 1, n_m + row)):
             indices[slot[r]] = rows
-        deg = g.node_deg
-        n = n_m + len(deg)
+        n = n_m + n_nodes
 
         def starts(*counts):  # indptr of columns with these entry counts
             return np.concatenate([[0], np.cumsum(np.concatenate(counts))])
 
-        self._pattern = _FixedCsc(indices, starts(np.repeat(3 * deg, 2), 3 * deg),
-                                  np.concatenate([self._pinned_m, n_m + self._pinned_rho]))
-        self._flux_slots = slot[[0, 0, 1], [0, 1, 1]][:, g.element].ravel()
-        self._mirror, self._source = slot[1, 0][g.transpose], slot[0, 1].copy()
+        indptr = starts(np.repeat(3 * node_deg, 2), 3 * node_deg).astype(np.int32)
+        # every J shares these; read-only so none can corrupt the rest
+        indices.flags.writeable = False
+        indptr.flags.writeable = False
+        self._indices, self._indptr = indices, indptr
+        self._pinned = np.flatnonzero(
+            np.isin(indices, np.concatenate([self._pinned_m, n_m + self._pinned_rho])))
+        pinned_col = np.searchsorted(indptr, self._pinned, side="right") - 1
+        self._pinned_identity = (indices[self._pinned] == pinned_col).astype(float)
+        self._flux_slots = slot[[0, 0, 1], [0, 1, 1]][:, element].ravel()
+        transpose = np.empty(nnz, dtype=np.int64)  # G's entry (j, i) at entry (i, j)
+        transpose[element] = element.transpose(0, 2, 1)
+        self._mirror, self._source = slot[1, 0][transpose], slot[0, 1].copy()
         # B's element entry (d phi_j / dx_c, phi_i) = |T| / 3 d phi_j / dx_c
         # is b_el[c, t, i, j]; -B^T's is -b_el[c, t, j, i]
-        mesh = self.mesh
         grad_int = np.moveaxis(mesh.grads, -1, 0) * (mesh.areas / 3.0)[:, None]
-        b_el = np.broadcast_to(grad_int[:, :, None, :], (2, len(mesh.triangles), 3, 3))
-        coupling = self._pattern.scatter(slot[2, :2][:, g.element].ravel(),
-                                         b_el.ravel())
-        coupling -= self._pattern.scatter(slot[:2, 2][:, g.element].ravel(),
-                                          b_el.transpose(0, 1, 3, 2).ravel())
+        b_el = np.broadcast_to(grad_int[:, :, None, :], (2, len(tris), 3, 3))
+        coupling = np.bincount(slot[2, :2][:, element].ravel(), b_el.ravel(),
+                               minlength=9 * nnz)
+        coupling -= np.bincount(slot[:2, 2][:, element].ravel(),
+                                b_el.transpose(0, 1, 3, 2).ravel(), minlength=9 * nnz)
         ss = self.scalar_space
-        mass_phi = self._pattern.scatter(
-            slot[2, 2][g.element].ravel(), ss.element_matrices(self._phi_q).ravel())
+        mass_phi = np.bincount(slot[2, 2][element].ravel(),
+                               ss.element_matrices(self._phi_q).ravel(), minlength=9 * nnz)
         self._static = coupling + mass_phi / self.dt
         self._static.flags.writeable = False
         # the residual operator's entries: the rho_bar rows of each momentum
         # column, then each rho_bar column
-        outside_a = (indices >= n_m) | (np.arange(9 * g.nnz) >= 6 * g.nnz)
+        outside_a = (indices >= n_m) | (np.arange(9 * nnz) >= 6 * nnz)
         self._operator = sp.csc_matrix(
-            (self._static[outside_a], indices[outside_a], starts(np.repeat(deg, 2), 3 * deg)),
-            shape=(n, n))
+            (self._static[outside_a], indices[outside_a],
+             starts(np.repeat(node_deg, 2), 3 * node_deg)), shape=(n, n))
         self._operator.data.flags.writeable = False
-        mass = np.bincount(g.element.ravel(), ss.element_matrices(
-            np.ones_like(self._phi_q)).ravel(), minlength=g.nnz)
+        mass = np.bincount(element.ravel(), ss.element_matrices(
+            np.ones_like(self._phi_q)).ravel(), minlength=nnz)
         mass.flags.writeable = False
-        self.mass = sp.csc_matrix((mass, g.row, starts(deg)), shape=(ss.n_dofs, ss.n_dofs))
+        self.mass = sp.csc_matrix((mass, row, starts(node_deg)), shape=(n_nodes, n_nodes))
 
     # -- per-step data -------------------------------------------------------
 
@@ -336,7 +289,8 @@ class Assembler:
         thunk for its (3, nt, nq) xx, xy and yy values at the quadrature
         points.  The values are freed before J's data is allocated."""
         element_values = self.scalar_space.element_matrices(flux_jacobian())
-        data = self._pattern.scatter(self._flux_slots, element_values.ravel())
+        data = np.bincount(self._flux_slots, element_values.ravel(),
+                           minlength=len(self._indices))
         data[self._mirror] = data[self._source]
         return data
 
@@ -382,7 +336,9 @@ class Assembler:
             def jacobian() -> sp.csc_matrix:
                 data = self._flux_block(flux_jacobian)
                 data += self._static
-                return self._pattern.matrix(data)
+                data[self._pinned] = self._pinned_identity
+                return sp.csc_matrix((data, self._indices, self._indptr),
+                                     shape=(len(x), len(x)))
 
             return np.concatenate([r_mom, r_den]), jacobian
 

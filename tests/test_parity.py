@@ -18,8 +18,7 @@ import scipy.sparse.linalg as spla
 
 from conftest import momentum_rows
 from mixedflow import solver as solver_module
-from mixedflow.assembly import (Assembler, DiscretizationOptions, SystemState,
-                                _FixedCsc, _NodeGraph)
+from mixedflow.assembly import Assembler, DiscretizationOptions, SystemState
 from mixedflow.harness import builtin_problem
 from mixedflow.mesh_fem import QUAD_POINTS, QUAD_WEIGHTS, build_mesh
 from mixedflow.solver import (LinearSolveFailure, LinearSolver, MarchConfig,
@@ -280,29 +279,35 @@ class TestLiftedPatterns:
         mesh, data = build_mesh(n), builtin_problem("example1")
         return Assembler(mesh, data, 0.1, options), Assembler(mesh, data, 0.1, options)
 
+    @staticmethod
+    def pinned_entries(asm, indices, indptr):
+        """The entries of J's pinned rows, and 1.0 at the diagonal ones, 0.0
+        at the rest."""
+        pinned = np.concatenate([asm._pinned_m, asm.vector_space.n_dofs + asm._pinned_rho])
+        in_pinned_row = np.flatnonzero(np.isin(indices, pinned))
+        col = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        return in_pinned_row, (indices[in_pinned_row] == col[in_pinned_row]).astype(float)
+
     def test_same_arrays(self, pair):
         asm, _ = pair
-        j = asm._pattern
         *ref_arrays, coupling, mass = key_sort_pattern(asm)
-        for got, ref in zip([j.indices, j.indptr, asm._flux_slots, asm._mirror,
+        for got, ref in zip([asm._indices, asm._indptr, asm._flux_slots, asm._mirror,
                              asm._source], ref_arrays):
             assert got.dtype.kind == ref.dtype.kind and np.array_equal(got, ref)
+        assert not asm._indices.flags.writeable and not asm._indptr.flags.writeable
         # the static data sum the same element entries
         ref = coupling + mass / asm.dt
         assert np.array_equal(asm._static.view(np.int64), ref.view(np.int64))
-        pinned = np.concatenate([asm._pinned_m, asm.vector_space.n_dofs + asm._pinned_rho])
-        in_pinned_row = np.flatnonzero(np.isin(j.indices, pinned))
-        col = np.repeat(np.arange(j.n), np.diff(j.indptr))
-        assert np.array_equal(j._pinned, in_pinned_row)
-        assert np.array_equal(j._pinned_diag, in_pinned_row[
-            j.indices[in_pinned_row] == col[in_pinned_row]])
+        for got, ref in zip([asm._pinned, asm._pinned_identity],
+                            self.pinned_entries(asm, asm._indices, asm._indptr)):
+            assert np.array_equal(got, ref)
 
     def test_jacobian_bitwise_equal(self, pair):
         asm, ref = pair
-        (j_indices, j_indptr, ref._flux_slots, ref._mirror, ref._source,
+        (ref._indices, ref._indptr, ref._flux_slots, ref._mirror, ref._source,
          _, _) = key_sort_pattern(ref)
-        ref._pattern = _FixedCsc(j_indices, j_indptr, np.concatenate(
-            [ref._pinned_m, ref.vector_space.n_dofs + ref._pinned_rho]))
+        ref._pinned, ref._pinned_identity = self.pinned_entries(
+            ref, ref._indices, ref._indptr)
         state = random_state(asm, np.random.default_rng(asm.mesh.n_nodes))
         got, want = asm.jacobian(state).data, ref.jacobian(state).data
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -330,11 +335,14 @@ class TestMassMatrix:
         ref = sp.coo_matrix((m_el.ravel(), (np.repeat(tris, 3, axis=1).ravel(),
                                             np.tile(tris, (1, 3)).ravel())),
                             shape=(space.n_dofs, space.n_dofs)).tocsr()
-        g = _NodeGraph.build(tris, asm.mesh.n_nodes)
+        # G by one sort of the keys col * n_nodes + row of every element entry
+        n_nodes = asm.mesh.n_nodes
+        keys = np.unique(tris[:, None, :] * n_nodes + tris[:, :, None])
         mass = asm.mass
         assert mass.format == "csc" and not mass.data.flags.writeable
-        assert np.array_equal(mass.indices, g.row)
-        assert np.array_equal(mass.indptr, np.concatenate([[0], np.cumsum(g.node_deg)]))
+        assert np.array_equal(mass.indices, keys % n_nodes)
+        assert np.array_equal(mass.indptr, np.concatenate(
+            [[0], np.cumsum(np.bincount(keys // n_nodes, minlength=n_nodes))]))
         # M is symmetric, so its CSR arrays are its CSC ones
         assert np.array_equal(ref.indices, mass.indices)
         assert np.array_equal(ref.indptr, mass.indptr)
