@@ -387,8 +387,9 @@ class Assembler:
         they read F(|m_i|) m_i = g_i at each node i, with the nodal target
         g_i = ((B^T rho_bar_0)_i - (grad Psi, v)_i) / (integral of phi_i);
         :meth:`~mixedflow.constitutive.GeneralizedPolynomial.invert` gives
-        m_i = g_i z_i / |g_i| with z_i F(z_i) = |g_i|.  The pinned dofs take
-        their exact values.  When the momentum is constant in space, as on
+        m_i = (g_i / |g_i|) z_i with z_i F(z_i) = |g_i|, which does not
+        overflow where F is tiny and z_i / |g_i| = 1 / F(z_i) would.  The
+        pinned dofs take their exact values.  When the momentum is constant in space, as on
         the built-in problems, this solves the unlumped rows to roundoff too
         (the lumped-mass method; Thomee, Galerkin Finite Element Methods for
         Parabolic Problems, 2006, ch. 15).  B^T rho_bar_0 comes from the
@@ -401,13 +402,11 @@ class Assembler:
         n_m = self.vector_space.n_dofs
         coupling = (self._operator  # -B^T rho_bar_0
                     @ np.concatenate([np.zeros(n_m), rho_bar0]))[:n_m]
-        with np.errstate(over="ignore", invalid="ignore"):
-            target = (-coupling - grad_psi).reshape(-1, 2) \
-                / self.scalar_space.load_vector(1.0)[:, None]
-            size = np.hypot(target[:, 0], target[:, 1])
-            scale = np.divide(self.data.law.invert(size), size,
-                              out=np.zeros_like(size), where=size > 0.0)
-            m0 = (target * scale[:, None]).reshape(-1)
+        target = (-coupling - grad_psi).reshape(-1, 2) \
+            / self.scalar_space.load_vector(1.0)[:, None]
+        size = np.hypot(target[:, 0], target[:, 1])[:, None]
+        direction = np.divide(target, size, out=np.zeros_like(target), where=size > 0.0)
+        m0 = (direction * self.data.law.invert(size)).reshape(-1)
         m0[self._pinned_m] = bc
         return SystemState(rho_bar0, m0, 0.0)
 

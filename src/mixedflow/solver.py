@@ -30,11 +30,13 @@ class LinearSolveFailure(RuntimeError):
 
 
 class NonConvergence(RuntimeError):
-    """Newton stalled or left the finite numbers; carries the residual-norm trace."""
+    """Newton stalled or left the finite numbers, or the initial state did;
+    carries Newton's residual-norm trace, empty for the initial state."""
 
-    def __init__(self, message: str, trace):
-        super().__init__(f"{message} (residual trace: "
-                         + ", ".join(f"{r:.3e}" for r in trace) + ")")
+    def __init__(self, message: str, trace=()):
+        if trace:
+            message += " (residual trace: " + ", ".join(f"{r:.3e}" for r in trace) + ")"
+        super().__init__(message)
         self.trace = list(trace)
 
 
@@ -67,7 +69,8 @@ class MarchConfig:
             raise ValueError(f"final_time must be finite, got {self.final_time}")
         ratio = self.final_time / self.dt
         steps = round(ratio) if math.isfinite(ratio) else 0
-        if steps < 1 or abs(steps * self.dt - self.final_time) > 1e-12:
+        if steps < 1 or abs(steps * self.dt - self.final_time) \
+                > 1e-12 * max(1.0, abs(self.final_time)):
             raise ValueError(
                 f"dt={self.dt} does not divide final_time={self.final_time}")
         if steps > 2 ** 53:  # past it, t_n = n * dt no longer steps by dt
@@ -375,9 +378,9 @@ def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState
     config = config or NewtonConfig()
     linear_solver = linear_solver or LinearSolver()
     x = _flat(state_prev) if guess is None else guess
-    linearize = assembler.level(state_prev, t_n)
     where = f"at step {round(t_n / assembler.dt)} (t={t_n:.6g})"
     with np.errstate(over="ignore", invalid="ignore"):
+        linearize = assembler.level(state_prev, t_n)
         r, jacobian = linearize(x)
         trace = [float(np.linalg.norm(r))]
         linear_residual = 0.0
@@ -421,7 +424,10 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
     :class:`~mixedflow.assembly.Assembler`, built for ``march_config.dt``,
     serves every level.  One linear solver serves every step, so it can
     reuse its factor across time levels.  The first solver failure ends the
-    march; :func:`newton_solve` names its level by step index and t.
+    march; :func:`newton_solve` names its level by step index and t, and an
+    initial state whose projection fails or that is not finite raises
+    :class:`NonConvergence` naming the initial state.  Overflow anywhere in
+    the march gives inf or nan without a warning.
 
     The step energies are ||rho_bar_n||^2 = rho_bar_n^T M rho_bar_n, with M
     the unweighted P1 mass matrix built once per march, ``assembler.mass``
@@ -432,7 +438,11 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
     linear_solver = linear_solver or LinearSolver()
     dt = march_config.dt
     assembler = assembly.Assembler(mesh, data, dt, options)
-    state = assembler.initial_state()
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            state = assembler.initial_state()
+        except (RuntimeError, ValueError) as exc:  # a failed projection, a non-finite state
+            raise NonConvergence(f"initial state: {exc}") from exc
     s = data.law.spec.s
     diagnostics: list[StepDiagnostics] = []
     energy_m_accum = 0.0

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from mixedflow import assembly
 from mixedflow.assembly import (Assembler, DiscretizationOptions, SystemState,
                                 _solve_spd)
-from mixedflow.harness import builtin_problem
+from mixedflow.harness import StudyConfig, builtin_problem, manufactured_problem
 from mixedflow.mesh_fem import build_mesh, norm
 from mixedflow.solver import MarchConfig, march
 from mixedflow.verify import jacobian_fd_error
@@ -225,6 +225,18 @@ class TestInitialState:
             err = norm(asm.vector_space, state.m, 3.0,
                        against=lambda pts: np.asarray(example1.exact.m(pts, 0.0)))
             assert err <= 1e-10
+
+    @pytest.mark.parametrize("key", ["coefficients_a", "coefficients_b"])
+    def test_tiny_law_momentum_matches_exact(self, key):
+        """Below F ~ 1e-308 the nodal start's 1 / F(z_i) overflows; m_i =
+        (g_i / |g_i|) z_i does not."""
+        cfg = StudyConfig(study="dependence", levels=4, **{key: (1e-310,) * 3})
+        law = cfg.law_a() if key == "coefficients_a" else cfg.law_b()
+        data = manufactured_problem(law, "tiny")
+        asm = Assembler(build_mesh(4), data, 0.125)
+        np.testing.assert_allclose(asm.initial_state().m,
+                                   np.asarray(data.exact.m(asm.mesh.nodes, 0.0)).ravel(),
+                                   rtol=1e-10)
 
     def test_rho0_equal_psi_gives_zero(self, example1):
         # example1 is constructed with rho0 = psi(., 0)

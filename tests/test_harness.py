@@ -132,6 +132,10 @@ class TestConfig:
             with pytest.raises(ValueError):
                 StudyConfig(**bad)
 
+    def test_long_time_grid_accepted(self):
+        fields = parse_config_text("levels = 4\ndt_ratio = 0.56\nfinal_time = 14000\n")
+        assert StudyConfig(**fields).march_config(4).n_steps == 100_000
+
     def test_coefficient_box(self):
         cfg = StudyConfig()
         law = cfg.law_a()
@@ -375,6 +379,10 @@ class TestCli:
         # misses its residual bound, with and without pivoting
         ("coefficients_a = 1e-60, 1e-60, 1e-60\npairing = shared_data",
          "linear solve residual"),
+        # f, dPsi and the loads of the first level overflow
+        ("coefficients_a = 1, 1e308, 1", "non-finite residual norm at step 1 "),
+        # rho_0 overflows, so the projection's mass solve fails
+        ("coefficients_a = 1, 1.7e308, 1", "initial state: mass solve failed"),
     ])
     def test_overflow_ends_in_one_solver_failure_line(self, tmp_path, line, cause):
         cfgfile = tmp_path / "overflow.cfg"
@@ -386,6 +394,13 @@ class TestCli:
         err = proc.stderr.strip().splitlines()
         assert len(err) == 1, proc.stderr
         assert err[0].startswith("solver failure: ") and cause in err[0], err[0]
+
+    @pytest.mark.parametrize("key", ["coefficients_a", "coefficients_b"])
+    def test_tiny_law_runs(self, tmp_path, capsys, key):
+        cfgfile = tmp_path / "tiny.cfg"
+        cfgfile.write_text(f"{key} = 1e-310, 1e-310, 1e-310\n")
+        assert main(["dependence", "--levels", "4", "--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_verify_matches_recorded_output(self, capsys):
         expected = (ROOT / "tests" / "data" / "verify_seed3_trials500.txt").read_text()
@@ -400,10 +415,9 @@ class TestCli:
                            "coefficients_a = 1, 1, 1, 1\n"
                            "coefficients_b = 1, 1, 1, 1\n"
                            "trials = 2000\ngronwall_trials = 20\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["verify", "--config", str(cfgfile)]) == 3
-        out = capsys.readouterr().out
-        assert "verification FAILED" in out
+        assert main(["verify", "--config", str(cfgfile)]) == 3
+        out, err = capsys.readouterr()
+        assert "verification FAILED" in out and err == ""
         assert out.count("VIOLATED") == 6
 
     def test_verify_violations_exit_code(self, tmp_path, capsys):

@@ -72,6 +72,15 @@ class TestConfigs:
             MarchConfig(dt=0.3, final_time=1.0)
         assert MarchConfig(dt=0.125, final_time=1.0).n_steps == 8
 
+    @pytest.mark.parametrize("dt, final_time", [
+        (0.14, 14000.0), (1.1, 110000.0), (0.28, 28000.0)])
+    def test_divisibility_relative_to_final_time(self, dt, final_time):
+        """n dt is off final_time by more than an absolute 1e-12 here, but by
+        less than 1e-12 final_time."""
+        assert MarchConfig(dt=dt, final_time=final_time).n_steps == 100_000
+        with pytest.raises(ValueError, match="does not divide"):
+            MarchConfig(dt=dt, final_time=final_time * (1.0 + 1e-10))
+
     def test_march_refuses_more_than_2_53_steps(self):
         """Past 2**53 steps t_n = n * dt no longer advances by dt in float64;
         dt = 2.5e-291 divides final_time = 1 in 4e290 steps."""
