@@ -26,12 +26,15 @@ projection and a march's energies read, is on G.  The initial momentum
 needs no matrix: it is the law inverted node by node (see
 :meth:`Assembler.initial_state`).  Once built, an Assembler is plain data
 that nothing writes: its methods cache nothing, so a level evaluates Psi
-at both of its times.
+at both of its times.  Level n is named by its step index, an integer n >=
+1 on the grid t_n = n dt; its data are evaluated at (n - 1) dt and n dt,
+so no level lies off that grid.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,7 +73,8 @@ class ProblemData:
     All spatial callables take an (..., 2) coordinate array; time-dependent
     ones take (x, t).  ``psi`` is the boundary extension: its value,
     analytic time derivative and spatial gradient must all be evaluable in
-    the interior.
+    the interior.  The porosity ``phi`` must be positive and finite at the
+    quadrature points, which :class:`Assembler` checks.
     """
 
     law: GeneralizedPolynomial
@@ -80,14 +84,8 @@ class ProblemData:
     psi_t: Callable[[np.ndarray, float], np.ndarray]
     grad_psi: Callable[[np.ndarray, float], np.ndarray]
     rho0: Callable[[np.ndarray], np.ndarray]
-    phi_bounds: tuple[float, float] = (1.0, 1.0)
     exact: ExactSolution | None = None
     name: str = "problem"
-
-    def __post_init__(self):
-        lo, hi = self.phi_bounds
-        if not (0.0 < lo <= hi):
-            raise ValueError(f"porosity bounds must satisfy 0 < lo <= hi, got {self.phi_bounds}")
 
 
 @dataclass
@@ -159,9 +157,9 @@ class Assembler:
         self._qpts = self.scalar_space.quadrature_coords()
         self._phi_q = np.asarray(data.phi(self._qpts), dtype=float) \
             * np.ones(self._qpts.shape[:2])
-        lo, hi = data.phi_bounds
-        if np.any(self._phi_q < lo - 1e-12) or np.any(self._phi_q > hi + 1e-12):
-            raise ValueError("porosity violates its stated bounds at quadrature points")
+        # phi > 0 keeps J positive real (see jacobian); nan fails both sides
+        if not np.all((0.0 < self._phi_q) & (self._phi_q < math.inf)):
+            raise ValueError("porosity must be positive and finite at the quadrature points")
         bn = mesh.boundary_nodes
         self._pinned_m = np.column_stack([2 * bn, 2 * bn + 1]).ravel() \
             if self.options.momentum_bc == "exact" else np.empty(0, dtype=int)
@@ -284,44 +282,49 @@ class Assembler:
 
     # -- one time level ----------------------------------------------------------
 
-    def _flux_block(self, flux_jacobian: Callable[[], np.ndarray]) -> np.ndarray:
-        """J's data with the flux block A, and zeros elsewhere, from the law's
-        thunk for its (3, nt, nq) xx, xy and yy values at the quadrature
-        points.  The values are freed before J's data is allocated."""
+    def _jacobian(self, flux_jacobian: Callable[[], np.ndarray]) -> sp.csc_matrix:
+        """J from the law's thunk for its (3, nt, nq) xx, xy and yy flux
+        Jacobian values at the quadrature points: the flux block A scattered
+        into J's pattern, plus the static data, with the pinned rows' identity
+        entries.  The values are freed before J's data is allocated."""
         element_values = self.scalar_space.element_matrices(flux_jacobian())
         data = np.bincount(self._flux_slots, element_values.ravel(),
                            minlength=len(self._indices))
         data[self._mirror] = data[self._source]
-        return data
+        data += self._static
+        data[self._pinned] = self._pinned_identity
+        size = len(self._indptr) - 1
+        return sp.csc_matrix((data, self._indices, self._indptr), shape=(size, size))
 
-    def level(self, state_prev: SystemState,
-              t_n: float) -> Callable[[np.ndarray], Linearization]:
-        """The backward-Euler level t_n = ``state_prev.t`` + dt, as a function
-        of the flat ``[m, rho_bar]`` Newton vector x.
+    def level(self, n: int,
+              rho_bar_prev: np.ndarray) -> Callable[[np.ndarray], Linearization]:
+        """Level n of the backward-Euler grid t_n = n dt, after the density
+        ``rho_bar_prev`` of level n - 1, as a function of the flat ``[m,
+        rho_bar]`` Newton vector x.
 
-        Bound per assembler, so per dt: J's static data [[0, -B^T], [B,
-        M_phi / dt]] and the residual operator over its entries outside A
-        (see :meth:`_lift`).  Bound per level: the loads of f, dPsi and
-        grad Psi, the exact-BC values and -B^T rho_bar_{n-1}; in the
-        discrete ``psi_t_mode`` Psi is evaluated at ``state_prev.t`` and at
-        t_n.  A gap t_n - ``state_prev.t`` off dt by more than 1e-10 dt plus
-        four ulps of t_n raises a ``ValueError``.  Per iterate,
-        ``linearize(x)`` returns the stacked (momentum, density) residual
-        at x, whose -B^T rho_bar, B m and M_phi (rho_bar - rho_bar_{n-1}) /
-        dt terms are one product with the residual operator, and a thunk
-        that adds the static data to the flux block at x, built from the
-        law's values at x's quadrature points (see :meth:`jacobian`).
+        n is an integer >= 1: a float raises ``TypeError`` and n < 1
+        ``ValueError``.  Bound per assembler, so per dt: J's static data
+        [[0, -B^T], [B, M_phi / dt]] and the residual operator over its
+        entries outside A (see :meth:`_lift`).  Bound per level: the loads of
+        f, dPsi and grad Psi at t_n, the exact-BC values at t_n and -B^T
+        rho_bar_{n-1}; in the discrete ``psi_t_mode`` Psi is evaluated at
+        (n - 1) dt and at t_n.  Per iterate, ``linearize(x)`` returns the
+        stacked (momentum, density) residual at x, whose -B^T rho_bar, B m
+        and M_phi (rho_bar - rho_bar_{n-1}) / dt terms are one product with
+        the residual operator, and a thunk that builds J at x from the law's
+        values at x's quadrature points (see :meth:`jacobian`).
         """
-        # the gap of t_n = n dt after (n - 1) dt differs from dt by about an ulp
-        if abs(t_n - state_prev.t - self.dt) > 1e-10 * self.dt + 4 * math.ulp(t_n):
-            raise ValueError("state times inconsistent with dt")
+        n = operator.index(n)
+        if n < 1:
+            raise ValueError(f"level n must be >= 1, got {n}")
+        t_n = n * self.dt
         load = self.scalar_space.load_vector(
-            self._phi_q * self._dpsi_values(state_prev.t, t_n)
+            self._phi_q * self._dpsi_values((n - 1) * self.dt, t_n)
             - self.data.f(self._qpts, t_n))
         grad_psi, bc = self._momentum_loads(t_n)
         vs = self.vector_space
         n_m = vs.n_dofs
-        x_prev = np.concatenate([np.zeros(n_m), state_prev.rho_bar])
+        x_prev = np.concatenate([np.zeros(n_m), rho_bar_prev])
         coupling_prev = (self._operator @ x_prev)[:n_m]  # -B^T rho_bar_{n-1}
 
         def linearize(x: np.ndarray):
@@ -332,28 +335,23 @@ class Assembler:
             r_mom[self._pinned_m] = x[self._pinned_m] - bc
             r_den = static_rows[n_m:] + load
             r_den[self._pinned_rho] = x[n_m:][self._pinned_rho]
-
-            def jacobian() -> sp.csc_matrix:
-                data = self._flux_block(flux_jacobian)
-                data += self._static
-                data[self._pinned] = self._pinned_identity
-                return sp.csc_matrix((data, self._indices, self._indptr),
-                                     shape=(len(x), len(x)))
-
-            return np.concatenate([r_mom, r_den]), jacobian
+            return np.concatenate([r_mom, r_den]), lambda: self._jacobian(flux_jacobian)
 
         return linearize
 
     # -- views at one state ------------------------------------------------------
 
-    def residual(self, state_n: SystemState, state_prev: SystemState) -> np.ndarray:
-        """Stacked (momentum, density) residual at one time level."""
-        return self.level(state_prev, state_n.t)(
+    def residual(self, n: int, state_n: SystemState,
+                 state_prev: SystemState) -> np.ndarray:
+        """Stacked (momentum, density) residual of level n at ``state_n``,
+        after ``state_prev``."""
+        return self.level(n, state_prev.rho_bar)(
             np.concatenate([state_n.m, state_n.rho_bar]))[0]
 
     def jacobian(self, state_n: SystemState) -> sp.csc_matrix:
-        """Exact derivative of :meth:`residual` w.r.t. (m, rho_bar), in CSC:
-        the Jacobian thunk of :meth:`level` at ``state_n``.
+        """Exact derivative of :meth:`residual` w.r.t. (m, rho_bar), in CSC,
+        at ``state_n``; it reads only the momentum, so it is the same at
+        every level.
 
         The matrix is J = [[A(m), -B^T], [B, M_phi / dt]] on one sparsity
         pattern, lifted once per assembler from the P1 node graph.  The
@@ -365,16 +363,16 @@ class Assembler:
         e_d^T, the derivative of its residual row m_d - g_d or rho_d.
 
         J is positive real: its symmetric part is blockdiag(A_sym, M_phi/dt)
-        with A the symmetric positive definite flux Jacobian, since the B
-        blocks cancel.  Every principal submatrix is then nonsingular, so
-        LU without pivoting exists in any symmetric ordering.  Pinned rows
-        keep this: expanding along e_d^T, a principal minor that contains d
-        equals the minor without d, a principal minor of the positive-real
-        unpinned matrix.
+        with A the symmetric positive definite flux Jacobian and phi > 0,
+        since the B blocks cancel.  Every principal submatrix is then
+        nonsingular, so LU without pivoting exists in any symmetric
+        ordering.  Pinned rows keep this: expanding along e_d^T, a principal
+        minor that contains d equals the minor without d, a principal minor
+        of the positive-real unpinned matrix.
         """
-        prev = SystemState(state_n.rho_bar, state_n.m, state_n.t - self.dt)
-        return self.level(prev, state_n.t)(
-            np.concatenate([state_n.m, state_n.rho_bar]))[1]()
+        _, flux_jacobian = self.data.law.linearize(
+            self.vector_space.eval_at_quadrature(state_n.m))
+        return self._jacobian(flux_jacobian)
 
     def initial_state(self) -> SystemState:
         """Project rho_0 - Psi(., 0) onto P1 with :attr:`mass`; invert the

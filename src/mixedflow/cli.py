@@ -100,11 +100,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         if cfg.study == "single":
-            final, diags = run_single(cfg)
-            last = diags[-1] if diags else None
+            _, diags = run_single(cfg)
             print(f"single: problem={cfg.problem} N={cfg.levels[0]} "
                   f"steps={len(diags)} "
-                  f"final_residual={last.residual_norm if last else 0.0:.3e}")
+                  f"final_residual={diags[-1].residual_norm:.3e}")
         elif cfg.study == "convergence":
             report = run_convergence(cfg)
             print(report.text)

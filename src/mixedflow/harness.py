@@ -98,7 +98,6 @@ def manufactured_problem(law: GeneralizedPolynomial, name: str) -> ProblemData:
         law=law,
         phi=lambda x: np.ones(np.shape(x)[:-1]),
         f=f, psi=rho, psi_t=f, grad_psi=grad_psi, rho0=rho0,
-        phi_bounds=(1.0, 1.0),
         exact=ExactSolution(rho=rho, m=m_exact), name=name)
 
 
@@ -190,8 +189,7 @@ class StudyConfig:
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
         for n in levels:
-            k = n / 4.0
-            if n < 4 or abs(k - 2 ** round(math.log2(k))) > 1e-12:
+            if n < 4 or n & (n - 1):  # 4 * 2^k is a power of two from 4 on
                 raise ValueError(f"levels must be 4 * powers of two, got {n}")
         if self.dt_ratio <= 0.0:
             raise ValueError("dt_ratio must be positive")

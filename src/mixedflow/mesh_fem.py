@@ -39,8 +39,6 @@ __all__ = [
     "norm",
 ]
 
-_BOUNDARY_TOL = 1e-12
-
 # Dunavant's degree-4 rule on the reference triangle, all weights positive.
 # A point's barycentric coordinates are the values of the three local P1
 # basis functions there, and the weights sum to 1, so an element integral is
@@ -76,13 +74,8 @@ class StructuredTriMesh:
             np.column_stack([ll, ll + 1, ul + 1]),   # below the / diagonal
             np.column_stack([ll, ul + 1, ul]),       # above it
         ], axis=1).reshape(-1, 3)
-        on_edge = (
-            (self.nodes[:, 0] < _BOUNDARY_TOL)
-            | (self.nodes[:, 0] > 1.0 - _BOUNDARY_TOL)
-            | (self.nodes[:, 1] < _BOUNDARY_TOL)
-            | (self.nodes[:, 1] > 1.0 - _BOUNDARY_TOL)
-        )
-        self.boundary_nodes = np.where(on_edge)[0]
+        j, i = np.divmod(np.arange(len(self.nodes)), n + 1)  # node i + j*(n+1)
+        self.boundary_nodes = np.flatnonzero((i == 0) | (i == n) | (j == 0) | (j == n))
         self._geometry()
 
     def _geometry(self) -> None:

@@ -357,13 +357,14 @@ def _flat(state: assembly.SystemState) -> np.ndarray:
 
 
 def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState,
-                 t_n: float, config: NewtonConfig | None = None,
+                 n: int, config: NewtonConfig | None = None,
                  linear_solver: LinearSolver | None = None,
                  guess: np.ndarray | None = None
                  ) -> tuple[assembly.SystemState, NewtonStats]:
-    """Advance the assembler's system by one backward-Euler level, t_n =
-    ``state_prev.t`` + ``assembler.dt``, by undamped Newton from ``guess``, a
-    flat ``[m, rho_bar]`` vector (None: from ``state_prev``).
+    """Advance the assembler's system from ``state_prev`` by backward-Euler
+    level n, at t_n = n ``assembler.dt`` (see
+    :meth:`~mixedflow.assembly.Assembler.level`), by undamped Newton from
+    ``guess``, a flat ``[m, rho_bar]`` vector (None: from ``state_prev``).
 
     The level is accepted when ||residual|| <= ``config.tol``, by the same
     rule from any start.  The Jacobian is built only at an unconverged
@@ -372,15 +373,16 @@ def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState
     A non-finite residual norm, Jacobian or iterate, or ``config.max_iter``
     steps without convergence, raise :class:`NonConvergence` with the
     residual-norm trace.  It and a step's :class:`LinearSolveFailure` name
-    the level ``at step k (t=t_n)``, k = round(t_n / dt), a march's step
-    index.  Overflow gives inf or nan without a warning; the checks name it.
+    the level ``at step n (t=t_n)``.  Overflow gives inf or nan without a
+    warning; the checks name it.
     """
     config = config or NewtonConfig()
     linear_solver = linear_solver or LinearSolver()
     x = _flat(state_prev) if guess is None else guess
-    where = f"at step {round(t_n / assembler.dt)} (t={t_n:.6g})"
     with np.errstate(over="ignore", invalid="ignore"):
-        linearize = assembler.level(state_prev, t_n)
+        linearize = assembler.level(n, state_prev.rho_bar)
+        t_n = n * assembler.dt
+        where = f"at step {n} (t={t_n:.6g})"
         r, jacobian = linearize(x)
         trace = [float(np.linalg.norm(r))]
         linear_residual = 0.0
@@ -414,9 +416,11 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
           ) -> tuple[assembly.SystemState, list[StepDiagnostics]]:
     """Run the backward-Euler march from the projected initial state.
 
-    Level n's Newton iteration starts from the linear extrapolation
-    2 x_{n-1} - x_{n-2} of the last two accepted levels (flat ``[m,
-    rho_bar]`` vectors); the first level starts from the initial state.
+    Level n = 1, ..., ``march_config.n_steps`` is at t_n = n dt, and
+    :func:`newton_solve` is given its step index n.  Level n's Newton
+    iteration starts from the linear extrapolation 2 x_{n-1} - x_{n-2} of
+    the last two accepted levels (flat ``[m, rho_bar]`` vectors); the
+    first level starts from the initial state.
     The extrapolation's error is O(dt^2) where the previous state's is
     O(dt), so most levels converge in one Newton step.
 
@@ -453,7 +457,7 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
         krylov_iterations = linear_solver.krylov_iterations
         x_prev = _flat(state)
         guess = x_prev if x_older is None else 2.0 * x_prev - x_older
-        state, stats = newton_solve(assembler, state, t_n, newton_config,
+        state, stats = newton_solve(assembler, state, n, newton_config,
                                     linear_solver, guess)
         x_older = x_prev
         energy_m_accum += dt * norm(assembler.vector_space, state.m, s) ** s

@@ -347,10 +347,11 @@ def sample_gronwall_sequences(rng: np.random.Generator, n_steps: int,
     return a, b, g
 
 
-def jacobian_fd_error(assembler: Assembler, state: SystemState,
+def jacobian_fd_error(assembler: Assembler, n: int, state: SystemState,
                       state_prev: SystemState) -> float:
-    """Max entrywise relative deviation of the Jacobian from central differences."""
-    linearize = assembler.level(state_prev, state.t)
+    """Max entrywise relative deviation of level n's Jacobian at ``state``
+    from central differences of its residual."""
+    linearize = assembler.level(n, state_prev.rho_bar)
     x0 = np.concatenate([state.m, state.rho_bar])
     jac = linearize(x0)[1]().toarray()
     fd = np.empty_like(jac)
@@ -368,7 +369,8 @@ def jacobian_fd_error(assembler: Assembler, state: SystemState,
 
 def _random_states(asm: Assembler, rng: np.random.Generator
                    ) -> tuple[SystemState, SystemState]:
-    """Random smooth states biased away from the law's singular origin."""
+    """Random smooth states of levels 5 and 4 of dt = 0.1, biased away from
+    the law's singular origin."""
     nv = asm.mesh.n_nodes
     base = np.tile([0.8, -0.6], nv)
     m = base + 0.3 * rng.standard_normal(2 * nv)
@@ -465,7 +467,7 @@ def run_verify(cfg: StudyConfig) -> VerifyReport:
 
     asm = Assembler(build_mesh(2), builtin_problem("example1"), 0.1,
                     cfg.discretization())
-    jac_err = float(np.max([jacobian_fd_error(asm, *_random_states(asm, rng))
+    jac_err = float(np.max([jacobian_fd_error(asm, 5, *_random_states(asm, rng))
                             for _ in range(3)]))
 
     mesh8 = build_mesh(8)

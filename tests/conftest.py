@@ -17,13 +17,13 @@ def flux(law: GeneralizedPolynomial, m) -> np.ndarray:
     return np.moveaxis(values, 0, -1)
 
 
-def momentum_rows(asm, t: float, rho_bar: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The momentum rows of ``asm`` at time ``t``, density ``rho_bar`` and
+def momentum_rows(asm, n: int, rho_bar: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The momentum rows of level ``n`` of ``asm`` at density ``rho_bar`` and
     momentum ``m``: the first n_m rows of the level residual, which are
-    -B^T rho_bar + (F(|m|) m, v) + (grad Psi, v) whatever rho_bar_{n-1} and
-    dt are, here zero and ``asm.dt``."""
-    prev = SystemState(np.zeros_like(rho_bar), np.zeros_like(m), t - asm.dt)
-    return asm.residual(SystemState(rho_bar, m, t), prev)[:asm.vector_space.n_dofs]
+    -B^T rho_bar + (F(|m|) m, v) + (grad Psi(n dt), v) whatever
+    rho_bar_{n-1} is, here zero."""
+    zero = SystemState(np.zeros_like(rho_bar), np.zeros_like(m), (n - 1) * asm.dt)
+    return asm.residual(n, SystemState(rho_bar, m, n * asm.dt), zero)[:len(m)]
 
 
 @pytest.fixture(scope="session")
@@ -66,10 +66,10 @@ def newton_runs(monkeypatch):
     runs = []
     real = solver.newton_solve
 
-    def newton(assembler, state_prev, t_n, config=None, linear_solver=None,
+    def newton(assembler, state_prev, n, config=None, linear_solver=None,
                guess=None):
         linear_solver = linear_solver or solver.LinearSolver()
-        state, stats = real(assembler, state_prev, t_n, config, linear_solver,
+        state, stats = real(assembler, state_prev, n, config, linear_solver,
                             guess)
         runs.append((stats.iterations, linear_solver.factorizations))
         return state, stats

@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 from pathlib import Path
 
@@ -44,7 +45,7 @@ class TestResidual:
         nv = asm.mesh.n_nodes
         state = SystemState(np.zeros(nv), np.zeros(2 * nv), 0.1)
         prev = SystemState(np.zeros(nv), np.zeros(2 * nv), 0.0)
-        assert np.linalg.norm(asm.residual(state, prev)) == 0.0
+        assert np.linalg.norm(asm.residual(1, state, prev)) == 0.0
 
     def test_doubling_f_doubles_its_contribution(self, example1):
         doubled = dataclasses.replace(
@@ -55,8 +56,8 @@ class TestResidual:
         nv = mesh.n_nodes
         state = SystemState(np.zeros(nv), np.zeros(2 * nv), 0.2)
         prev = SystemState(np.zeros(nv), np.zeros(2 * nv), 0.1)
-        r1 = asm1.residual(state, prev)
-        r2 = asm2.residual(state, prev)
+        r1 = asm1.residual(2, state, prev)
+        r2 = asm2.residual(2, state, prev)
         ss = asm1.scalar_space
         fvec = ss.load_vector(example1.f(ss.quadrature_coords(), 0.2))
         np.testing.assert_allclose(r2[2 * nv:] - r1[2 * nv:], -fvec,
@@ -66,14 +67,13 @@ class TestResidual:
     def test_consistency_sweep_discrete_mode(self, example1):
         """Residual at interpolated exact states shrinks under refinement."""
         norms = []
-        t_eval = 0.5
-        for n in (4, 8, 16):
+        for n in (4, 8, 16):  # dt = h / 2, so level n is at t = 0.5
             dt = 0.5 / n
             asm = Assembler(build_mesh(n), example1, dt,
                             DiscretizationOptions(psi_t_mode="discrete"))
-            state = interpolated_exact_state(asm, example1, t_eval)
-            prev = interpolated_exact_state(asm, example1, t_eval - dt)
-            norms.append(np.linalg.norm(asm.residual(state, prev)))
+            state = interpolated_exact_state(asm, example1, n * dt)
+            prev = interpolated_exact_state(asm, example1, (n - 1) * dt)
+            norms.append(np.linalg.norm(asm.residual(n, state, prev)))
         assert norms[0] > norms[1] > norms[2]
         assert norms[2] < 0.3 * norms[0]
 
@@ -85,38 +85,43 @@ class TestResidual:
         cancels pointwise; this is why refinement studies need the
         backward-difference data treatment to measure anything.
         """
-        for n in (3, 6):
+        for n in (3, 6):  # dt = h / 2, so level n is at t = 0.5
             dt = 0.5 / n
             asm = Assembler(build_mesh(n), example1, dt,
                             DiscretizationOptions(psi_t_mode="analytic"))
-            state = interpolated_exact_state(asm, example1, 0.5)
-            prev = interpolated_exact_state(asm, example1, 0.5 - dt)
-            assert np.linalg.norm(asm.residual(state, prev)) <= 1e-12
-
-    def test_rejects_inconsistent_times(self, assembler4):
-        nv = assembler4.mesh.n_nodes
-        state = SystemState(np.zeros(nv), np.zeros(2 * nv), 0.5)
-        prev = SystemState(np.zeros(nv), np.zeros(2 * nv), 0.1)
-        with pytest.raises(ValueError):
-            assembler4.residual(state, prev)
-
-    def test_rejects_a_gap_of_many_small_steps(self, example1):
-        # 50 steps of dt = 1e-12 are far inside an absolute 1e-10
-        asm = Assembler(build_mesh(2), example1, 1e-12)
-        prev = asm.initial_state()
-        with pytest.raises(ValueError, match="inconsistent"):
-            asm.level(prev, 5e-11)
+            state = interpolated_exact_state(asm, example1, n * dt)
+            prev = interpolated_exact_state(asm, example1, (n - 1) * dt)
+            assert np.linalg.norm(asm.residual(n, state, prev)) <= 1e-12
 
     @pytest.mark.parametrize("dt, n", [(1e-3, 10 ** 7), (0.1, 10 ** 9)])
     def test_accepts_late_grid_levels(self, example1, dt, n):
-        """t_n = n dt after (n - 1) dt: the rounded gap misses dt by more
-        than 1e-10 dt, but by less than an ulp of t_n."""
-        asm = Assembler(build_mesh(2), example1, dt)
+        """Level n evaluates f at exactly n dt and Psi at (n - 1) dt and n
+        dt, though the rounded gap n dt - (n - 1) dt misses dt by more than
+        1e-10 dt."""
+        assert abs(n * dt - (n - 1) * dt - dt) > 1e-10 * dt
+        times = collections.defaultdict(list)
+
+        def recorded(name, real):
+            def wrapper(x, t):
+                times[name].append(t)
+                return real(x, t)
+            return wrapper
+
+        data = dataclasses.replace(example1, f=recorded("f", example1.f),
+                                   psi=recorded("psi", example1.psi))
+        asm = Assembler(build_mesh(2), data, dt)
         nv = asm.mesh.n_nodes
-        prev = SystemState(np.zeros(nv), np.zeros(2 * nv), (n - 1) * dt)
-        assert abs(n * dt - prev.t - dt) > 1e-10 * dt
-        residual, _ = asm.level(prev, n * dt)(np.zeros(3 * nv))
+        residual, _ = asm.level(n, np.zeros(nv))(np.zeros(3 * nv))
         assert np.all(np.isfinite(residual))
+        assert times["f"] == [n * dt]
+        assert sorted(times["psi"]) == [(n - 1) * dt, n * dt]
+
+    @pytest.mark.parametrize("n, error", [(0.125, TypeError), (2.0, TypeError),
+                                          (0, ValueError), (-1, ValueError)])
+    def test_level_is_an_integer_from_one(self, assembler4, n, error):
+        """A float time, even a whole one, is not a step index."""
+        with pytest.raises(error):
+            assembler4.level(n, np.zeros(assembler4.mesh.n_nodes))
 
 
 class TestJacobian:
@@ -130,7 +135,7 @@ class TestJacobian:
                             base + 0.3 * rng.standard_normal(2 * nv), 0.5)
         prev = SystemState(rng.standard_normal(nv),
                            base + 0.3 * rng.standard_normal(2 * nv), 0.4)
-        assert jacobian_fd_error(asm, state, prev) <= 1e-5
+        assert jacobian_fd_error(asm, 5, state, prev) <= 1e-5
 
     def test_block_antisymmetry(self, assembler4):
         nv = assembler4.mesh.n_nodes
@@ -150,7 +155,7 @@ class TestJacobian:
         asm = Assembler(build_mesh(n), example1, dt)
         state = asm.initial_state()
         x = np.concatenate([state.m, state.rho_bar])
-        jac = asm.level(state, dt)(x)[1]()
+        jac = asm.level(1, state.rho_bar)(x)[1]()
         n_m = asm.vector_space.n_dofs
         coupling = jac[:n_m, n_m:].toarray()
         node = np.arange(asm.mesh.n_nodes)
@@ -341,7 +346,7 @@ def test_use_leaves_the_assembler_unchanged(problem, options):
     built = snapshot(asm)
     state = asm.initial_state()
     assert snapshot(asm) == built
-    _, jacobian = asm.level(state, 1 / 16)(np.concatenate([state.m, state.rho_bar]))
+    _, jacobian = asm.level(1, state.rho_bar)(np.concatenate([state.m, state.rho_bar]))
     assert snapshot(asm) == built
     jacobian()
     assert snapshot(asm) == built
@@ -356,7 +361,7 @@ class TestOptions:
         state = SystemState(rng.standard_normal(nv),
                             np.tile([0.5, 0.5], nv), 0.1)
         prev = SystemState(np.zeros(nv), np.tile([0.5, 0.5], nv), 0.0)
-        r = asm.residual(state, prev)
+        r = asm.residual(1, state, prev)
         bn = asm.mesh.boundary_nodes
         np.testing.assert_array_equal(r[2 * nv:][bn], state.rho_bar[bn])
 
@@ -370,6 +375,12 @@ class TestOptions:
     def test_dt_must_be_positive_and_finite(self, example1, dt):
         with pytest.raises(ValueError, match="dt"):
             Assembler(build_mesh(2), example1, dt)
+
+    @pytest.mark.parametrize("phi", [np.nan, 0.0, -1.0, np.inf])
+    def test_porosity_must_be_positive_and_finite(self, example1, phi):
+        data = dataclasses.replace(example1, phi=lambda x: np.full(np.shape(x)[:-1], phi))
+        with pytest.raises(ValueError, match="porosity"):
+            Assembler(build_mesh(2), data, 0.1)
 
     def test_unknown_option_values_rejected(self):
         with pytest.raises(ValueError):

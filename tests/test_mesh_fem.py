@@ -15,6 +15,9 @@ class TestMesh:
         assert mesh.n_nodes == nodes
         assert len(mesh.triangles) == tris
         assert len(mesh.boundary_nodes) == bnodes
+        x, y = mesh.nodes.T  # the coordinate rule the grid indices replace
+        on_edge = (x < 1e-12) | (x > 1 - 1e-12) | (y < 1e-12) | (y > 1 - 1e-12)
+        np.testing.assert_array_equal(mesh.boundary_nodes, np.where(on_edge)[0])
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

@@ -320,8 +320,7 @@ class TestMassMatrix:
     phi != 1, M differs from J's block M_phi, so an M built from phi's
     element matrices fails."""
 
-    POROUS = dict(phi=lambda x: 1.0 + 0.5 * x[..., 0] * x[..., 1],
-                  phi_bounds=(1.0, 1.5))
+    POROUS = dict(phi=lambda x: 1.0 + 0.5 * x[..., 0] * x[..., 1])
 
     @pytest.mark.parametrize("porous", [False, True], ids=["phi1", "phi_varies"])
     @pytest.mark.parametrize("n", [2, 5, 16])
@@ -352,12 +351,14 @@ class TestMassMatrix:
 class TestResidualParity:
     def test_matches_per_call_assembly(self, systems):
         for n, options, asm, state, dt in systems:
+            # dt = h / 2, so the state at t = 0.5 is level n
             rng = np.random.default_rng(n)
-            prev = random_state(asm, rng, state.t - dt)
+            prev = random_state(asm, rng, (n - 1) * dt)
             # a second level and a return to the first must not reuse stale loads
-            later = random_state(asm, rng, state.t + dt)
-            for cur, before in ((state, prev), (later, state), (state, prev)):
-                got = asm.residual(cur, before)
+            later = random_state(asm, rng, (n + 1) * dt)
+            for level, cur, before in ((n, state, prev), (n + 1, later, state),
+                                       (n, state, prev)):
+                got = asm.residual(level, cur, before)
                 ref = reference_residual(asm, cur, before, dt)
                 assert rel_diff(got, ref) <= 1e-13, (n, options, cur.t)
 
@@ -368,17 +369,18 @@ class TestResidualParity:
         assemblers = [Assembler(mesh, data, dt, options) for dt in (0.25, 0.125, 0.25)]
         rng = np.random.default_rng(8)
         state = random_state(assemblers[0], rng)
-        for asm in assemblers:
-            prev = random_state(asm, rng, state.t - asm.dt)
+        for asm, n in zip(assemblers, (2, 4, 2)):  # t = 0.5 is level n
+            prev = random_state(asm, rng, (n - 1) * asm.dt)
             ref = reference_residual(asm, state, prev, asm.dt)
-            assert rel_diff(asm.residual(state, prev), ref) <= 1e-13, asm.dt
+            assert rel_diff(asm.residual(n, state, prev), ref) <= 1e-13, asm.dt
 
     def test_momentum_residual_matches(self, systems):
         for n, options, asm, state, _ in systems:
-            for t in (state.t, 0.0, state.t):
-                got = momentum_rows(asm, t, state.rho_bar, state.m)
-                ref = reference_momentum_residual(asm, state.m, state.rho_bar, t)
-                assert rel_diff(got, ref) <= 1e-13, (n, options, t)
+            for level in (n, 1, n):  # t = 0.5, dt, 0.5
+                got = momentum_rows(asm, level, state.rho_bar, state.m)
+                ref = reference_momentum_residual(asm, state.m, state.rho_bar,
+                                                  level * asm.dt)
+                assert rel_diff(got, ref) <= 1e-13, (n, options, level)
 
 
 class TestSymmetricModeParity:
