@@ -103,9 +103,9 @@ class CoefficientVector:
             a_sup = max(vals) if max(vals) > 0.0 else 1.0
         if not (math.isfinite(a_star) and math.isfinite(a_sup)):
             raise ValueError(f"a_star and a_sup must be finite, got {a_star}, {a_sup}")
-        if max(vals) > a_sup + 1e-15:
+        if max(vals) > a_sup:
             raise ValueError(f"coefficient {max(vals)} exceeds recorded a_sup={a_sup}")
-        if min(anchors) < a_star - 1e-15:
+        if min(anchors) < a_star:
             raise ValueError(f"anchor coefficient below recorded a_star={a_star}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "a_star", float(a_star))

@@ -274,9 +274,9 @@ def _coerce(name: str, kind: str, value):
     """``value`` as a ``StudyConfig`` field of annotated type ``kind``.
 
     A config line holding one value parses to a scalar, so tuple fields take
-    scalars too.  A value of the wrong type, or a nan or infinite float,
-    raises ``ValueError`` naming the field; a ``str`` field takes strings
-    only, and None where it is optional.
+    scalars too.  A value of the wrong type, a bool where a number is
+    expected, or a nan or infinite float, raises ``ValueError`` naming the
+    field; a ``str`` field takes strings only, and None where it is optional.
     """
     def as_int(v):
         if isinstance(v, float) and v.is_integer():
@@ -290,9 +290,11 @@ def _coerce(name: str, kind: str, value):
         return v
 
     try:
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        if kind != "bool" and any(isinstance(v, bool) for v in items):
+            raise TypeError
         if kind.startswith("tuple"):
             cast = as_int if kind.startswith("tuple[int") else as_float
-            items = value if isinstance(value, (tuple, list)) else (value,)
             return tuple(cast(v) for v in items)
         if kind == "float":
             return as_float(value)

@@ -93,7 +93,7 @@ _FORCING = 0.01
 
 class LinearSolver:
     """Sparse LU in SuperLU's symmetric mode, held as the GMRES
-    preconditioner of later solves, checked, with a pivoting fallback.
+    preconditioner of later solves, and checked.
 
     The Newton Jacobian J = [[A, -B^T], [B, M_phi/dt]] is positive real: its
     symmetric part blockdiag(A_sym, M_phi/dt) is positive definite.  So every
@@ -117,11 +117,12 @@ class LinearSolver:
     would reject.  Since ||b|| = ||F|| > tol whenever Newton takes a step,
     the implied relative aim is always tighter than 0.01.
 
-    Without pivoting nothing bounds element growth, so every solution is
-    checked against that bound.  On a miss the matrix is refactored once
-    with SciPy's default ``splu`` (COLAMD, partial pivoting);
-    :class:`LinearSolveFailure` is raised only if that solve also misses.
-    ``residual`` is ||Jx - b|| of the last accepted solution.
+    Without pivoting, element growth rises with how far the skew part of J
+    outweighs its symmetric part (Golub & Van Loan, Linear Algebra Appl.
+    28, 1979), so every solution is checked; where growth is large no
+    factor lets Newton finish, so a miss or an exactly zero pivot raises
+    :class:`LinearSolveFailure`.  ``residual`` is ||Jx - b|| of the last
+    accepted solution.
 
     Between Newton iterations and time levels only the flux block A(m)
     changes, and slowly, so the last symmetric-mode factor is held.  A
@@ -186,29 +187,18 @@ class LinearSolver:
                 held.keep(sol)
                 return sol
         self._held = None  # before factoring: one factor alive at a time
-        lu = self._factor(matrix, permc_spec="MMD_AT_PLUS_A",
-                          diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-        sol = None if lu is None else lu.solve(rhs)
-        if sol is not None and self._miss(matrix, sol, rhs, bound) is None:
-            self._hold(lu, matrix, sol)
-            return sol
-        del lu  # free the failed factor before the fallback builds its own
-        lu = self._factor(matrix)
-        if lu is None:
-            raise LinearSolveFailure("sparse LU: matrix is exactly singular")
+        self.factorizations += 1
+        try:
+            lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+        except RuntimeError:  # an exactly zero pivot
+            raise LinearSolveFailure("sparse LU: matrix is exactly singular") from None
         sol = lu.solve(rhs)
         miss = self._miss(matrix, sol, rhs, bound)
         if miss is not None:
             raise LinearSolveFailure(miss)
+        self._hold(lu, matrix, sol)
         return sol
-
-    def _factor(self, matrix, **options):
-        """``spla.splu(matrix, **options)``, or None on an exactly zero pivot."""
-        self.factorizations += 1
-        try:
-            return spla.splu(matrix, **options)
-        except RuntimeError:
-            return None
 
     def _hold(self, lu, matrix, sol: np.ndarray) -> None:
         """Keep ``lu`` and its solution ``sol`` for the next solve if its work
@@ -356,6 +346,10 @@ def _flat(state: assembly.SystemState) -> np.ndarray:
     return np.concatenate([state.m, state.rho_bar])
 
 
+# How a failure names level n at t_n: ``_AT_STEP.format(n, t_n)``.
+_AT_STEP = "at step {} (t={:.6g})"
+
+
 def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState,
                  n: int, config: NewtonConfig | None = None,
                  linear_solver: LinearSolver | None = None,
@@ -382,7 +376,7 @@ def newton_solve(assembler: assembly.Assembler, state_prev: assembly.SystemState
     with np.errstate(over="ignore", invalid="ignore"):
         linearize = assembler.level(n, state_prev.rho_bar)
         t_n = n * assembler.dt
-        where = f"at step {n} (t={t_n:.6g})"
+        where = _AT_STEP.format(n, t_n)
         r, jacobian = linearize(x)
         trace = [float(np.linalg.norm(r))]
         linear_residual = 0.0
@@ -428,10 +422,10 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
     :class:`~mixedflow.assembly.Assembler`, built for ``march_config.dt``,
     serves every level.  One linear solver serves every step, so it can
     reuse its factor across time levels.  The first solver failure ends the
-    march; :func:`newton_solve` names its level by step index and t, and an
-    initial state whose projection fails or that is not finite raises
-    :class:`NonConvergence` naming the initial state.  Overflow anywhere in
-    the march gives inf or nan without a warning.
+    march; :func:`newton_solve` names its level by step index and t, and
+    :class:`NonConvergence` names an initial state whose projection fails
+    or that is not finite, and the level of a non-finite step energy.
+    Overflow anywhere in the march gives inf or nan without a warning.
 
     The step energies are ||rho_bar_n||^2 = rho_bar_n^T M rho_bar_n, with M
     the unweighted P1 mass matrix built once per march, ``assembler.mass``
@@ -442,34 +436,36 @@ def march(data: assembly.ProblemData, mesh: StructuredTriMesh,
     linear_solver = linear_solver or LinearSolver()
     dt = march_config.dt
     assembler = assembly.Assembler(mesh, data, dt, options)
+    s = data.law.spec.s
+    diagnostics: list[StepDiagnostics] = []
+    energy_m_accum = 0.0
+    x_older = None  # the flat state two levels back
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             state = assembler.initial_state()
         except (RuntimeError, ValueError) as exc:  # a failed projection, a non-finite state
             raise NonConvergence(f"initial state: {exc}") from exc
-    s = data.law.spec.s
-    diagnostics: list[StepDiagnostics] = []
-    energy_m_accum = 0.0
-    x_older = None  # the flat state two levels back
-    for n in range(1, march_config.n_steps + 1):
-        t_n = n * dt
-        factorizations = linear_solver.factorizations
-        krylov_iterations = linear_solver.krylov_iterations
-        x_prev = _flat(state)
-        guess = x_prev if x_older is None else 2.0 * x_prev - x_older
-        state, stats = newton_solve(assembler, state, n, newton_config,
-                                    linear_solver, guess)
-        x_older = x_prev
-        energy_m_accum += dt * norm(assembler.vector_space, state.m, s) ** s
-        diag = StepDiagnostics(
-            n, t_n, stats.iterations, stats.residual_norm,
-            energy_rho=float(state.rho_bar @ (assembler.mass @ state.rho_bar)),
-            energy_m_accum=energy_m_accum,
-            factorizations=linear_solver.factorizations - factorizations,
-            krylov_iterations=linear_solver.krylov_iterations - krylov_iterations,
-            linear_residual=stats.linear_residual)
-        if march_config.verbose:
-            print(f"{n} {t_n:.6g} {stats.iterations} {stats.residual_norm:.3e} "
-                  f"{diag.energy_rho + energy_m_accum:.6e}")
-        diagnostics.append(diag)
+        for n in range(1, march_config.n_steps + 1):
+            t_n = n * dt
+            factorizations = linear_solver.factorizations
+            krylov_iterations = linear_solver.krylov_iterations
+            x_prev = _flat(state)
+            guess = x_prev if x_older is None else 2.0 * x_prev - x_older
+            state, stats = newton_solve(assembler, state, n, newton_config,
+                                        linear_solver, guess)
+            x_older = x_prev
+            energy_m_accum += dt * norm(assembler.vector_space, state.m, s) ** s
+            energy_rho = float(state.rho_bar @ (assembler.mass @ state.rho_bar))
+            if not (math.isfinite(energy_rho) and math.isfinite(energy_m_accum)):
+                raise NonConvergence("non-finite step energy " + _AT_STEP.format(n, t_n))
+            diag = StepDiagnostics(
+                n, t_n, stats.iterations, stats.residual_norm,
+                energy_rho=energy_rho, energy_m_accum=energy_m_accum,
+                factorizations=linear_solver.factorizations - factorizations,
+                krylov_iterations=linear_solver.krylov_iterations - krylov_iterations,
+                linear_residual=stats.linear_residual)
+            if march_config.verbose:
+                print(f"{n} {t_n:.6g} {stats.iterations} {stats.residual_norm:.3e} "
+                      f"{energy_rho + energy_m_accum:.6e}")
+            diagnostics.append(diag)
     return state, diagnostics

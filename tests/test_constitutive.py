@@ -54,6 +54,12 @@ class TestCoefficientVector:
         with pytest.raises(ValueError):
             CoefficientVector([1.0, -0.1, 1.0])
 
+    @pytest.mark.parametrize("box", [dict(a_sup=np.nextafter(1.0, 0.0)),
+                                     dict(a_star=np.nextafter(1.0, 2.0))])
+    def test_box_excluding_the_values_refused(self, box):
+        with pytest.raises(ValueError, match="recorded a_s"):
+            CoefficientVector([1.0, 1.0, 1.0], **box)
+
 
 class TestEvaluation:
     def test_unit_argument(self, reference_law):

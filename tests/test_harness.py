@@ -132,6 +132,13 @@ class TestConfig:
             with pytest.raises(ValueError):
                 StudyConfig(**bad)
 
+    @pytest.mark.parametrize("name, value", [
+        ("newton_max_iter", True), ("seed", False), ("dt_ratio", True),
+        ("exponents", True), ("exponents", (1.0, True)), ("levels", (4, True))])
+    def test_bool_is_no_number(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name}: expected "):
+            StudyConfig(**{name: value})
+
     def test_long_time_grid_accepted(self):
         fields = parse_config_text("levels = 4\ndt_ratio = 0.56\nfinal_time = 14000\n")
         assert StudyConfig(**fields).march_config(4).n_steps == 100_000
@@ -267,6 +274,11 @@ class TestCli:
         (["dependence", "--levels", "4"], "eps_reg = 1e-300"),
         # final_time / dt overflows
         (["single", "--levels", "4"], "dt_ratio = 1e-320"),
+        # a bool is no number
+        (["single", "--levels", "4"], "newton_max_iter = true"),
+        (["single", "--levels", "4"], "dt_ratio = on"),
+        (["dependence", "--levels", "4"], "exponents = true"),
+        (["verify", "--trials", "10"], "seed = yes"),
     ])
     def test_bad_study_value_one_line_error(self, tmp_path, capsys, argv, line):
         cfgfile = tmp_path / "bad.cfg"
@@ -376,13 +388,18 @@ class TestCli:
         # the residual's squared norm overflows: one failure, no 30 steps on inf
         ("coefficients_a = 1e200, 1, 1e200", "non-finite residual norm"),
         # a vanishing flux block leaves J nearly singular: the linear solve
-        # misses its residual bound, with and without pivoting
+        # misses its residual bound
         ("coefficients_a = 1e-60, 1e-60, 1e-60\npairing = shared_data",
          "linear solve residual"),
         # f, dPsi and the loads of the first level overflow
         ("coefficients_a = 1, 1e308, 1", "non-finite residual norm at step 1 "),
         # rho_0 overflows, so the projection's mass solve fails
         ("coefficients_a = 1, 1.7e308, 1", "initial state: mass solve failed"),
+        # |m| is about 109, so z^150 is finite but dt ||m||_Ls^s, s = 152, is not
+        ("pairing = shared_data\nexponents = 150\n"
+         "coefficients_a = 1e-6, 0.0179, 1e-320\ncoefficients_b = 1, 1, 0\n"
+         "dt_ratio = 0.0625\nfinal_time = 0.015625",
+         "non-finite step energy at step 1 "),
     ])
     def test_overflow_ends_in_one_solver_failure_line(self, tmp_path, line, cause):
         cfgfile = tmp_path / "overflow.cfg"

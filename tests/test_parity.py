@@ -491,6 +491,8 @@ class _RecordingSpla:
 
 
 class TestPivotingFallback:
+    """The symmetric-mode factor is the only factor: its miss raises."""
+
     # any symmetric ordering of this matrix starts with a 1e-18 pivot, so the
     # pivot-free factor loses the solution to element growth
     TINY_DIAGONAL = sp.csc_matrix(np.array([[1e-18, 1.0], [1.0, 1e-18]]))
@@ -502,31 +504,21 @@ class TestPivotingFallback:
         resid = np.linalg.norm(self.TINY_DIAGONAL @ lu.solve(rhs) - rhs)
         assert resid > 1e-10 * np.linalg.norm(rhs)
 
-    def test_fallback_recovers_solution(self, monkeypatch):
+    def test_miss_raises_after_one_factor(self, monkeypatch):
         recorder = _RecordingSpla()
         monkeypatch.setattr(solver_module, "spla", recorder)
-        rhs = np.ones(2)
-        sol = LinearSolver().solve(self.TINY_DIAGONAL, rhs)
-        assert len(recorder.calls) == 2
-        assert recorder.calls[0]["options"] == dict(SymmetricMode=True)
-        assert recorder.calls[1] == {}
-        assert np.linalg.norm(self.TINY_DIAGONAL @ sol - rhs) <= 1e-10 * np.sqrt(2)
-
-    def test_no_fallback_on_jacobian(self, systems, monkeypatch):
-        recorder = _RecordingSpla()
-        monkeypatch.setattr(solver_module, "spla", recorder)
-        _, _, asm, state, _ = systems[-1]
-        jac = asm.jacobian(state)
-        LinearSolver().solve(jac, np.ones(jac.shape[0]))
+        with pytest.raises(LinearSolveFailure, match="linear solve residual"):
+            LinearSolver().solve(self.TINY_DIAGONAL, np.ones(2))
         assert len(recorder.calls) == 1
+        assert recorder.calls[0]["options"] == dict(SymmetricMode=True)
 
-    def test_raises_when_fallback_also_fails(self, monkeypatch):
+    def test_singular_matrix_factors_once(self, monkeypatch):
         recorder = _RecordingSpla()
         monkeypatch.setattr(solver_module, "spla", recorder)
         singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(LinearSolveFailure):
+        with pytest.raises(LinearSolveFailure, match="exactly singular"):
             LinearSolver().solve(singular, np.array([1.0, 0.0]))
-        assert len(recorder.calls) == 2
+        assert len(recorder.calls) == 1
 
 
 def keeps_contract(matrix, sol, rhs):
