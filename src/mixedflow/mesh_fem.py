@@ -166,24 +166,6 @@ class ScalarP1Space(_P1Space):
     def n_dofs(self) -> int:
         return self.mesh.n_nodes
 
-    def eval_at_points(self, dofs: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Field values at (npts, 2) points of the unit square.
-
-        Each point is located in its grid cell and the triangle of the cell
-        that holds it; there the nodal basis is 1/3 + grad phi_k . (x - c)
-        with c the triangle's centroid.
-        """
-        mesh = self.mesh
-        n = mesh.n_cells_per_side
-        pts = np.asarray(points, dtype=float)
-        cell = np.minimum((pts * n).astype(np.int64), n - 1)
-        local = pts * n - cell
-        tri = 2 * (cell[:, 0] + n * cell[:, 1]) + (local[:, 1] > local[:, 0])
-        nodes = mesh.triangles[tri]
-        centroid = mesh.nodes[nodes].mean(axis=1)
-        lam = 1.0 / 3.0 + np.einsum("pkc,pc->pk", mesh.grads[tri], pts - centroid)
-        return np.einsum("pk,pk->p", lam, np.asarray(dofs, dtype=float)[nodes])
-
     def element_matrices(self, values: np.ndarray) -> np.ndarray:
         """(v phi_j, phi_i) on every triangle, for each component of v.
 

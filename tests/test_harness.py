@@ -8,16 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from mixedflow.cli import (EXIT_CONFIG_ERROR, _build_parser,
                            _config_from_args, main)
 from conftest import flux
 from mixedflow.harness import (StudyConfig, builtin_problem, parse_config_text,
                                run_convergence, run_dependence, run_single)
-from mixedflow.mesh_fem import ScalarP1Space, build_mesh
-from mixedflow.verify import _linear_field_defect, run_verify
+from mixedflow.mesh_fem import build_mesh
+from mixedflow.verify import _gradient_defect, run_verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -448,82 +446,99 @@ class TestCli:
         assert "FAILED" in capsys.readouterr().out
 
 
-@st.composite
-def study_values(draw):
+def draw_float(rng: np.random.Generator, moderate: tuple,
+               wide: tuple | None = None) -> float:
+    """A float from the ``moderate`` or the ``wide`` closed range, picked at
+    random: one of its end points, or a draw uniform over the moderate range
+    or uniform in the logarithm over the wide one."""
+    ranges = (moderate, moderate if wide is None else wide)
+    pick = int(rng.integers(2))
+    lo, hi = ranges[pick]
+    end = int(rng.integers(4))
+    if end < 2:
+        return (lo, hi)[end]
+    if pick == 0:
+        return float(rng.uniform(lo, hi))
+    low = max(lo, np.finfo(float).smallest_subnormal)
+    return min(max(float(np.exp(rng.uniform(np.log(low), np.log(hi)))), lo), hi)
+
+
+def study_values(rng: np.random.Generator) -> dict:
     """A study and ``StudyConfig`` law, tolerance and time values drawn from
     moderate and from wide ranges: coefficients up to 1e300, tolerances and
     eps_reg down to 1e-300."""
-    exponents = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=2,
-                              unique=True).map(sorted))
-    coefficients = st.lists(st.floats(0.0, 10.0) | st.floats(0.0, 1e300),
-                            min_size=len(exponents) + 2,
-                            max_size=len(exponents) + 2).map(tuple)
+    exponents = sorted({draw_float(rng, (1e-3, 10.0))
+                        for _ in range(int(rng.integers(1, 3)))})
+    coefficients = [tuple(draw_float(rng, (0.0, 10.0), (0.0, 1e300))
+                          for _ in range(len(exponents) + 2)) for _ in range(2)]
     return {
-        "study": draw(st.sampled_from(["single", "convergence", "dependence"])),
-        "alpha": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        "study": str(rng.choice(["single", "convergence", "dependence"])),
+        "alpha": draw_float(rng, (float(np.nextafter(0.0, 1.0)),
+                                  float(np.nextafter(1.0, 0.0)))),
         "exponents": tuple(exponents),
-        "coefficients_a": draw(coefficients),
-        "coefficients_b": draw(coefficients),
-        "eps_reg": draw(st.floats(1e-12, 1e-6) | st.floats(1e-300, 1.0)),
-        "newton_tol": draw(st.floats(1e-10, 1e-2) | st.floats(1e-300, 1.0)),
+        "coefficients_a": coefficients[0],
+        "coefficients_b": coefficients[1],
+        "eps_reg": draw_float(rng, (1e-12, 1e-6), (1e-300, 1.0)),
+        "newton_tol": draw_float(rng, (1e-10, 1e-2), (1e-300, 1.0)),
         # multiples of the N = 4 march's dt = 1/8
-        "final_time": draw(st.integers(1, 16)) / 8,
+        "final_time": int(rng.integers(1, 17)) / 8,
     }
 
 
-class TestCliContract:
-    # the three inputs that once escaped the one-line contract
-    @example(values={"study": "dependence", "coefficients_a": (1e200, 1.0, 1e200)})
-    @example(values={"study": "dependence", "eps_reg": 1e-300})
-    @example(values={"study": "dependence", "newton_tol": 1e-300})
+# the three inputs that once escaped the one-line contract
+CONTRACT_EXAMPLES = [
+    {"study": "dependence", "coefficients_a": (1e200, 1.0, 1e200)},
+    {"study": "dependence", "eps_reg": 1e-300},
+    {"study": "dependence", "newton_tol": 1e-300},
     # F(z) = z^7 makes the first Newton step 1e46: m^7 overflows in the flux,
     # whose load then warned of an invalid value before Newton saw the inf
-    @example(values={"study": "dependence", "exponents": (7.0,),
-                     "coefficients_b": (0.0, 0.0, 1.0), "eps_reg": 2e-7,
-                     "final_time": 0.125})
-    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
-    @given(values=study_values())
-    def test_any_config_exits_0_1_or_2_with_at_most_one_line(
-            self, tmp_path_factory, values):
+    {"study": "dependence", "exponents": (7.0,), "coefficients_b": (0.0, 0.0, 1.0),
+     "eps_reg": 2e-7, "final_time": 0.125},
+]
+
+
+class TestCliContract:
+    def test_any_config_exits_0_1_or_2_with_at_most_one_line(self, tmp_path):
         """Exit 0 with nothing on stderr, or exit 1 or 2 with one stderr line;
-        a Python warning counts as a stderr line."""
-        values = dict(values)
-        study = values.pop("study")
-        cfgfile = tmp_path_factory.mktemp("contract") / "study.cfg"
-        cfgfile.write_text("levels = 4\n" + "".join(
-            f"{key} = {', '.join(map(repr, v)) if isinstance(v, tuple) else repr(v)}\n"
-            for key, v in values.items()))
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main([study, "--config", str(cfgfile)])
-        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
-        assert code in (0, 1, 2)
-        assert len(lines) == (0 if code == 0 else 1), (code, lines)
+        a Python warning counts as a stderr line.
+
+        The 80 drawn configs come from a seeded numpy generator, so they do
+        not depend on the package source or on what was imported first."""
+        rng = np.random.default_rng(0)
+        broken = []
+        for values in CONTRACT_EXAMPLES + [study_values(rng) for _ in range(80)]:
+            values = dict(values)
+            study = values.pop("study")
+            cfgfile = tmp_path / "study.cfg"
+            cfgfile.write_text("levels = 4\n" + "".join(
+                f"{key} = {', '.join(map(repr, v)) if isinstance(v, tuple) else repr(v)}\n"
+                for key, v in values.items()))
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([study, "--config", str(cfgfile)])
+            lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+            if code not in (0, 1, 2) or len(lines) != (0 if code == 0 else 1):
+                broken.append((study, values, code, lines))
+        assert broken == []
 
 
 class TestLinearFieldCheck:
-    """The verify suite's P1 point-evaluation check must be falsifiable."""
-
-    def setup_method(self):
-        rng = np.random.default_rng(0)
-        self.space = ScalarP1Space(build_mesh(8))
-        self.coeffs = rng.standard_normal(3)
-        self.nodal = self.coeffs[0] + self.space.mesh.nodes @ self.coeffs[1:]
-        self.points = rng.uniform(0.0, 1.0, size=(1000, 2))
+    """The verify suite's check of the gradient table must be falsifiable."""
 
     def test_interpolant_passes(self):
-        assert _linear_field_defect(self.space, self.nodal, self.coeffs,
-                                    self.points) <= 1e-13
+        # the P1 interpolants of x and of 1 have the exact gradients
+        assert _gradient_defect(build_mesh(8)) <= 1e-13
 
-    @pytest.mark.parametrize("node", [0, 8, 40, 80])
-    def test_one_corrupted_nodal_value_trips(self, node):
-        corrupted = self.nodal.copy()
-        corrupted[node] += 1e-9
-        assert _linear_field_defect(self.space, corrupted, self.coeffs,
-                                    self.points) > 1e-11
+    # a corner triangle, one on the bottom edge and an interior one of N = 8
+    @pytest.mark.parametrize("triangle, k, c", [(0, 1, 0), (6, 2, 1), (71, 0, 1)],
+                             ids=["corner", "edge", "interior"])
+    def test_one_changed_gradient_entry_trips(self, triangle, k, c):
+        mesh = build_mesh(8)
+        mesh.grads[triangle, k, c] += 1e-9
+        assert _gradient_defect(mesh) > 1e-11
 
 
 class TestDiscretizationStudies:

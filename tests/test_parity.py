@@ -490,7 +490,7 @@ class _RecordingSpla:
         return spla.splu(matrix, **kwargs)
 
 
-class TestPivotingFallback:
+class TestFactorFailure:
     """The symmetric-mode factor is the only factor: its miss raises."""
 
     # any symmetric ordering of this matrix starts with a 1e-18 pivot, so the

@@ -135,13 +135,6 @@ class TestLinearSolver:
         state0 = asm.initial_state()
         newton_solve(asm, state0, 1, linear_solver=LinearSolver())
 
-    def test_failure_on_singular_matrix(self):
-        import scipy.sparse as sp
-        solver = LinearSolver()
-        singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(LinearSolveFailure):
-            solver.solve(singular, np.array([1.0, 0.0]))
-
     def test_gmres_start_meeting_aim_takes_no_iteration(self):
         """A start residual already within the aim costs no triangular solve."""
         import scipy.sparse as sp
