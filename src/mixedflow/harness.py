@@ -11,14 +11,14 @@ Three example problems are built in, the first two manufactured:
                   ``problem`` only; no exact solution is attached (the
                   pair is not manufactured for this law).
 
-The dependence study solves two problems per level and measures the norms
-of the discrete-solution differences.  Its default pairing solves each law
-with its own manufactured data ("manufactured"); the "shared_data" pairing
-instead solves both laws against example2_F2's data.  With shared data the
-two exact solutions differ by a fixed, h-independent momentum gap (the two
-laws invert the same pressure gradient differently), so the difference
-norms plateau instead of decaying; the manufactured pairing is the one
-whose difference norms keep decreasing under refinement.
+The dependence study marches both laws on one mesh per level and measures
+the norms of the discrete-solution differences.  Its default pairing solves
+each law with its own manufactured data ("manufactured"); the "shared_data"
+pairing instead solves both laws against example2_F2's data.  With shared
+data the two exact solutions differ by a fixed, h-independent momentum gap
+(the two laws invert the same pressure gradient differently), so the
+difference norms plateau instead of decaying; the manufactured pairing is
+the one whose difference norms keep decreasing under refinement.
 """
 
 from __future__ import annotations
@@ -362,23 +362,19 @@ class StudyReport:
     study: str
     problem: str
     levels: list[LevelResult] = field(default_factory=list)
+    # a study of one march per level: its (energy_rho, energy_m_accum) per step
     energies: dict[int, list[tuple[float, float]]] = field(default_factory=dict)
     text: str = ""
     csv: str = ""
-
-
-def _march_level(cfg: StudyConfig, data: ProblemData, n: int):
-    mesh = build_mesh(n)
-    final, diags = march(data, mesh, cfg.march_config(n), cfg.newton(),
-                         cfg.discretization())
-    return mesh, final, diags
 
 
 def run_single(cfg: StudyConfig) -> tuple[SystemState, list]:
     """Full march at the first configured level, with diagnostics."""
     data = builtin_problem(cfg.problem)
     n = cfg.levels[0]
-    mesh, final, diags = _march_level(cfg, data, n)
+    mesh = build_mesh(n)
+    final, diags = march(data, mesh, cfg.march_config(n), cfg.newton(),
+                         cfg.discretization())
     if cfg.out:
         nodal = final.m.reshape(-1, 2)
         with open(cfg.out, "w") as fh:
@@ -388,56 +384,56 @@ def run_single(cfg: StudyConfig) -> tuple[SystemState, list]:
     return final, diags
 
 
+def _refine(cfg: StudyConfig, report: StudyReport,
+            problems: Sequence[ProblemData], measure: Callable,
+            **table) -> StudyReport:
+    """The studies' refinement loop: each level marches every one of
+    ``problems`` on one mesh and appends a ``LevelResult`` with errors
+    ``measure(mesh, final states)`` and the marches' Newton iterations.
+    Then it fills in the rates, the CSV (also written to ``cfg.out``) and
+    the table; ``table`` holds ``format_table``'s keyword arguments."""
+    for n in cfg.levels:
+        mesh = build_mesh(n)
+        runs = [march(data, mesh, cfg.march_config(n), cfg.newton(),
+                      cfg.discretization()) for data in problems]
+        diags = [d for _, level in runs for d in level]
+        report.levels.append(LevelResult(
+            n, 1.0 / n, cfg.dt_ratio / n, *measure(mesh, [final for final, _ in runs]),
+            newton_total=sum(d.newton_iterations for d in diags)))
+        if len(runs) == 1:
+            report.energies[n] = [(d.energy_rho, d.energy_m_accum) for d in diags]
+    report.levels = rates(report.levels)
+    report.csv = report_to_csv(report.levels)
+    report.text = format_table(report.levels, **table)
+    if cfg.out:
+        with open(cfg.out, "w") as fh:
+            fh.write(report.csv)
+    return report
+
+
 def run_convergence(cfg: StudyConfig) -> StudyReport:
     """Refinement study against the problem's manufactured solution."""
     data = builtin_problem(cfg.problem)
     if data.exact is None:
         raise ValueError(f"problem {cfg.problem!r} has no exact solution")
-    report = StudyReport("convergence", cfg.problem)
-    for n in cfg.levels:
-        mesh, final, diags = _march_level(cfg, data, n)
-        err_rho, err_m = final_time_errors(final, data, mesh)
-        report.levels.append(LevelResult(
-            n_cells=n, h=1.0 / n, dt=cfg.dt_ratio / n,
-            err_rho=err_rho, err_m=err_m,
-            newton_total=sum(d.newton_iterations for d in diags)))
-        report.energies[n] = [(d.energy_rho, d.energy_m_accum) for d in diags]
-    report.levels = rates(report.levels)
-    report.csv = report_to_csv(report.levels)
-    report.text = format_table(report.levels)
-    _emit(cfg, report)
-    return report
+    return _refine(cfg, StudyReport("convergence", cfg.problem), [data],
+                   lambda mesh, finals: final_time_errors(finals[0], data, mesh))
 
 
 def run_dependence(cfg: StudyConfig) -> StudyReport:
     """Difference-norm study between the two configured coefficient vectors."""
+    data_b = manufactured_problem(cfg.law_b(), "dependence_b")
     if cfg.pairing == "manufactured":
         data_a = manufactured_problem(cfg.law_a(), "dependence_a")
-        data_b = manufactured_problem(cfg.law_b(), "dependence_b")
     else:
-        data_b = manufactured_problem(cfg.law_b(), "dependence_b")
-        data_a = replace(data_b, law=cfg.law_a(), exact=None,
-                         name="dependence_a")
+        data_a = replace(data_b, law=cfg.law_a(), exact=None, name="dependence_a")
     s = data_b.law.spec.s
-    report = StudyReport("dependence", f"{cfg.pairing}")
-    for n in cfg.levels:
-        mesh, final_a, diags_a = _march_level(cfg, data_a, n)
-        _, final_b, diags_b = _march_level(cfg, data_b, n)
-        err_rho = norm(ScalarP1Space(mesh), final_a.rho_bar - final_b.rho_bar, 2.0)
-        err_m = norm(VectorP1Space(mesh), final_a.m - final_b.m, s)
-        report.levels.append(LevelResult(
-            n_cells=n, h=1.0 / n, dt=cfg.dt_ratio / n,
-            err_rho=err_rho, err_m=err_m,
-            newton_total=sum(d.newton_iterations for d in diags_a + diags_b)))
-    report.levels = rates(report.levels)
-    report.csv = report_to_csv(report.levels)
-    report.text = format_table(report.levels,
-                               err_labels=("diff_rho(L2)", "diff_m(Ls)"))
-    _emit(cfg, report)
-    return report
 
+    def differences(mesh, finals):
+        a, b = finals
+        return (norm(ScalarP1Space(mesh), a.rho_bar - b.rho_bar, 2.0),
+                norm(VectorP1Space(mesh), a.m - b.m, s))
 
-def _emit(cfg: StudyConfig, report: StudyReport) -> None:
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(report.csv)
+    return _refine(cfg, StudyReport("dependence", cfg.pairing),
+                   [data_a, data_b], differences,
+                   err_labels=("diff_rho(L2)", "diff_m(Ls)"))

@@ -65,8 +65,8 @@ class MarchConfig:
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not math.isfinite(self.final_time):
-            raise ValueError(f"final_time must be finite, got {self.final_time}")
+        if not 0.0 < self.final_time < math.inf:
+            raise ValueError(f"final_time must be positive and finite, got {self.final_time}")
         ratio = self.final_time / self.dt
         steps = round(ratio) if math.isfinite(ratio) else 0
         if steps < 1 or abs(steps * self.dt - self.final_time) \

@@ -442,13 +442,14 @@ class VerifyReport:
 
     def summary(self) -> str:
         lines = [self.inequality.summary()]
-        lines.append(f"  gronwall       {self._status('gronwall_failures')}"
-                     f"        failures={self.gronwall_failures}/{self.gronwall_trials}")
-        lines.append(f"  jacobian_fd    {self._status('jacobian_fd_max')}"
-                     f"        max_rel_err={self.jacobian_fd_max:.3e}")
-        lines.append(f"  mesh/quadrature defects: area={self.mesh_area_defect:.2e} "
-                     f"grads={self.gradient_defect:.2e} "
-                     f"polynomial={self.quadrature_defect:.2e}")
+        for label, name, figure in (
+                ("gronwall", "gronwall_failures",
+                 f"failures={self.gronwall_failures}/{self.gronwall_trials}"),
+                ("jacobian_fd", "jacobian_fd_max", f"max_rel_err={self.jacobian_fd_max:.3e}"),
+                ("mesh_area", "mesh_area_defect", f"defect={self.mesh_area_defect:.2e}"),
+                ("grads", "gradient_defect", f"defect={self.gradient_defect:.2e}"),
+                ("quadrature", "quadrature_defect", f"defect={self.quadrature_defect:.2e}")):
+            lines.append(f"  {label:<14s} {self._status(name):<9s} {figure}")
         lines.append("verification " + ("PASSED" if self.ok else "FAILED"))
         return "\n".join(lines)
 

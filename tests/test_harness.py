@@ -193,6 +193,32 @@ class TestStudies:
         for lv in report.levels:
             assert lv.err_m == pytest.approx(7.31e-3, rel=2e-2)
 
+    # levels 4 and 8 of each study, as computed before the studies shared one
+    # refinement loop: (N, err_rho, err_m, newton_total) per level
+    @pytest.mark.parametrize("run, values, expected", [
+        (run_convergence, dict(study="convergence"),
+         [(4, 0.012173447292936724, 0.01866777649062723, 17),
+          (8, 0.005529685038968885, 0.008568187894604623, 28)]),
+        (run_convergence, dict(study="convergence", problem="example2_F2",
+                               momentum_bc="exact"),
+         [(4, 0.2510741217053123, 0.02033797733829537, 17),
+          (8, 0.1297511518969116, 0.008691038621206744, 25)]),
+        (run_dependence, dict(study="dependence"),
+         [(4, 0.0009181901221666197, 0.0008026123247888763, 34),
+          (8, 0.0004213726308598634, 0.00037375674281973844, 55)]),
+        (run_dependence, dict(study="dependence", pairing="shared_data"),
+         [(4, 0.0006731500666186927, 0.007275742480420166, 34),
+          (8, 0.00031417141538526365, 0.00730359162304415, 55)]),
+    ], ids=["example1", "example2_F2-exact-bc", "manufactured", "shared_data"])
+    def test_study_results_pinned(self, run, values, expected):
+        report = run(StudyConfig(levels=(4, 8), **values))
+        got = [(lv.n_cells, lv.err_rho, lv.err_m, lv.newton_total)
+               for lv in report.levels]
+        assert [(n, newton) for n, _, _, newton in got] \
+            == [(n, newton) for n, _, _, newton in expected]
+        np.testing.assert_allclose([g[1:3] for g in got],
+                                   [e[1:3] for e in expected], rtol=1e-10, atol=0.0)
+
     def test_verify_passes_and_is_fast(self):
         cfg = StudyConfig(study="verify", trials=2000, gronwall_trials=100)
         report = run_verify(cfg)
@@ -421,6 +447,27 @@ class TestCli:
         expected = (ROOT / "tests" / "data" / "verify_seed3_trials500.txt").read_text()
         assert main(["verify", "--seed", "3", "--trials", "500"]) == 0
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("value", ["-1", "0", "-0.125"])
+    def test_non_positive_final_time_one_line_error(self, tmp_path, capsys, value):
+        cfgfile = tmp_path / "time.cfg"
+        cfgfile.write_text(f"final_time = {value}\n")
+        assert main(["single", "--levels", "4", "--config", str(cfgfile)]) \
+            == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: final_time must be positive and finite, got {float(value)}"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("check, label", [
+        ("_gradient_defect", "grads"), ("_quadrature_polynomial_defect", "quadrature")])
+    def test_verify_names_a_failed_mesh_check(self, monkeypatch, capsys, check, label):
+        import mixedflow.verify as verify
+        monkeypatch.setattr(verify, check, lambda *args: 1e-9)
+        assert main(["verify", "--trials", "50"]) == 3
+        out = capsys.readouterr().out
+        violated = [line.split()[0] for line in out.splitlines() if "VIOLATED" in line]
+        assert violated == [label] and "verification FAILED" in out
 
     def test_verify_overflowing_witness_exit_code(self, tmp_path, capsys):
         # F(w) and the constants overflow at w^150: inf and nan trials must
