@@ -2,8 +2,8 @@
 
 Subcommands: ``single``, ``convergence``, ``dependence``, ``verify``; each
 takes only the flags its study reads (``_STUDY_FLAGS``).
-Exit codes: 0 success, 1 configuration error, 2 nonlinear solver failure,
-3 verification violations.
+Exit codes: 0 success, 1 configuration error or out of memory, 2 nonlinear
+solver failure, 3 verification violations.
 """
 
 from __future__ import annotations
@@ -120,6 +120,9 @@ def main(argv=None) -> int:
         return EXIT_NEWTON_FAILURE
     except OSError as exc:  # writing --out failed after the config check
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:  # a level too fine for this machine
+        print(f"error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     return EXIT_OK
 

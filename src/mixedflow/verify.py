@@ -13,6 +13,7 @@ check and the mesh and quadrature invariants.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -48,7 +49,11 @@ def lemma_constants(law: GeneralizedPolynomial) -> tuple[float, float, float]:
     s = spec.s
     c1 = 2.0 * (s - 1.0) / (1.0 - spec.alpha)
     c2 = 3.0 * spec.n_powers
-    c3 = law.coeffs.a_star * (1.0 - spec.alpha) / (2.0 ** (s - 1.0) * (s - 1.0))
+    try:
+        doubling = 2.0 ** (s - 1.0)
+    except OverflowError:  # a float power raises where numpy's gives inf
+        doubling = math.inf
+    c3 = law.coeffs.a_star * (1.0 - spec.alpha) / (doubling * (s - 1.0))
     return c1, c2, c3
 
 

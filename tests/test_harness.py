@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mixedflow import harness
 from mixedflow.cli import (EXIT_CONFIG_ERROR, _build_parser,
                            _config_from_args, main)
 from conftest import flux
@@ -24,6 +26,59 @@ def cli_env() -> dict:
     """This environment with the checkout's src/ first on PYTHONPATH."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
+# the one-line contract's cases: each section of the table by the test that
+# runs it, with the ids its cases had when that test listed them itself
+# ({i}: the row's place in its section)
+CLI_FAILURES = ROOT / "tests" / "data" / "cli_failures.txt"
+CLI_SECTIONS = {
+    "test_bad_config_value_one_line_error": "{config}",
+    "test_bad_study_value_one_line_error": "argv{i}-{config}",
+    "test_malformed_flags_one_line_error": "argv{i}",
+    "test_overflow_ends_in_one_solver_failure_line": "{config}",
+    "test_verify_overflow_exits_3_without_stderr": "{config}",
+}
+
+
+def cli_rows(section: str) -> list:
+    """The rows under ``[section]`` of tests/data/cli_failures.txt, each a
+    pytest param holding ``(argv, config text, exit code, stderr regex)``."""
+    rows, current = [], None
+    for line in CLI_FAILURES.read_text().splitlines():
+        if line.startswith("["):
+            current = line.strip("[]")
+            if current not in CLI_SECTIONS:
+                raise ValueError(f"{CLI_FAILURES.name}: no test runs [{current}]")
+        elif line and not line.startswith("#") and current == section:
+            args, config, code, pattern = line.split("|")
+            config = config.replace(";", "\n")
+            rows.append(pytest.param(
+                (args.split(), config, int(code), pattern),
+                id=CLI_SECTIONS[section].format(i=len(rows), config=config)))
+    return rows
+
+
+def run_cli_row(tmp_path, capsys, argv, config, code, pattern):
+    """One row through ``main`` with every warning an error: exit ``code``,
+    one stderr line matching ``pattern`` (none when it is empty), and no
+    stdout after a configuration error."""
+    if config:
+        cfgfile = tmp_path / "row.cfg"
+        cfgfile.write_text(config + "\n")
+        argv = argv + ["--config", str(cfgfile)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = main(argv)
+    captured = capsys.readouterr()
+    assert got == code, captured.err
+    if pattern:
+        err = captured.err.splitlines()
+        assert len(err) == 1 and re.search(pattern, err[0]), captured.err
+    else:
+        assert captured.err == ""
+    if code == EXIT_CONFIG_ERROR:
+        assert captured.out == ""
 
 
 def consistency_defects(data, n_points: int = 100,
@@ -113,6 +168,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             StudyConfig(levels=(8, 4))
         StudyConfig(levels=(4, 8, 16, 32, 64, 128, 256))
+
+    def test_trial_ceilings_accepted(self):
+        # one past each ceiling is a row of tests/data/cli_failures.txt
+        cfg = StudyConfig(study="verify", trials=10**6, gronwall_trials=10**5)
+        assert (cfg.trials, cfg.gronwall_trials) == (10**6, 10**5)
 
     def test_unknown_study(self):
         with pytest.raises(ValueError):
@@ -252,80 +312,35 @@ class TestCli:
         cfgfile.write_text("does_not_exist = 1\n")
         assert main(["single", "--config", str(cfgfile)]) == 1
 
-    @pytest.mark.parametrize("line", ["exponents = abc", "dt_ratio = fast",
-                                      "linear_mode = iterative",
-                                      "check_linear = true",
-                                      "newton_damping = true",
-                                      "quad_order = 4"])
-    def test_bad_config_value_one_line_error(self, tmp_path, capsys, line):
-        cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text(f"levels = 4\n{line}\n")
-        assert main(["dependence", "--config", str(cfgfile)]) == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+    @pytest.mark.parametrize("row", cli_rows("test_bad_config_value_one_line_error"))
+    def test_bad_config_value_one_line_error(self, tmp_path, capsys, row):
+        run_cli_row(tmp_path, capsys, *row)
 
-    @pytest.mark.parametrize("argv, line", [
-        (["convergence", "--levels", "4", "--dt-ratio", "0.3"], ""),
-        (["verify"], "seed = -1"),
-        (["verify"], "trials = 0"),
-        (["verify", "--trials", "0"], ""),
-        (["verify"], "gronwall_trials = -5"),
-        (["dependence", "--levels", "4"], "eps_reg = 0"),
-        (["dependence", "--levels", "4"], "alpha = 1.5"),
-        (["dependence", "--levels", "4"], "coefficients_a = -1, 1, 1"),
-        (["dependence", "--levels", "4"], "exponents = 2, 1"),
-        (["dependence", "--levels", "4"], "exponents = 1, 2"),
-        (["dependence", "--levels", "4"], "coefficients_a = 1"),
-        (["single", "--levels", "4"], "final_time = inf"),
-        (["single", "--levels", "4"], "final_time = 1e400"),
-        (["single", "--levels", "4"], "newton_tol = nan"),
-        (["dependence", "--levels", "4,8"], "eps_reg = nan"),
-        (["dependence", "--levels", "4"], "exponents = nan"),
-        (["verify", "--trials", "10"], "coefficients_a = 0, 1, 1"),
-        (["convergence", "--problem", "example2_F1", "--levels", "4"], ""),
-        (["single", "--problem", "example2_F1", "--momentum-bc", "exact",
-          "--levels", "4"], ""),
-        (["dependence", "--pairing", "shared_data", "--momentum-bc", "exact",
-          "--levels", "4"], ""),
-        (["single", "--levels", ","], ""),
-        (["convergence", "--levels", ","], ""),
-        (["dependence"], "levels = ,"),
-        (["single", "--levels", "abc"], ""),
-        (["single", "--levels", "4,,8"], ""),
-        (["single"], "levels = 4,,8"),
-        (["single"], "levels = 4\nlevels = 8"),
-        # F'(eps)/eps of the law overflows
-        (["dependence", "--levels", "4"], "eps_reg = 1e-300"),
-        # final_time / dt overflows
-        (["single", "--levels", "4"], "dt_ratio = 1e-320"),
-        # a bool is no number
-        (["single", "--levels", "4"], "newton_max_iter = true"),
-        (["single", "--levels", "4"], "dt_ratio = on"),
-        (["dependence", "--levels", "4"], "exponents = true"),
-        (["verify", "--trials", "10"], "seed = yes"),
-    ])
-    def test_bad_study_value_one_line_error(self, tmp_path, capsys, argv, line):
-        cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text(f"{line}\n")
-        assert main(argv + ["--config", str(cfgfile)]) == EXIT_CONFIG_ERROR
-        captured = capsys.readouterr()
-        err = captured.err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert captured.out == ""
+    @pytest.mark.parametrize("row", cli_rows("test_bad_study_value_one_line_error"))
+    def test_bad_study_value_one_line_error(self, tmp_path, capsys, row):
+        run_cli_row(tmp_path, capsys, *row)
 
-    @pytest.mark.parametrize("argv", [["verify", "--seed", "abc"],
-                                      ["single", "--psi-t", "midpoint"],
-                                      ["single", "--bogus"], ["nosuch"], [],
-                                      # a flag the study does not read
-                                      ["single", "--trials", "5"],
-                                      ["convergence", "--pairing", "shared_data"],
-                                      ["dependence", "--problem", "example2_F1"],
-                                      ["verify", "--levels", "4"]])
-    def test_malformed_flags_one_line_error(self, capsys, argv):
-        assert main(argv) == EXIT_CONFIG_ERROR
+    @pytest.mark.parametrize("row", cli_rows("test_malformed_flags_one_line_error"))
+    def test_malformed_flags_one_line_error(self, tmp_path, capsys, row):
+        run_cli_row(tmp_path, capsys, *row)
+
+    @pytest.mark.parametrize("row", cli_rows("test_overflow_ends_in_one_solver_failure_line"))
+    def test_overflow_ends_in_one_solver_failure_line(self, tmp_path, capsys, row):
+        run_cli_row(tmp_path, capsys, *row)
+
+    @pytest.mark.parametrize("row", cli_rows("test_verify_overflow_exits_3_without_stderr"))
+    def test_verify_overflow_exits_3_without_stderr(self, tmp_path, capsys, row):
+        run_cli_row(tmp_path, capsys, *row)
+
+    def test_out_of_memory_one_line_error(self, monkeypatch, capsys):
+        # a level too fine for the machine: numpy raises MemoryError
+        def exhausted(n):
+            raise MemoryError(f"Unable to allocate the mesh of N={n}")
+        monkeypatch.setattr(harness, "build_mesh", exhausted)
+        assert main(["convergence", "--levels", "4,8"]) == EXIT_CONFIG_ERROR
         captured = capsys.readouterr()
-        err = captured.err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: "), captured.err
+        assert captured.err.splitlines() == [
+            "error: out of memory: Unable to allocate the mesh of N=4"]
         assert captured.out == ""
 
     def test_help_exits_zero(self, capsys):
@@ -407,34 +422,6 @@ class TestCli:
         cfgfile.write_text("levels = 4\nnewton_tol = 1e-14\n"
                            "newton_max_iter = 1\n")
         assert main(["single", "--config", str(cfgfile)]) == 2
-
-    @pytest.mark.parametrize("line, cause", [
-        # the residual's squared norm overflows: one failure, no 30 steps on inf
-        ("coefficients_a = 1e200, 1, 1e200", "non-finite residual norm"),
-        # a vanishing flux block leaves J nearly singular: the linear solve
-        # misses its residual bound
-        ("coefficients_a = 1e-60, 1e-60, 1e-60\npairing = shared_data",
-         "linear solve residual"),
-        # f, dPsi and the loads of the first level overflow
-        ("coefficients_a = 1, 1e308, 1", "non-finite residual norm at step 1 "),
-        # rho_0 overflows, so the projection's mass solve fails
-        ("coefficients_a = 1, 1.7e308, 1", "initial state: mass solve failed"),
-        # |m| is about 109, so z^150 is finite but dt ||m||_Ls^s, s = 152, is not
-        ("pairing = shared_data\nexponents = 150\n"
-         "coefficients_a = 1e-6, 0.0179, 1e-320\ncoefficients_b = 1, 1, 0\n"
-         "dt_ratio = 0.0625\nfinal_time = 0.015625",
-         "non-finite step energy at step 1 "),
-    ])
-    def test_overflow_ends_in_one_solver_failure_line(self, tmp_path, line, cause):
-        cfgfile = tmp_path / "overflow.cfg"
-        cfgfile.write_text(f"levels = 4\n{line}\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "mixedflow", "dependence", "--config", str(cfgfile)],
-            env=cli_env(), capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 2
-        err = proc.stderr.strip().splitlines()
-        assert len(err) == 1, proc.stderr
-        assert err[0].startswith("solver failure: ") and cause in err[0], err[0]
 
     @pytest.mark.parametrize("key", ["coefficients_a", "coefficients_b"])
     def test_tiny_law_runs(self, tmp_path, capsys, key):
