@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -364,13 +364,12 @@ def parse_config_text(text: str) -> dict:
 
 @dataclass
 class StudyReport:
-    study: str
-    problem: str
-    levels: list[LevelResult] = field(default_factory=list)
-    # a study of one march per level: its (energy_rho, energy_m_accum) per step
-    energies: dict[int, list[tuple[float, float]]] = field(default_factory=dict)
-    text: str = ""
-    csv: str = ""
+    """A refinement study as printed: its levels with rates, the table and
+    the CSV.  Per-step energies are in each march's ``StepDiagnostics``."""
+
+    levels: list[LevelResult]
+    text: str
+    csv: str
 
 
 def run_single(cfg: StudyConfig) -> tuple[SystemState, list]:
@@ -389,27 +388,24 @@ def run_single(cfg: StudyConfig) -> tuple[SystemState, list]:
     return final, diags
 
 
-def _refine(cfg: StudyConfig, report: StudyReport,
-            problems: Sequence[ProblemData], measure: Callable,
-            **table) -> StudyReport:
+def _refine(cfg: StudyConfig, problems: Sequence[ProblemData],
+            measure: Callable, **table) -> StudyReport:
     """The studies' refinement loop: each level marches every one of
-    ``problems`` on one mesh and appends a ``LevelResult`` with errors
+    ``problems`` on one mesh and gives a ``LevelResult`` with errors
     ``measure(mesh, final states)`` and the marches' Newton iterations.
-    Then it fills in the rates, the CSV (also written to ``cfg.out``) and
-    the table; ``table`` holds ``format_table``'s keyword arguments."""
+    The report adds the rates, the CSV (also written to ``cfg.out``) and
+    the table; ``table`` holds ``format_table``'s keyword arguments.
+    Per-step energies stay in each march's ``StepDiagnostics``."""
+    levels = []
     for n in cfg.levels:
         mesh = build_mesh(n)
         runs = [march(data, mesh, cfg.march_config(n), cfg.newton(),
                       cfg.discretization()) for data in problems]
-        diags = [d for _, level in runs for d in level]
-        report.levels.append(LevelResult(
+        levels.append(LevelResult(
             n, 1.0 / n, cfg.dt_ratio / n, *measure(mesh, [final for final, _ in runs]),
-            newton_total=sum(d.newton_iterations for d in diags)))
-        if len(runs) == 1:
-            report.energies[n] = [(d.energy_rho, d.energy_m_accum) for d in diags]
-    report.levels = rates(report.levels)
-    report.csv = report_to_csv(report.levels)
-    report.text = format_table(report.levels, **table)
+            newton_total=sum(d.newton_iterations for _, diags in runs for d in diags)))
+    levels = rates(levels)
+    report = StudyReport(levels, format_table(levels, **table), report_to_csv(levels))
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(report.csv)
@@ -421,7 +417,7 @@ def run_convergence(cfg: StudyConfig) -> StudyReport:
     data = builtin_problem(cfg.problem)
     if data.exact is None:
         raise ValueError(f"problem {cfg.problem!r} has no exact solution")
-    return _refine(cfg, StudyReport("convergence", cfg.problem), [data],
+    return _refine(cfg, [data],
                    lambda mesh, finals: final_time_errors(finals[0], data, mesh))
 
 
@@ -439,6 +435,5 @@ def run_dependence(cfg: StudyConfig) -> StudyReport:
         return (norm(ScalarP1Space(mesh), a.rho_bar - b.rho_bar, 2.0),
                 norm(VectorP1Space(mesh), a.m - b.m, s))
 
-    return _refine(cfg, StudyReport("dependence", cfg.pairing),
-                   [data_a, data_b], differences,
+    return _refine(cfg, [data_a, data_b], differences,
                    err_labels=("diff_rho(L2)", "diff_m(Ls)"))

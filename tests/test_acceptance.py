@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from mixedflow import harness
 from mixedflow.analysis import LevelResult, rates
 from mixedflow.assembly import Assembler, SystemState
 from mixedflow.harness import (StudyConfig, builtin_problem, run_convergence,
@@ -42,16 +43,33 @@ def _announce(criterion: str, passed: bool, detail: str = ""):
 
 
 @pytest.fixture(scope="module")
-def convergence_reports():
-    """One `convergence` run per example over the acceptance levels."""
+def convergence_runs():
+    """One `convergence` run per example over the acceptance levels: its
+    report, and the ``StepDiagnostics`` of every step of its marches, taken
+    by wrapping ``harness.march`` as perfbench/workloads.py does."""
     out = {}
+    real = harness.march
     for name in ("example1", "example2_F2"):
+        steps = []
+
+        def march(*args, **kwargs):
+            state, diags = real(*args, **kwargs)
+            steps.extend(diags)
+            return state, diags
+
         cfg = StudyConfig(study="convergence", problem=name,
                           levels=ACCEPTANCE_LEVELS)
         t0 = time.time()
-        out[name] = run_convergence(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "march", march)
+            out[name] = (run_convergence(cfg), steps)
         print(f"[acceptance setup] convergence({name}) took {time.time()-t0:.1f}s")
     return out
+
+
+@pytest.fixture(scope="module")
+def convergence_reports(convergence_runs):
+    return {name: report for name, (report, _) in convergence_runs.items()}
 
 
 @pytest.fixture(scope="module")
@@ -224,11 +242,9 @@ class TestCriterion7StabilityDiagnostic:
     # |rho_bar|^2 + int ||m||_L3^3 dt <= 0.25; factor-4 headroom
     BOUND = 1.0
 
-    def test_no_blowup_both_examples(self, convergence_reports):
-        worst = 0.0
-        for report in convergence_reports.values():
-            for steps in report.energies.values():
-                worst = max(worst, max(er + em for er, em in steps))
+    def test_no_blowup_both_examples(self, convergence_runs):
+        worst = max(d.energy_rho + d.energy_m_accum
+                    for _, steps in convergence_runs.values() for d in steps)
         ok = worst <= self.BOUND
         _announce("7 stability energy bounded", ok,
                   f"max left side={worst:.4f} <= {self.BOUND}")

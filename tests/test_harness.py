@@ -14,6 +14,7 @@ from mixedflow import harness
 from mixedflow.cli import (EXIT_CONFIG_ERROR, _build_parser,
                            _config_from_args, main)
 from conftest import flux
+from mixedflow.assembly import SystemState
 from mixedflow.harness import (StudyConfig, builtin_problem, parse_config_text,
                                run_convergence, run_dependence, run_single)
 from mixedflow.mesh_fem import build_mesh
@@ -279,6 +280,36 @@ class TestStudies:
         np.testing.assert_allclose([g[1:3] for g in got],
                                    [e[1:3] for e in expected], rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize("run, study, marches", [
+        (run_convergence, "convergence", 2), (run_dependence, "dependence", 4)])
+    def test_studies_march_through_the_wrappable_name(self, monkeypatch, run,
+                                                      study, marches):
+        """perfbench/workloads.py's ``capture_harness_marches`` sees a
+        study's marches by wrapping ``harness.march`` with this signature: a
+        study calls it once per march and takes its (state, diags) return."""
+        real = harness.march
+        calls = []
+
+        def march(data, mesh, march_config, newton_config=None, options=None,
+                  linear_solver=None):
+            state, diags = real(data, mesh, march_config, newton_config, options,
+                                linear_solver)
+            calls.append(diags)
+            # a study that kept the real march's return would miss both changes
+            return (SystemState(state.rho_bar + len(calls), state.m, state.t),
+                    diags[:1])
+
+        monkeypatch.setattr(harness, "march", march)
+        report = run(StudyConfig(study=study, levels=(4, 8)))
+        assert len(calls) == marches
+        per_level = marches // 2
+        for lv, level_calls in zip(report.levels,
+                                   (calls[:per_level], calls[per_level:])):
+            assert lv.newton_total == sum(d[0].newton_iterations for d in level_calls)
+            # the k-th returned density is shifted by k, so each error or
+            # difference is about 1 or more
+            assert lv.err_rho >= 0.5
+
     def test_verify_passes_and_is_fast(self):
         cfg = StudyConfig(study="verify", trials=2000, gronwall_trials=100)
         report = run_verify(cfg)
@@ -422,6 +453,22 @@ class TestCli:
         cfgfile.write_text("levels = 4\nnewton_tol = 1e-14\n"
                            "newton_max_iter = 1\n")
         assert main(["single", "--config", str(cfgfile)]) == 2
+
+    def test_failing_verbose_march_keeps_its_finished_levels(self, tmp_path,
+                                                             capsys):
+        # the steep law stalls Newton at level 2 of law a's march
+        cfgfile = tmp_path / "steep.cfg"
+        cfgfile.write_text("exponents = 30\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dependence", "--levels", "4", "--verbose",
+                         "--config", str(cfgfile)])
+        captured = capsys.readouterr()
+        assert code == 2
+        out, err = captured.out.splitlines(), captured.err.splitlines()
+        assert len(out) == 1 and out[0].startswith("1 0.125 "), captured.out
+        assert len(err) == 1 and err[0].startswith(
+            "solver failure: Newton stalled at step 2 (t=0.25) "), captured.err
 
     @pytest.mark.parametrize("key", ["coefficients_a", "coefficients_b"])
     def test_tiny_law_runs(self, tmp_path, capsys, key):
